@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .consensus import CorrectionParams, run_correction
-from .errors import MorpError
+from .errors import ConfigError, MorpError
 from .featstore import CorpusManifest, read_manifest, write_manifest
 from .metrics import corpus_stats, write_json
 from .pipeline import (
@@ -42,8 +42,8 @@ def _int_list(text):
 # name, type, default, help
 COMMON_OPTS = [
     ("seed", int, 0, "base random seed (default: 0)"),
-    ("threads", int, 1, "worker threads; any value gives identical output "
-                        "(default: 1)"),
+    ("threads", int, 1, "accepted for compatibility; the value changes "
+                        "neither the output nor the speed (default: 1)"),
 ]
 SYNTH_OPTS = [
     ("videos", int, 500, "number of synthetic videos (default: 500)"),
@@ -91,22 +91,45 @@ def _add_opts(parser, opts):
                             help=help_text)
 
 
+def _parse(typ, raw, name, source):
+    """An option's value from an environment or config-file entry."""
+    if not isinstance(raw, str):
+        # JSON config values arrive typed; numbers must fit the option
+        numeric = {int: (int,), float: (int, float)}.get(typ)
+        if numeric and raw is not None and (isinstance(raw, bool) or
+                                            not isinstance(raw, numeric)):
+            raise ConfigError(f"bad {source} value for {name}", option=name,
+                              value=raw, source=source)
+        return raw
+    try:
+        return typ(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {source} value for {name}",
+                          option=name, value=raw, source=source) from None
+
+
 def _resolve(args, opts, config):
     """flags > MORP_* environment > config file > built-in default."""
     out = {}
     for name, typ, default, _ in opts:
         value = getattr(args, name, None)
         if value is None:
-            env = os.environ.get("MORP_" + name.upper())
+            env_name = "MORP_" + name.upper()
+            env = os.environ.get(env_name)
             if env is not None:
-                value = typ(env)
+                value = _parse(typ, env, name, env_name)
         if value is None and name in config:
-            raw = config[name]
-            value = typ(raw) if isinstance(raw, str) else raw
+            value = _parse(typ, config[name], name, "config file")
         if value is None:
             value = default
         out[name] = value
     return out
+
+
+def _parent_dirs(*paths):
+    """Create the directories that will hold the given output files."""
+    for path in paths:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def build_parser():
@@ -217,7 +240,7 @@ def _synth_spec(cfg) -> SynthSpec:
 def _cmd_synth(args, config):
     cfg = _resolve(args, SYNTH_OPTS + COMMON_OPTS, config)
     spec = _synth_spec(cfg)
-    manifest = generate_corpus(spec, args.out, threads=cfg["threads"])
+    manifest = generate_corpus(spec, args.out)
     manifest = _with_provenance(manifest, _provenance(cfg))
     write_manifest(manifest, os.path.join(args.out, "manifest.json"))
     print(f"wrote corpus with {len(manifest.videos)} videos and "
@@ -229,11 +252,11 @@ def _cmd_refine(args, config):
     cfg = _resolve(args, REFINE_OPTS + COMMON_OPTS, config)
     manifest = read_manifest(args.manifest)
     refined, report = refine_corpus(manifest, CleanParams(cfg["clean_ratio"]),
-                                    _adjust_params(cfg),
-                                    threads=cfg["threads"])
+                                    _adjust_params(cfg))
     prov = _provenance(cfg)
-    write_manifest(_with_provenance(refined, prov), args.out_manifest)
     report_path = args.report or args.out_manifest + ".report.json"
+    _parent_dirs(args.out_manifest, report_path)
+    write_manifest(_with_provenance(refined, prov), args.out_manifest)
     obj = report.to_json_obj()
     obj["provenance"] = prov
     write_json(obj, report_path)
@@ -252,11 +275,11 @@ def _cmd_correct(args, config):
         predictor = SlidingWindowPredictor(ProposalParams(
             stride=cfg["delta"], jitter=cfg["delta"]))
     corrected, trace = run_correction(manifest, predictor,
-                                      _correction_params(cfg),
-                                      threads=cfg["threads"])
+                                      _correction_params(cfg))
     prov = _provenance(cfg)
-    write_manifest(_with_provenance(corrected, prov), args.out_manifest)
     trace_path = args.trace or args.out_manifest + ".trace.jsonl"
+    _parent_dirs(args.out_manifest, trace_path)
+    write_manifest(_with_provenance(corrected, prov), args.out_manifest)
     trace.write(trace_path)
     print(f"corrected {len(corrected.annotations)} annotations; "
           f"trace at {trace_path}")
@@ -269,7 +292,7 @@ def _cmd_pipeline(args, config):
     os.makedirs(args.out_dir, exist_ok=True)
     refined, report, corrected, trace = run_pipeline(
         manifest, CleanParams(cfg["clean_ratio"]), _adjust_params(cfg),
-        _correction_params(cfg), threads=cfg["threads"])
+        _correction_params(cfg))
     prov = _provenance(cfg)
     write_manifest(_with_provenance(refined, prov),
                    os.path.join(args.out_dir, "refined.json"))
@@ -321,15 +344,13 @@ def _cmd_sweep(args, config):
     if args.knob == "clean-ratio":
         result = sweep_clean_ratio(spec, _float_list(args.values), seeds,
                                    args.work_dir, adjust_params=adjust,
-                                   correction_params=correction,
-                                   threads=cfg["threads"])
+                                   correction_params=correction)
     else:
         result = sweep_corpus_size(spec, _int_list(args.values), seeds,
                                    args.work_dir,
                                    clean_ratio=cfg["clean_ratio"],
                                    adjust_params=adjust,
-                                   correction_params=correction,
-                                   threads=cfg["threads"])
+                                   correction_params=correction)
     obj = result.to_json_obj()
     obj["provenance"] = _provenance(cfg)
     print(json.dumps(obj, indent=2))
@@ -351,20 +372,22 @@ COMMANDS = {
 }
 
 
+def _load_config(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ConfigError(str(exc), path=path) from None
+    if not isinstance(config, dict):
+        raise ConfigError("config file must hold a JSON object", path=path)
+    return config
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(json.dumps({"code": "config_error", "message": str(exc),
-                              "context": {"path": args.config}}),
-                  file=sys.stderr)
-            return 1
     try:
+        config = _load_config(args.config) if args.config else {}
         return COMMANDS[args.command](args, config)
     except MorpError as exc:
         print(json.dumps(exc.to_json_obj()), file=sys.stderr)

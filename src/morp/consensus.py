@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,6 +19,7 @@ import numpy as np
 from .core import Boundary, ScoredBoundary, iou
 from .errors import ContractViolation, PredictorError
 from .featstore import CorpusManifest, with_updated_boundary
+from .predictor import ProposalBatch, SlidingWindowPredictor
 from .refine import compute_tracks
 
 
@@ -202,7 +202,7 @@ def _validate_preds(preds, U, T, annotation_id, epoch):
 def run_correction(manifest: CorpusManifest, predictor,
                    params: CorrectionParams,
                    trainer: Optional[NoOpTrainer] = None,
-                   threads: int = 1):
+                   threads: int = 1, tracks: Optional[dict] = None):
     """Run the epoch loop over a refined corpus.
 
     Every annotation must arrive with status ``adjusted``.  For each
@@ -211,7 +211,13 @@ def run_correction(manifest: CorpusManifest, predictor,
     and the (consensus, seed) target blend is handed to the trainer and
     recorded in the trace.  The corrected boundary is the consensus pick
     of the final epoch.  Fully deterministic given params.seed; results
-    do not depend on the processing order or thread count.
+    do not depend on the processing order.  ``threads`` is accepted for
+    compatibility and changes neither the output nor the speed.
+
+    ``tracks`` maps annotation ids to similarity tracks already computed
+    for this corpus (by refinement, say); without it they are computed
+    from the feature files.  A :class:`SlidingWindowPredictor` proposes
+    for all annotations of an epoch in one :class:`ProposalBatch` pass.
     """
     trainer = trainer or NoOpTrainer()
     for ann in manifest.annotations:
@@ -220,33 +226,42 @@ def run_correction(manifest: CorpusManifest, predictor,
                 "run_correction expects adjusted annotations",
                 annotation_id=ann.annotation_id, status=ann.status,
             )
-    tracks = compute_tracks(manifest, threads=threads)
+    if tracks is None:
+        tracks = compute_tracks(manifest)
     anns = sorted(manifest.annotations, key=lambda a: a.annotation_id)
     banks = {
         a.annotation_id: MemoryBank(a.annotation_id, [a.boundary_frames],
                                     capacity=params.capacity)
         for a in anns
     }
+    U = params.predictions_per_query
+
+    batch = None
+    if isinstance(predictor, SlidingWindowPredictor):
+        batch = ProposalBatch(
+            [tracks[a.annotation_id] for a in anns],
+            [annotation_seed(params.seed, a.annotation_id) for a in anns],
+            predictor.params)
 
     def predict(ann, epoch):
         track = tracks[ann.annotation_id]
-        seed = annotation_seed(params.seed, ann.annotation_id)
         if hasattr(predictor, "for_annotation"):
-            preds = predictor.for_annotation(ann.annotation_id, track,
-                                             params.predictions_per_query, epoch)
-        else:
-            preds = predictor(track, params.predictions_per_query, epoch, seed)
-        _validate_preds(preds, params.predictions_per_query,
-                        track.num_frames, ann.annotation_id, epoch)
+            return predictor.for_annotation(ann.annotation_id, track, U, epoch)
+        seed = annotation_seed(params.seed, ann.annotation_id)
+        return predictor(track, U, epoch, seed)
+
+    def checked(ann, epoch, preds):
+        _validate_preds(preds, U, tracks[ann.annotation_id].num_frames,
+                        ann.annotation_id, epoch)
         return preds
 
     trace = CorrectionTrace()
     for epoch in range(1, params.epochs + 1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                all_preds = list(pool.map(lambda a: predict(a, epoch), anns))
+        if batch is None:
+            all_preds = [checked(a, epoch, predict(a, epoch)) for a in anns]
         else:
-            all_preds = [predict(a, epoch) for a in anns]
+            all_preds = [checked(a, epoch, preds)
+                         for a, preds in zip(anns, batch.propose(U, epoch))]
         for ann, preds in zip(anns, all_preds):
             bank = banks[ann.annotation_id]
             pick = select_insert(preds)

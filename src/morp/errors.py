@@ -81,6 +81,12 @@ class NoCandidatesError(MorpError):
     code = "no_candidates"
 
 
+class ConfigError(MorpError):
+    """An option value from the environment or a config file does not parse."""
+
+    code = "config_error"
+
+
 class SpecError(MorpError):
     """An infeasible synthetic-corpus specification."""
 

@@ -10,7 +10,7 @@ from .errors import ContractViolation
 from .featstore import CorpusManifest, derive_boundary_frames
 from .metrics import MetricReport, metric_report
 from .predictor import ProposalParams, SlidingWindowPredictor
-from .refine import AdjustParams, CleanParams, refine_corpus
+from .refine import AdjustParams, CleanParams, compute_tracks, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
 
@@ -42,13 +42,22 @@ def evaluate_manifest(manifest: CorpusManifest,
 def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
                  adjust_params: AdjustParams, correction_params: CorrectionParams,
                  proposal_params: ProposalParams = None, threads: int = 1):
-    """refine + correct; returns (refined, refine_report, corrected, trace)."""
+    """refine + correct; returns (refined, refine_report, corrected, trace).
+
+    The similarity tracks are computed once and shared by both stages.
+    ``threads`` is accepted for compatibility and changes neither the
+    output nor the speed.
+    """
+    tracks = compute_tracks(manifest)
     refined, report = refine_corpus(manifest, clean_params, adjust_params,
-                                    threads=threads)
+                                    tracks=tracks)
+    # correction needs only the kept annotations' tracks
+    tracks = {a.annotation_id: tracks[a.annotation_id]
+              for a in refined.annotations}
     predictor = SlidingWindowPredictor(proposal_params or ProposalParams(
         stride=adjust_params.delta, jitter=adjust_params.delta))
     corrected, trace = run_correction(refined, predictor, correction_params,
-                                      threads=threads)
+                                      tracks=tracks)
     return refined, report, corrected, trace
 
 
@@ -115,11 +124,10 @@ class SweepResult:
                          for r in rows)
 
 
-def _quality_for(manifest, clean_ratio, adjust_params, correction_params,
-                 threads=1):
+def _quality_for(manifest, clean_ratio, adjust_params, correction_params):
     _, _, corrected, _ = run_pipeline(
         manifest, CleanParams(ratio=clean_ratio), adjust_params,
-        correction_params, threads=threads)
+        correction_params)
     return corpus_quality(manifest, corrected)
 
 
@@ -135,11 +143,10 @@ def sweep_clean_ratio(spec: SynthSpec, ratios, seeds, work_dir,
     per_seed = {}
     for seed in seeds:
         corpus_dir = os.path.join(work_dir, f"sweepR_seed{seed}")
-        manifest = generate_corpus(replace(spec, seed=seed), corpus_dir,
-                                   threads=threads)
+        manifest = generate_corpus(replace(spec, seed=seed), corpus_dir)
         per_seed[seed] = [
             _quality_for(manifest, r, adjust_params,
-                         replace(correction_params, seed=seed), threads=threads)
+                         replace(correction_params, seed=seed))
             for r in ratios
         ]
     metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)
@@ -163,11 +170,9 @@ def sweep_corpus_size(spec: SynthSpec, sizes, seeds, work_dir, clean_ratio=0.4,
         for size in sizes:
             corpus_dir = os.path.join(work_dir, f"sweepN_seed{seed}_n{size}")
             manifest = generate_corpus(
-                replace(spec, n_videos=size, seed=seed), corpus_dir,
-                threads=threads)
+                replace(spec, n_videos=size, seed=seed), corpus_dir)
             row.append(_quality_for(manifest, clean_ratio, adjust_params,
-                                    replace(correction_params, seed=seed),
-                                    threads=threads))
+                                    replace(correction_params, seed=seed)))
         per_seed[seed] = row
     metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)
               for i in range(len(sizes))]

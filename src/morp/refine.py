@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -228,44 +227,38 @@ class RefineReport:
 def compute_tracks(manifest: CorpusManifest, threads: int = 1):
     """Similarity track per annotation, keyed by annotation_id.
 
-    Feature files are read once per video; per-annotation work is pure,
-    so the thread count never changes the result.
+    Feature files are read once per video.  ``threads`` is accepted for
+    compatibility and changes neither the result nor the speed.
     """
     queries = manifest.load_query_features()
     by_video = {}
     for ann in manifest.annotations:
         by_video.setdefault(ann.video_id, []).append(ann)
 
-    def one_video(video_id):
+    tracks = {}
+    for video_id in sorted(by_video):
         frames = manifest.load_video_features(video_id)
-        out = {}
         for ann in by_video[video_id]:
             q = QueryFeature(queries.data[ann.query_feature_ref])
-            out[ann.annotation_id] = frame_similarities(q, frames)
-        return out
-
-    tracks = {}
-    video_ids = sorted(by_video)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(one_video, video_ids):
-                tracks.update(part)
-    else:
-        for vid in video_ids:
-            tracks.update(one_video(vid))
+            tracks[ann.annotation_id] = frame_similarities(q, frames)
     return tracks
 
 
 def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
-                  adjust_params: AdjustParams, threads: int = 1):
+                  adjust_params: AdjustParams, threads: int = 1,
+                  tracks: Optional[dict] = None):
     """Score, clean, then adjust a raw corpus.
 
     Returns (refined_manifest, report).  The refined manifest keeps only
     surviving annotations, each with status ``adjusted`` and its boundary
     replaced by the adjusted one; the report records gamma, the keep/drop
     decision and the boundary delta for every input annotation.
+    ``tracks`` holds the similarity tracks of ``compute_tracks(manifest)``
+    when the caller has them already.  ``threads`` is accepted for
+    compatibility and changes neither the output nor the speed.
     """
-    tracks = compute_tracks(manifest, threads=threads)
+    if tracks is None:
+        tracks = compute_tracks(manifest)
     scored = [
         (ann, moment_contrast(tracks[ann.annotation_id], ann.boundary_frames))
         for ann in manifest.annotations
@@ -273,17 +266,13 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
     gamma_by_id = {ann.annotation_id: g for ann, g in scored}
     kept, dropped = clean_corpus(scored, clean_params)
 
-    def adjust_one(ann):
+    adjusted = []
+    for ann in kept:
         new_b = adjust_boundary(tracks[ann.annotation_id], ann.boundary_frames,
                                 adjust_params)
         video = manifest.video_by_id(ann.video_id)
-        return with_updated_boundary(ann, new_b, video, status="adjusted")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            adjusted = list(pool.map(adjust_one, kept))
-    else:
-        adjusted = [adjust_one(ann) for ann in kept]
+        adjusted.append(with_updated_boundary(ann, new_b, video,
+                                              status="adjusted"))
 
     adjusted.sort(key=lambda a: a.annotation_id)
     records = []

@@ -134,6 +134,24 @@ class TestPipeline:
         assert body(pipe / "refined.json") == body(refined)
         assert body(pipe / "corrected.json") == body(corrected)
 
+    def test_tracks_computed_once(self, tmp_path, capsys, monkeypatch):
+        import morp.consensus
+        import morp.pipeline
+        import morp.refine
+
+        calls = []
+        original = morp.refine.compute_tracks
+
+        def counted(manifest, threads=1):
+            calls.append(len(manifest.annotations))
+            return original(manifest)
+
+        for module in (morp.consensus, morp.pipeline, morp.refine):
+            monkeypatch.setattr(module, "compute_tracks", counted)
+        manifest = make_corpus(tmp_path, capsys)
+        run_pipeline_dir(tmp_path, capsys, manifest)
+        assert calls == [12]  # 6 videos x 2 annotations, read once
+
 
 class TestEvaluateAndStats:
     def test_evaluate_pipeline_output(self, tmp_path, capsys):
@@ -207,6 +225,46 @@ class TestErrors:
         assert code == 1
         obj = json.loads(err.strip())
         assert {"code", "message", "context"} <= set(obj)
+
+    @pytest.mark.parametrize("name,value", [("MORP_THREADS", "abc"),
+                                             ("MORP_CLEAN_RATIO", "0.4x")])
+    def test_bad_env_value(self, tmp_path, capsys, monkeypatch, name, value):
+        manifest = make_corpus(tmp_path, capsys)
+        monkeypatch.setenv(name, value)
+        code, _, err = run(capsys, "refine", "--manifest", str(manifest),
+                           "--out-manifest", str(tmp_path / "r.json"))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        obj = json.loads(err)
+        assert obj["code"] == "config_error"
+        assert obj["context"]["source"] == name
+
+    @pytest.mark.parametrize("cfg", [{"seed": "abc"}, {"frames": 64.5},
+                                     {"videos": [3]}, [1, 2]])
+    def test_bad_config_value(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "--config", str(path), "synth",
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert json.loads(err)["code"] == "config_error"
+
+    def test_output_parent_dirs_created(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path, capsys)
+        refined = tmp_path / "new" / "refined.json"
+        report = tmp_path / "reports" / "refine.json"
+        code, _, err = run(capsys, "refine", "--manifest", str(manifest),
+                           "--out-manifest", str(refined),
+                           "--report", str(report))
+        assert code == 0, err
+        assert refined.exists() and report.exists()
+        corrected = tmp_path / "deeper" / "still" / "corrected.json"
+        trace = tmp_path / "traces" / "trace.jsonl"
+        code, _, err = run(capsys, "correct", "--manifest", str(refined),
+                           "--out-manifest", str(corrected),
+                           "--trace", str(trace), "--epochs", "2")
+        assert code == 0, err
+        assert corrected.exists() and trace.exists()
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -256,6 +256,22 @@ class TestRunCorrection:
         assert [r.to_json_obj() for r in tr1.records] == \
             [r.to_json_obj() for r in tr4.records]
 
+    def test_batched_proposals_match_per_annotation_loop(self, tmp_path):
+        from morp.predictor import (ProposalParams, SlidingWindowPredictor,
+                                    propose)
+
+        refined = make_refined_corpus(tmp_path, n_videos=6, seed=2)
+        params = ProposalParams(stride=3, jitter=4)
+        p = CorrectionParams(epochs=4, seed=7, predictions_per_query=6)
+
+        def one_at_a_time(track, U, epoch, seed):
+            return propose(track, U, epoch, seed, params)
+
+        out_b, tr_b = run_correction(refined, SlidingWindowPredictor(params), p)
+        out_l, tr_l = run_correction(refined, one_at_a_time, p)
+        assert out_b.annotations == out_l.annotations
+        assert tr_b.records == tr_l.records
+
     def test_trace_is_jsonl(self, tmp_path):
         import json
 

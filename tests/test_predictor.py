@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from morp.core import iou
 from morp.errors import ContractViolation, NoCandidatesError, PredictorError
-from morp.predictor import FilePredictor, ProposalParams, propose
+from morp.predictor import (
+    BLOCK_ROWS,
+    FilePredictor,
+    ProposalBatch,
+    ProposalParams,
+    propose,
+)
 from morp.refine import SimilarityTrack
 
 
@@ -123,6 +129,115 @@ class TestPropose:
         after = _contrast_margin(t2, starts, ends)
         if before[0] >= before[1]:
             assert after[0] >= after[1]
+
+
+def oracle(tracks, seeds, U, epoch, params):
+    """Per-track propose over a corpus; stops at the first error, as
+    the per-annotation correction loop does."""
+    try:
+        return [propose(t, U, epoch, s, params)
+                for t, s in zip(tracks, seeds)], None
+    except (ContractViolation, NoCandidatesError) as exc:
+        return None, exc
+
+
+@st.composite
+def corpora(draw):
+    """Tracks of mixed lengths, some flat, some with tied values."""
+    n = draw(st.integers(1, 12))
+    tracks = []
+    for _ in range(n):
+        T = draw(st.sampled_from([1, 2, 3, 4, 5, 9, 16, 33, 64]))
+        kind = draw(st.sampled_from(["uniform", "tied", "flat"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        if kind == "uniform":
+            mapped = rng.uniform(0, 1, T)
+        elif kind == "tied":
+            mapped = rng.integers(0, 3, T) / 2.0
+        else:
+            mapped = np.full(T, 0.25)
+        tracks.append(track_from_mapped(mapped))
+    seeds = draw(st.lists(st.integers(0, 2 ** 40), min_size=n, max_size=n))
+    return tracks, seeds
+
+
+proposal_params = st.builds(
+    ProposalParams,
+    window_fractions=st.sampled_from([
+        (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (0.1, 0.2), (0.25, 1.0)]),
+    stride=st.sampled_from([1, 2, 5, 40]),
+    nms_iou=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    jitter=st.integers(0, 6),
+)
+
+
+class TestProposalBatch:
+    """ProposalBatch must return exactly what per-track propose returns."""
+
+    @settings(max_examples=300)
+    @given(corpora(), proposal_params, st.integers(1, 40),
+           st.integers(1, 20))
+    def test_matches_propose(self, corpus, params, U, epoch):
+        tracks, seeds = corpus
+        batch = ProposalBatch(tracks, seeds, params)
+        want, err = oracle(tracks, seeds, U, epoch, params)
+        if err is None:
+            # ScoredBoundary equality compares confidences exactly
+            assert batch.propose(U, epoch) == want
+        else:
+            with pytest.raises(type(err)) as got:
+                batch.propose(U, epoch)
+            assert got.value.to_json_obj() == err.to_json_obj()
+
+    def test_offset_draw_matches_scalar_draws(self):
+        """The batch draws each track's F jitter offsets with one size-F
+        call; propose draws them one at a time.  NumPy does not document
+        that the two agree, so check it over many seeds."""
+        rng = np.random.default_rng(0)
+        for seed in rng.integers(0, 2 ** 32, size=3000).tolist():
+            jitter = seed % 7 + 1
+            epoch = seed % 15 + 1
+            one = np.random.default_rng([seed, epoch])
+            many = np.random.default_rng([seed, epoch])
+            assert many.integers(-jitter, jitter + 1, size=8).tolist() == \
+                [int(one.integers(-jitter, jitter + 1)) for _ in range(8)]
+
+    def test_default_params_full_length(self):
+        rng = np.random.default_rng(0)
+        tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(8)]
+        seeds = rng.integers(0, 2 ** 32, size=8).tolist()
+        batch = ProposalBatch(tracks, seeds)
+        for epoch in (1, 2, 15):
+            want, _ = oracle(tracks, seeds, 5, epoch, ProposalParams())
+            assert batch.propose(5, epoch) == want
+
+    def test_more_tracks_than_one_block(self):
+        rng = np.random.default_rng(1)
+        lengths = [32, 48] * BLOCK_ROWS
+        tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
+        seeds = list(range(len(tracks)))
+        want, _ = oracle(tracks, seeds, 5, 3, ProposalParams())
+        assert ProposalBatch(tracks, seeds).propose(5, 3) == want
+
+    def test_first_failing_track_reported(self):
+        # round(0.1 * T) < 1 for T <= 4: flat tracks that short fail
+        p = ProposalParams(window_fractions=(0.1,), jitter=0)
+        ok = track_from_mapped(np.full(16, 0.5))
+        tracks = [ok, track_from_mapped(np.full(4, 0.5)),
+                  track_from_mapped(np.full(2, 0.5))]
+        _, err = oracle(tracks, [0, 1, 2], 2, 1, p)
+        assert err.context == {"T": 4}
+        with pytest.raises(NoCandidatesError) as got:
+            ProposalBatch(tracks, [0, 1, 2], p).propose(2, 1)
+        assert got.value.to_json_obj() == err.to_json_obj()
+
+    def test_u_must_be_positive(self):
+        batch = ProposalBatch([track_from_mapped(np.full(10, 0.5))], [0])
+        with pytest.raises(ContractViolation):
+            batch.propose(0, 1)
+
+    def test_empty(self):
+        assert ProposalBatch([], []).propose(5, 1) == []
 
 
 class TestFilePredictor:
