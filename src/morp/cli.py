@@ -162,7 +162,8 @@ def build_parser():
                    help="correction trace path (default: beside the output "
                         "manifest)")
     p.add_argument("--predictions", default=None,
-                   help="JSON-lines prediction file for file-backed mode")
+                   help="JSON-lines prediction file to replay; the run then "
+                        "reads no feature file")
     _add_opts(p, CORRECT_OPTS + REFINE_OPTS + COMMON_OPTS)
 
     p = sub.add_parser("pipeline", help="refine then correct")

@@ -5,21 +5,35 @@ boundary.  Every epoch the predictor's most confident proposal is
 inserted, and the bank instance with the highest summed IoU against the
 rest becomes the consensus pick.  After the final epoch the consensus
 pick replaces the annotation's boundary.
+
+:func:`run_correction` runs each epoch as array operations over all
+annotations: the banks are (A, n) start/end arrays, the insert is a
+row-wise argmax over the epoch's padded confidences, and the consensus
+is taken on (rows, n, n) IoU tensors, a block of rows at a time.
+:class:`MemoryBank`, :func:`consensus_scores`, :func:`select_consensus`
+and :func:`select_insert` do the same for one annotation and are the
+reference the tests hold the arrays to.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
-from .core import Boundary, ScoredBoundary, iou
+from .core import Boundary, ScoredBoundary
 from .errors import ContractViolation, PredictorError
-from .featstore import CorpusManifest, with_updated_boundary
-from .predictor import ProposalBatch, SlidingWindowPredictor
+from .featstore import CorpusManifest, atomic_write, with_updated_boundary
+from .predictor import (
+    AnnotationBatch,
+    EpochPredictions,
+    FilePredictor,
+    ProposalBatch,
+    SlidingWindowPredictor,
+)
 from .refine import compute_tracks
 
 
@@ -77,6 +91,35 @@ def select_consensus(bank: MemoryBank) -> Boundary:
     return bank.instances[int(np.argmax(scores))]
 
 
+# Banks per consensus block.  A block's (rows, n, n) float64 temporaries
+# take rows * n * n * 8 bytes each, 1 MB at the default capacity of 32.
+CONSENSUS_ROWS = 128
+
+
+def consensus_picks(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per row of (A, n) bank arrays, the column :func:`select_consensus` picks.
+
+    The scores are :func:`consensus_scores`' elementwise IoU arithmetic
+    on a (rows, n, n) tensor, summed along the same contiguous axis, so
+    ties break the same way: the earliest column wins.
+    """
+    A, n = starts.shape
+    picks = np.zeros(A, dtype=np.int64)
+    diag = np.arange(n)
+    for lo in range(0, A, CONSENSUS_ROWS):
+        s = starts[lo:lo + CONSENSUS_ROWS]
+        e = ends[lo:lo + CONSENSUS_ROWS]
+        inter = np.minimum(e[:, :, None], e[:, None, :]) - \
+            np.maximum(s[:, :, None], s[:, None, :])
+        inter = np.maximum(inter, 0)
+        lens = e - s
+        union = lens[:, :, None] + lens[:, None, :] - inter
+        mat = inter / union
+        mat[:, diag, diag] = 0.0
+        picks[lo:lo + CONSENSUS_ROWS] = mat.sum(axis=2).argmax(axis=1)
+    return picks
+
+
 def select_insert(preds) -> ScoredBoundary:
     """Prediction with the highest confidence (earliest index wins ties)."""
     preds = list(preds)
@@ -91,7 +134,12 @@ def select_insert(preds) -> ScoredBoundary:
 
 @dataclass(frozen=True)
 class TargetBlend:
-    """The two weighted targets a downstream trainer consumes."""
+    """The two weighted targets a downstream trainer consumes.
+
+    The targets are Boundaries for one annotation, or (A, 2) arrays of
+    [start, end) rows when :func:`run_correction` hands a trainer a
+    whole epoch.
+    """
 
     consensus_target: Boundary
     refined_target: Boundary
@@ -103,7 +151,7 @@ class TargetBlend:
             raise ContractViolation("blend weight out of range")
 
 
-def compose_targets(consensus: Boundary, refined: Boundary, lam: float) -> TargetBlend:
+def compose_targets(consensus, refined, lam: float) -> TargetBlend:
     """Weight the consensus pick by lambda and the refined seed by 1 - lambda."""
     if not (0.0 <= lam <= 1.0):
         raise ContractViolation("lambda must lie in [0, 1]", value=lam)
@@ -136,11 +184,13 @@ class NoOpTrainer:
     """Trainer stub: accepts target blends and does nothing.
 
     Lets the correction loop run standalone; a real trainer would fit a
-    localization model against every blend it receives.
+    localization model against every blend it receives.  It is called
+    once per epoch: row i of the blend's (A, 2) target arrays and of the
+    :class:`EpochPredictions` belongs to ``annotation_ids[i]``.
     """
 
-    def update(self, epoch: int, annotation_id: str, blend: TargetBlend,
-               predictions) -> None:
+    def update(self, epoch: int, annotation_ids, blend: TargetBlend,
+               predictions: EpochPredictions) -> None:
         return None
 
 
@@ -173,8 +223,12 @@ class CorrectionTrace:
     records: list = field(default_factory=list)
 
     def write(self, path):
-        """Serialize as JSON-lines, one record per (epoch, annotation)."""
-        with open(path, "w", encoding="utf-8") as fh:
+        """Serialize as JSON-lines, one record per (epoch, annotation).
+
+        The file appears whole or not at all: it is written beside
+        ``path`` and then moved over it.
+        """
+        with atomic_write(path) as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec.to_json_obj()) + "\n")
 
@@ -184,19 +238,25 @@ def annotation_seed(base_seed: int, annotation_id: str) -> int:
     return (base_seed ^ zlib.crc32(annotation_id.encode("utf-8"))) & 0xFFFFFFFF
 
 
-def _validate_preds(preds, U, T, annotation_id, epoch):
-    if not preds or len(preds) > U:
+def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
+    """Raise PredictorError for the first annotation whose predictions
+    are not 1..U boundaries 0 <= start < end <= T with confidences in [0, 1]."""
+    s, e, c = preds.start, preds.end, preds.confidence
+    bad_count = (preds.count < 1) | (preds.count > U)
+    bad = preds.valid() & ~((s >= 0) & (s < e) & (e <= T[:, None]) &
+                            (c >= 0.0) & (c <= 1.0))
+    rows = np.flatnonzero(bad_count | bad.any(axis=1))
+    if rows.size == 0:
+        return
+    i = rows[0]
+    where = dict(annotation_id=annotation_ids[i], epoch=epoch)
+    if bad_count[i]:
         raise PredictorError("predictor returned a bad prediction count",
-                             annotation_id=annotation_id, epoch=epoch,
-                             count=len(preds) if preds else 0, U=U)
-    for p in preds:
-        if not isinstance(p, ScoredBoundary):
-            raise PredictorError("predictor returned a non-ScoredBoundary",
-                                 annotation_id=annotation_id, epoch=epoch)
-        if p.boundary.timeline_len != T:
-            raise PredictorError("prediction on the wrong timeline",
-                                 annotation_id=annotation_id, epoch=epoch,
-                                 got=p.boundary.timeline_len, expected=T)
+                             **where, count=int(preds.count[i]), U=U)
+    k = int(np.argmax(bad[i]))
+    raise PredictorError("prediction out of range", **where,
+                         start=int(s[i, k]), end=int(e[i, k]),
+                         confidence=float(c[i, k]), timeline_len=int(T[i]))
 
 
 def run_correction(manifest: CorpusManifest, predictor,
@@ -214,10 +274,18 @@ def run_correction(manifest: CorpusManifest, predictor,
     do not depend on the processing order.  ``threads`` is accepted for
     compatibility and changes neither the output nor the speed.
 
-    ``tracks`` maps annotation ids to similarity tracks already computed
-    for this corpus (by refinement, say); without it they are computed
-    from the feature files.  A :class:`SlidingWindowPredictor` proposes
-    for all annotations of an epoch in one :class:`ProposalBatch` pass.
+    Each epoch is one set of array operations over all annotations,
+    sorted by id: the predictor hands back :class:`EpochPredictions`,
+    the banks are (A, n) start/end arrays with the seed in column 0
+    (at capacity, column 1 leaves), and the picks are row-wise argmaxes.
+    A :class:`SlidingWindowPredictor` proposes through a
+    :class:`ProposalBatch`, a :class:`FilePredictor` replays its file,
+    and any other predictor is asked per annotation through an
+    :class:`AnnotationBatch`.  The replay needs only each annotation's
+    timeline length, which the manifest holds, so it reads no feature
+    file; the others use ``tracks``, which maps annotation ids to
+    similarity tracks already computed for this corpus (by refinement,
+    say), or else the tracks computed here from the feature files.
     """
     trainer = trainer or NoOpTrainer()
     for ann in manifest.annotations:
@@ -226,76 +294,72 @@ def run_correction(manifest: CorpusManifest, predictor,
                 "run_correction expects adjusted annotations",
                 annotation_id=ann.annotation_id, status=ann.status,
             )
-    if tracks is None:
-        tracks = compute_tracks(manifest)
     anns = sorted(manifest.annotations, key=lambda a: a.annotation_id)
-    banks = {
-        a.annotation_id: MemoryBank(a.annotation_id, [a.boundary_frames],
-                                    capacity=params.capacity)
-        for a in anns
-    }
+    ids = [a.annotation_id for a in anns]
     U = params.predictions_per_query
 
-    batch = None
-    if isinstance(predictor, SlidingWindowPredictor):
-        batch = ProposalBatch(
-            [tracks[a.annotation_id] for a in anns],
-            [annotation_seed(params.seed, a.annotation_id) for a in anns],
-            predictor.params)
+    if isinstance(predictor, FilePredictor):
+        def predict(epoch):
+            return predictor.replay(ids, U, epoch)
+    else:
+        if tracks is None:
+            tracks = compute_tracks(manifest)
+        rows = [tracks[i] for i in ids]
+        seeds = [annotation_seed(params.seed, i) for i in ids]
+        if isinstance(predictor, SlidingWindowPredictor):
+            batch = ProposalBatch(rows, seeds, predictor.params)
+        else:
+            batch = AnnotationBatch(predictor, ids, rows, seeds)
 
-    def predict(ann, epoch):
-        track = tracks[ann.annotation_id]
-        if hasattr(predictor, "for_annotation"):
-            return predictor.for_annotation(ann.annotation_id, track, U, epoch)
-        seed = annotation_seed(params.seed, ann.annotation_id)
-        return predictor(track, U, epoch, seed)
+        def predict(epoch):
+            return batch.propose(U, epoch)
 
-    def checked(ann, epoch, preds):
-        _validate_preds(preds, U, tracks[ann.annotation_id].num_frames,
-                        ann.annotation_id, epoch)
-        return preds
+    A = len(anns)
+    T = np.array([a.boundary_frames.timeline_len for a in anns], dtype=np.int64)
+    refined = np.array([a.boundary_frames.as_tuple() for a in anns],
+                       dtype=np.int64).reshape(A, 2)
+    # the bank never holds more than the seed and one insert per epoch
+    width = min(params.capacity, params.epochs + 1)
+    bank_start = np.zeros((A, width), dtype=np.int64)
+    bank_end = np.zeros((A, width), dtype=np.int64)
+    bank_start[:, 0], bank_end[:, 0] = refined.T
+    n = 1
+    all_rows = np.arange(A)
 
     trace = CorrectionTrace()
     for epoch in range(1, params.epochs + 1):
-        if batch is None:
-            all_preds = [checked(a, epoch, predict(a, epoch)) for a in anns]
-        else:
-            all_preds = [checked(a, epoch, preds)
-                         for a, preds in zip(anns, batch.propose(U, epoch))]
-        for ann, preds in zip(anns, all_preds):
-            bank = banks[ann.annotation_id]
-            pick = select_insert(preds)
-            bank.insert(pick.boundary)
-            consensus = select_consensus(bank)
-            blend = compose_targets(consensus, ann.boundary_frames, params.lam)
-            trainer.update(epoch, ann.annotation_id, blend, preds)
-            trace.records.append(TraceRecord(
-                epoch=epoch,
-                annotation_id=ann.annotation_id,
-                inserted=pick.boundary.as_tuple(),
-                consensus=consensus.as_tuple(),
-                bank_size=len(bank.instances),
-                consensus_weight=blend.consensus_weight,
-                refined_weight=blend.refined_weight,
-                predictions=tuple(
-                    (p.boundary.start, p.boundary.end, p.confidence)
-                    for p in preds
-                ),
-            ))
+        preds = predict(epoch)
+        _check_predictions(preds, U, T, ids, epoch)
+        # select_insert per row: the earliest of the most confident
+        best = np.where(preds.valid(), preds.confidence, -np.inf).argmax(axis=1)
+        inserted = np.stack([preds.start[all_rows, best],
+                             preds.end[all_rows, best]], axis=1)
+        if width > 1:  # a capacity-1 bank holds the seed alone
+            if n == width:
+                # MemoryBank.insert at capacity: the oldest non-seed leaves
+                bank_start[:, 1:-1] = bank_start[:, 2:].copy()
+                bank_end[:, 1:-1] = bank_end[:, 2:].copy()
+            else:
+                n += 1
+            bank_start[:, n - 1], bank_end[:, n - 1] = inserted.T
+        pick = consensus_picks(bank_start[:, :n], bank_end[:, :n])
+        consensus = np.stack([bank_start[all_rows, pick],
+                              bank_end[all_rows, pick]], axis=1)
+        blend = compose_targets(consensus, refined, params.lam)
+        trainer.update(epoch, ids, blend, preds)
+        trace.records.extend(
+            TraceRecord(epoch=epoch, annotation_id=aid, inserted=ins,
+                        consensus=con, bank_size=n,
+                        consensus_weight=blend.consensus_weight,
+                        refined_weight=blend.refined_weight,
+                        predictions=p)
+            for aid, ins, con, p in zip(ids, map(tuple, inserted.tolist()),
+                                        map(tuple, consensus.tolist()),
+                                        preds.tuples()))
 
-    corrected = []
-    for ann in anns:
-        final = select_consensus(banks[ann.annotation_id])
-        video = manifest.video_by_id(ann.video_id)
-        corrected.append(with_updated_boundary(ann, final, video,
-                                               status="corrected"))
-    out = CorpusManifest(
-        format_version=manifest.format_version,
-        videos=manifest.videos,
-        queries_file_path=manifest.queries_file_path,
-        annotations=tuple(corrected),
-        synth=manifest.synth,
-        provenance=manifest.provenance,
-        base_dir=manifest.base_dir,
-    )
-    return out, trace
+    corrected = tuple(
+        with_updated_boundary(ann, Boundary(s, e, t),
+                              manifest.video_by_id(ann.video_id),
+                              status="corrected")
+        for ann, (s, e), t in zip(anns, consensus.tolist(), T.tolist()))
+    return replace(manifest, annotations=corrected), trace

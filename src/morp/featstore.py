@@ -9,7 +9,9 @@ Feature file layout (little-endian, bit-exact):
 A corpus manifest is a single UTF-8 JSON document.  Boundaries in the
 manifest are in seconds; frame indices are derived once at load time
 using each video's frame count.  Relative paths resolve against the
-manifest's directory.
+manifest's directory.  Text artifacts are written through
+:func:`atomic_write`, so a reader sees either the old file or the whole
+new one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -252,6 +255,12 @@ def derive_boundary_frames(start_s, end_s, duration, num_frames) -> Boundary:
 
 
 def _validate_manifest(manifest: CorpusManifest, num_queries: Optional[int]):
+    ids = set()
+    for a in manifest.annotations:
+        if a.annotation_id in ids:
+            raise ReferentialError("duplicate annotation_id",
+                                   annotation_id=a.annotation_id)
+        ids.add(a.annotation_id)
     seen = set()
     for v in manifest.videos:
         if v.video_id in seen:
@@ -393,6 +402,28 @@ def rebase_manifest(manifest: CorpusManifest, new_dir: str) -> CorpusManifest:
                    base_dir=new_dir)
 
 
+@contextmanager
+def atomic_write(path):
+    """Text file handle whose content replaces ``path`` only on success.
+
+    Writes go to a temporary file in the same directory, which
+    ``os.replace`` moves over ``path`` once the block ends normally; if
+    the block raises, the temporary file is removed and ``path`` keeps
+    its earlier content.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_manifest(manifest: CorpusManifest, path) -> None:
     """Serialize a manifest with a stable field order (byte-deterministic).
 
@@ -404,7 +435,7 @@ def write_manifest(manifest: CorpusManifest, path) -> None:
     if out_dir != os.path.abspath(manifest.base_dir):
         manifest = rebase_manifest(manifest, out_dir)
     text = json.dumps(manifest_to_json_obj(manifest), indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(text)
 
 

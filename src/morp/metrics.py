@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import iou
 from .errors import ContractViolation
-from .featstore import CorpusManifest
+from .featstore import CorpusManifest, atomic_write
 
 
 def _check_keys(preds, gts):
@@ -131,5 +131,5 @@ def _align(rows) -> str:
 
 
 def write_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")

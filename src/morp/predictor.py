@@ -26,12 +26,22 @@ performs the same elementwise arithmetic as :func:`propose`, draws the
 jitter offsets from the same generator and takes the softmax over the
 same survivor vector, so its output equals :func:`propose`'s bit for
 bit; the tests keep :func:`propose` as the reference.
+
+Correction consumes predictions one epoch at a time, as
+:class:`EpochPredictions`: padded (A, U) start/end/confidence arrays over
+all annotations plus a per-row count.  :class:`ProposalBatch` fills them
+directly; :class:`FilePredictor` gathers them from a JSON-lines file it
+parses once, and needs only each annotation's timeline length, never its
+features; :class:`AnnotationBatch` packs the output of any per-annotation
+predictor into them.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,6 +74,39 @@ class ProposalParams:
             raise ContractViolation("nms_iou must lie in [0, 1]")
         if self.jitter < 0:
             raise ContractViolation("jitter must be >= 0")
+
+
+class EpochPredictions(NamedTuple):
+    """One epoch of predictions for A annotations, as padded arrays.
+
+    Row i holds ``count[i]`` predictions, best first, in columns
+    ``[0, count[i])`` of the (A, U) ``start``/``end`` (int64 frames) and
+    ``confidence`` (float64) arrays; the columns past ``count[i]`` are
+    padding and carry no meaning.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    confidence: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def empty(cls, A: int, U: int) -> "EpochPredictions":
+        return cls(np.zeros((A, U), dtype=np.int64),
+                   np.zeros((A, U), dtype=np.int64),
+                   np.zeros((A, U), dtype=np.float64),
+                   np.zeros(A, dtype=np.int64))
+
+    def valid(self) -> np.ndarray:
+        """(A, U) mask of the slots that hold a prediction."""
+        return np.arange(self.start.shape[1]) < self.count[:, None]
+
+    def tuples(self):
+        """Per row, the tuple of its (start, end, confidence) predictions."""
+        s, e = self.start.tolist(), self.end.tolist()
+        c = self.confidence.tolist()
+        return [tuple(zip(s[i][:k], e[i][:k], c[i][:k]))
+                for i, k in enumerate(self.count.tolist())]
 
 
 def _support_candidates(track: SimilarityTrack):
@@ -259,8 +302,8 @@ class _Block:
                 np.concatenate((self.sup_end, win_start + self.win_len), axis=1),
                 np.concatenate((self.sup_valid, fresh), axis=1))
 
-    def propose(self, U, epoch, params: ProposalParams):
-        """Per row, the list propose(track, U, epoch, seed, params) returns."""
+    def propose(self, U, epoch, params: ProposalParams, out: EpochPredictions):
+        """Write each row's propose(track, U, epoch, seed, params) into out."""
         T = self.T
         starts, ends, valid = self._candidates(epoch, params.jitter)
 
@@ -297,29 +340,26 @@ class _Block:
             union = length[rows, i, None] + length[rows, i + 1:] - inter
             alive[rows, i + 1:] &= ~(inter / union > params.nms_iou)
 
-        out = []
-        for r in range(len(self.rows)):
+        for r, i in enumerate(self.rows):
             keep = order[r, alive[r]]
             kept_scores = scores[r, keep]
             shifted = kept_scores - np.max(kept_scores)
             weights = np.exp(shifted)
             conf = weights / weights.sum()
             keep = keep[:U]
-            out.append([
-                ScoredBoundary(boundary=Boundary(b, c, T), confidence=p)
-                for b, c, p in zip(starts[r, keep].tolist(),
-                                   ends[r, keep].tolist(),
-                                   conf[:U].tolist())
-            ])
-        return out
+            k = len(keep)
+            out.start[i, :k] = starts[r, keep]
+            out.end[i, :k] = ends[r, keep]
+            out.confidence[i, :k] = conf[:k]
+            out.count[i] = k
 
 
 class ProposalBatch:
     """:func:`propose` over a fixed list of tracks, one epoch per call.
 
-    ``propose(U, epoch)`` returns, in input order, exactly what
-    ``propose(tracks[i], U, epoch, seeds[i], params)`` returns for every
-    i, and raises the error the first failing track would raise.
+    ``propose(U, epoch)`` returns :class:`EpochPredictions` whose row i
+    holds exactly what ``propose(tracks[i], U, epoch, seeds[i], params)``
+    returns, and raises the error the first failing track would raise.
     Support runs and prefix sums are gathered once, at construction.
     """
 
@@ -342,17 +382,15 @@ class ProposalBatch:
         empty = [i for block in self._blocks for i in block.empty]
         self._empty_T = tracks[min(empty)].num_frames if empty else None
 
-    def propose(self, U: int, epoch: int):
+    def propose(self, U: int, epoch: int) -> EpochPredictions:
         if U < 1:
             raise ContractViolation("U must be >= 1", U=U)
         if self._empty_T is not None:
             raise NoCandidatesError("track too short for every window fraction",
                                     T=self._empty_T)
-        out = [None] * self._size
+        out = EpochPredictions.empty(self._size, U)
         for block in self._blocks:
-            for i, preds in zip(block.rows, block.propose(U, epoch,
-                                                          self.params)):
-                out[i] = preds
+            block.propose(U, epoch, self.params, out)
         return out
 
 
@@ -370,40 +408,157 @@ class SlidingWindowPredictor:
         return propose(track, U, epoch, seed, self.params)
 
 
+def _check_scored(preds, U, T, annotation_id, epoch):
+    if not preds or len(preds) > U:
+        raise PredictorError("predictor returned a bad prediction count",
+                             annotation_id=annotation_id, epoch=epoch,
+                             count=len(preds) if preds else 0, U=U)
+    for p in preds:
+        if not isinstance(p, ScoredBoundary):
+            raise PredictorError("predictor returned a non-ScoredBoundary",
+                                 annotation_id=annotation_id, epoch=epoch)
+        if p.boundary.timeline_len != T:
+            raise PredictorError("prediction on the wrong timeline",
+                                 annotation_id=annotation_id, epoch=epoch,
+                                 got=p.boundary.timeline_len, expected=T)
+
+
+class AnnotationBatch:
+    """A per-annotation predictor, asked for a whole epoch at a time.
+
+    The predictor is either an object with ``for_annotation(annotation_id,
+    track, U, epoch)`` or a callable ``(track, U, epoch, seed)``; both
+    return a list of :class:`ScoredBoundary`.  ``propose(U, epoch)`` asks
+    it for every annotation in order, checks each list (1..U entries on
+    the annotation's timeline) and packs the lists into
+    :class:`EpochPredictions`.
+    """
+
+    def __init__(self, predictor, annotation_ids, tracks, seeds):
+        self.predictor = predictor
+        self.rows = list(zip(annotation_ids, tracks, seeds))
+
+    def _predict(self, annotation_id, track, U, epoch, seed):
+        if hasattr(self.predictor, "for_annotation"):
+            return self.predictor.for_annotation(annotation_id, track, U, epoch)
+        return self.predictor(track, U, epoch, seed)
+
+    def propose(self, U: int, epoch: int) -> EpochPredictions:
+        out = EpochPredictions.empty(len(self.rows), U)
+        for i, (annotation_id, track, seed) in enumerate(self.rows):
+            preds = self._predict(annotation_id, track, U, epoch, seed)
+            _check_scored(preds, U, track.num_frames, annotation_id, epoch)
+            k = len(preds)
+            out.start[i, :k] = [p.boundary.start for p in preds]
+            out.end[i, :k] = [p.boundary.end for p in preds]
+            out.confidence[i, :k] = [p.confidence for p in preds]
+            out.count[i] = k
+        return out
+
+
 class FilePredictor:
     """Replays predictions from a JSON-lines file.
 
-    One record per (epoch, annotation_id):
+    One record per (epoch, annotation_id); a later record replaces an
+    earlier one with the same key:
         {"epoch": j, "annotation_id": id,
          "predictions": [{"start": s, "end": e, "confidence": c}, ...]}
 
     Lets an external model (for example, exported scores from a trained
-    network) drive the correction loop.
+    network) drive the correction loop.  The file is parsed once, on
+    construction, into flat arrays; a line that is not such a record
+    raises a :class:`PredictorError` naming the path and the line.
+    :meth:`replay` gathers one epoch for a list of annotations, and
+    :meth:`for_annotation` one annotation's list.  Neither reads any
+    feature: boundaries are checked against the annotation's timeline
+    length by the caller.
     """
 
     def __init__(self, path):
-        import json
+        self.path = str(path)
+        index, lines, offsets = {}, [], [0]
+        starts, ends, confs = [], [], []
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    key, s, e, c = self._parse(line, lineno)
+                    index[key] = len(lines)
+                    lines.append(lineno)
+                    starts += s
+                    ends += e
+                    confs += c
+                    offsets.append(len(starts))
+        except UnicodeDecodeError as exc:
+            raise PredictorError("prediction file is not UTF-8 text",
+                                 path=self.path, detail=str(exc)) from None
+        self._index = index
+        self._offsets = np.asarray(offsets, dtype=np.int64)
+        # one padding slot at the end, which index -1 selects
+        self._start = self._int64(starts + [0], offsets, lines)
+        self._end = self._int64(ends + [0], offsets, lines)
+        self._confidence = np.asarray(confs + [0.0], dtype=np.float64)
 
-        self._table = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                self._table[(int(rec["epoch"]), rec["annotation_id"])] = \
-                    rec["predictions"]
+    def _parse(self, line, lineno):
+        """((epoch, annotation_id), starts, ends, confidences) of one line."""
+        try:
+            rec = json.loads(line)
+            key = (int(rec["epoch"]), rec["annotation_id"])
+            preds = rec["predictions"]
+            if not isinstance(key[1], str):
+                raise TypeError("annotation_id must be a string")
+            if not isinstance(preds, list):
+                raise TypeError("predictions must be a list")
+            return (key, [int(p["start"]) for p in preds],
+                    [int(p["end"]) for p in preds],
+                    [float(p["confidence"]) for p in preds])
+        except KeyError as exc:
+            detail = f"missing key {exc}"
+        except (TypeError, ValueError, OverflowError) as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+        raise PredictorError("malformed prediction record", path=self.path,
+                             line=lineno, detail=detail)
 
-    def for_annotation(self, annotation_id, track, U, epoch):
-        key = (epoch, annotation_id)
-        if key not in self._table:
+    def _int64(self, values, offsets, lines):
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            info = np.iinfo(np.int64)
+            i = next(i for i, v in enumerate(values)
+                     if not info.min <= v <= info.max)
+            raise PredictorError("prediction boundary out of range",
+                                 path=self.path,
+                                 line=lines[bisect_right(offsets, i) - 1],
+                                 value=str(values[i])) from None
+
+    def _record(self, annotation_id, epoch):
+        row = self._index.get((epoch, annotation_id))
+        if row is None:
             raise PredictorError("no prediction record for annotation/epoch",
                                  annotation_id=annotation_id, epoch=epoch)
-        out = []
-        for p in self._table[key][:U]:
-            out.append(ScoredBoundary(
-                boundary=Boundary(int(p["start"]), int(p["end"]),
-                                  track.num_frames),
-                confidence=float(p["confidence"]),
-            ))
-        return out
+        return row
+
+    def replay(self, annotation_ids, U: int, epoch: int) -> EpochPredictions:
+        """The first U predictions of each annotation's record for the epoch."""
+        rows = np.asarray([self._record(a, epoch) for a in annotation_ids],
+                          dtype=np.int64)
+        first = self._offsets[rows]
+        count = np.minimum(self._offsets[rows + 1] - first, U)
+        cols = np.arange(U)
+        idx = np.where(cols < count[:, None], first[:, None] + cols, -1)
+        return EpochPredictions(self._start[idx], self._end[idx],
+                                self._confidence[idx], count)
+
+    def for_annotation(self, annotation_id, track, U, epoch):
+        row = self._record(annotation_id, epoch)
+        lo, hi = self._offsets[row], self._offsets[row + 1]
+        hi = min(hi, lo + U)
+        return [
+            ScoredBoundary(boundary=Boundary(s, e, track.num_frames),
+                           confidence=c)
+            for s, e, c in zip(self._start[lo:hi].tolist(),
+                               self._end[lo:hi].tolist(),
+                               self._confidence[lo:hi].tolist())
+        ]

@@ -24,6 +24,7 @@ from .featstore import (
     CorpusManifest,
     FrameFeatureMatrix,
     QueryFeature,
+    atomic_write,
     with_updated_boundary,
 )
 
@@ -220,7 +221,7 @@ class RefineReport:
         return {"annotations": [r.to_json_obj() for r in self.records]}
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
 
 

@@ -153,6 +153,123 @@ class TestPipeline:
         assert calls == [12]  # 6 videos x 2 annotations, read once
 
 
+def refine_corpus_file(tmp_path, capsys):
+    manifest = make_corpus(tmp_path, capsys)
+    refined = tmp_path / "refined" / "refined.json"
+    code, _, err = run(capsys, "refine", "--manifest", str(manifest),
+                       "--out-manifest", str(refined))
+    assert code == 0, err
+    return refined
+
+
+def write_replay(path, refined, epochs, bad=None):
+    """Two predictions per record: the adjusted boundary at confidence
+    0.4 and a boundary widened by the epoch number at 0.6.  ``bad``
+    replaces the second prediction of the second annotation's epoch-2
+    record."""
+    from morp.featstore import read_manifest
+
+    anns = sorted(read_manifest(refined).annotations,
+                  key=lambda a: a.annotation_id)
+    lines = []
+    for epoch in range(1, epochs + 1):
+        for i, ann in enumerate(anns):
+            s, e = ann.boundary_frames.as_tuple()
+            second = {"start": max(0, s - epoch), "end": e, "confidence": 0.6}
+            if bad is not None and (epoch, i) == (2, 1):
+                second = bad
+            lines.append(json.dumps({
+                "epoch": epoch, "annotation_id": ann.annotation_id,
+                "predictions": [{"start": s, "end": e, "confidence": 0.4},
+                                second]}))
+    path.write_text("\n".join(lines) + "\n")
+    return anns
+
+
+class TestCorrectReplay:
+    """morp correct --predictions replays a JSON-lines prediction file."""
+
+    def test_replay_reads_no_features(self, tmp_path, capsys, monkeypatch):
+        import morp.featstore
+
+        refined = refine_corpus_file(tmp_path, capsys)
+        preds = tmp_path / "preds.jsonl"
+        anns = write_replay(preds, refined, epochs=3)
+        reads = []
+        original = morp.featstore.read_feature_file
+        monkeypatch.setattr(morp.featstore, "read_feature_file",
+                            lambda path: reads.append(path) or original(path))
+        out = tmp_path / "c" / "corrected.json"
+        code, _, err = run(capsys, "correct", "--manifest", str(refined),
+                           "--out-manifest", str(out), "--predictions",
+                           str(preds), "--epochs", "3")
+        assert code == 0, err
+        assert reads == []
+
+        records = [json.loads(line) for line in
+                   (tmp_path / "c" / "corrected.json.trace.jsonl")
+                   .read_text().splitlines()]
+        assert len(records) == 3 * len(anns)
+        for rec, (epoch, ann) in zip(records, [(j, a) for j in (1, 2, 3)
+                                               for a in anns]):
+            s, e = ann.boundary_frames.as_tuple()
+            assert (rec["epoch"], rec["annotation_id"]) == \
+                (epoch, ann.annotation_id)
+            assert rec["inserted"] == [max(0, s - epoch), e]
+            assert rec["bank_size"] == epoch + 1
+        corrected = json.loads(out.read_text())["annotations"]
+        assert [a["annotation_id"] for a in corrected] == \
+            [a.annotation_id for a in anns]
+        assert {a["status"] for a in corrected} == {"corrected"}
+
+    @pytest.mark.parametrize("bad,field", [
+        ({"start": 500, "end": 501, "confidence": 0.5}, "start"),
+        ({"start": 0, "end": 4, "confidence": 1.5}, "confidence"),
+        ({"start": 9, "end": 9, "confidence": 0.5}, "end"),
+        ({"start": 0, "end": 65, "confidence": 0.5}, "end"),  # T = 64
+    ])
+    def test_out_of_range_names_annotation_and_epoch(self, tmp_path, capsys,
+                                                     bad, field):
+        refined = refine_corpus_file(tmp_path, capsys)
+        preds = tmp_path / "preds.jsonl"
+        anns = write_replay(preds, refined, epochs=3, bad=bad)
+        code, _, err = run(capsys, "correct", "--manifest", str(refined),
+                           "--out-manifest", str(tmp_path / "c.json"),
+                           "--predictions", str(preds), "--epochs", "3")
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        obj = json.loads(err)
+        assert obj["code"] == "predictor_error"
+        assert obj["context"]["annotation_id"] == anns[1].annotation_id
+        assert obj["context"]["epoch"] == 2
+        assert obj["context"][field] == bad[field]
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("line", [
+        '{"epoch": 1, "annotation_id": "x", "predictions": [}',
+        '{"epoch": 1, "annotation_id": "x"}',
+        '"just a string"',
+        '{"epoch": 1, "annotation_id": "x", "predictions": '
+        '[{"start": "zero", "end": 4, "confidence": 0.5}]}',
+    ])
+    def test_malformed_file_names_path_and_line(self, tmp_path, capsys,
+                                                line):
+        refined = refine_corpus_file(tmp_path, capsys)
+        preds = tmp_path / "preds.jsonl"
+        write_replay(preds, refined, epochs=1)
+        text = preds.read_text().splitlines()
+        preds.write_text("\n".join(text[:2] + [line] + text[2:]) + "\n")
+        code, _, err = run(capsys, "correct", "--manifest", str(refined),
+                           "--out-manifest", str(tmp_path / "c.json"),
+                           "--predictions", str(preds), "--epochs", "1")
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        obj = json.loads(err)
+        assert obj["code"] == "predictor_error"
+        assert obj["context"]["path"] == str(preds)
+        assert obj["context"]["line"] == 3
+
+
 class TestEvaluateAndStats:
     def test_evaluate_pipeline_output(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morp.core import Boundary, ScoredBoundary, iou
 from morp.errors import ContractViolation, PredictorError
 from morp.consensus import (
+    CONSENSUS_ROWS,
     CorrectionParams,
     MemoryBank,
+    TraceRecord,
     annotation_seed,
     compose_targets,
+    consensus_picks,
     consensus_scores,
     run_correction,
     select_consensus,
@@ -167,6 +170,42 @@ class TestConsensusOracle:
         assert got[int(np.argmax(got))] == pytest.approx(max(scores))
 
 
+class TestConsensusPicks:
+    """The blocked (rows, n, n) consensus must pick what select_consensus
+    picks, bank by bank, ties and duplicates included."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 33),
+           st.sampled_from([2, 3, 8, 20, 128]),
+           st.sampled_from([1, 7, CONSENSUS_ROWS, CONSENSUS_ROWS + 3]))
+    def test_matches_select_consensus(self, seed, n, T, A):
+        rng = np.random.default_rng(seed)
+        # few distinct boundaries per row, so duplicates and tied scores
+        # are common
+        pool = int(rng.integers(1, 6))
+        starts = rng.integers(0, T - 1, size=(A, pool))
+        ends = starts + 1 + rng.integers(0, T - starts)
+        cols = rng.integers(0, pool, size=(A, n))
+        bank_s = np.take_along_axis(starts, cols, axis=1)
+        bank_e = np.take_along_axis(ends, cols, axis=1)
+        picks = consensus_picks(bank_s, bank_e)
+        for i in range(A):
+            bank = MemoryBank("a", [b(s, e, T) for s, e in
+                                    zip(bank_s[i].tolist(), bank_e[i].tolist())])
+            assert picks[i] == int(np.argmax(consensus_scores(bank)))
+            assert b(int(bank_s[i, picks[i]]), int(bank_e[i, picks[i]]), T) == \
+                select_consensus(bank)
+
+    def test_tie_goes_to_first(self):
+        starts = np.array([[0, 0, 5], [0, 6, 0]])
+        ends = np.array([[10, 10, 15], [4, 10, 4]])
+        assert consensus_picks(starts, ends).tolist() == [0, 0]
+
+    def test_empty(self):
+        assert consensus_picks(np.zeros((0, 3), np.int64),
+                               np.ones((0, 3), np.int64)).shape == (0,)
+
+
 def make_refined_corpus(tmp_path, n_videos=4, seed=0):
     from morp.refine import AdjustParams, CleanParams, refine_corpus
     from morp.synth import SynthSpec, generate_corpus
@@ -288,6 +327,195 @@ class TestRunCorrection:
         assert set(rec) >= {"epoch", "annotation_id", "inserted", "consensus",
                             "bank_size", "consensus_weight", "refined_weight",
                             "predictions"}
+
+
+def replay_manifest(rng, n):
+    """n adjusted annotations on videos of 2, 5 or 20 frames, ids not in
+    insertion order.  Replay reads no feature file, so none exists."""
+    from morp.featstore import CorpusManifest, PseudoAnnotation, VideoEntry
+
+    videos, anns = [], []
+    for i, j in enumerate(rng.permutation(n).tolist()):
+        T = int(rng.choice([2, 5, 20]))
+        s = int(rng.integers(0, T))
+        e = int(rng.integers(s + 1, T + 1))
+        videos.append(VideoEntry(f"v{i}", float(T), T, f"v{i}.vmrp"))
+        anns.append(PseudoAnnotation(f"a{j:04d}", f"v{i}", "q", 0,
+                                     (float(s), float(e)), status="adjusted",
+                                     boundary_frames=Boundary(s, e, T)))
+    return CorpusManifest(1, tuple(videos), "q.vmrp", tuple(anns))
+
+
+def write_predictions(path, manifest, epochs, rng, max_count=6):
+    """A shuffled replay file with many duplicate boundaries and tied
+    confidences: records hold 1..max_count predictions drawn from three
+    boundaries per annotation, with confidences from {0.25, 0.5, 1.0},
+    and one record in ten comes twice (the later one counts)."""
+    import json
+
+    lines = []
+    for ann in manifest.annotations:
+        T = ann.boundary_frames.timeline_len
+        starts = rng.integers(0, T, size=3)
+        ends = starts + 1 + rng.integers(0, T - starts)
+        for epoch in range(1, epochs + 1):
+            for _ in range(1 + int(rng.random() < 0.1)):
+                pick = rng.integers(0, 3, size=int(rng.integers(1, max_count + 1)))
+                preds = [{"start": int(starts[j]), "end": int(ends[j]),
+                          "confidence": float(rng.choice([0.25, 0.5, 1.0]))}
+                         for j in pick]
+                lines.append(json.dumps({"epoch": epoch,
+                                         "annotation_id": ann.annotation_id,
+                                         "predictions": preds}))
+    path.write_text("\n".join(lines[i] for i in rng.permutation(len(lines))))
+    return path
+
+
+def reference_correction(manifest, predictor, params):
+    """The per-annotation loop: one MemoryBank per annotation, and
+    select_insert, select_consensus and compose_targets per (epoch,
+    annotation).  Returns ({annotation_id: final Boundary}, records)."""
+    from types import SimpleNamespace
+
+    anns = sorted(manifest.annotations, key=lambda a: a.annotation_id)
+    banks = {a.annotation_id: MemoryBank(a.annotation_id, [a.boundary_frames],
+                                         capacity=params.capacity)
+             for a in anns}
+    records = []
+    for epoch in range(1, params.epochs + 1):
+        for ann in anns:
+            track = SimpleNamespace(
+                num_frames=ann.boundary_frames.timeline_len)
+            preds = predictor.for_annotation(
+                ann.annotation_id, track, params.predictions_per_query, epoch)
+            bank = banks[ann.annotation_id]
+            pick = select_insert(preds)
+            bank.insert(pick.boundary)
+            consensus = select_consensus(bank)
+            blend = compose_targets(consensus, ann.boundary_frames, params.lam)
+            records.append(TraceRecord(
+                epoch=epoch, annotation_id=ann.annotation_id,
+                inserted=pick.boundary.as_tuple(),
+                consensus=consensus.as_tuple(),
+                bank_size=len(bank.instances),
+                consensus_weight=blend.consensus_weight,
+                refined_weight=blend.refined_weight,
+                predictions=tuple((p.boundary.start, p.boundary.end,
+                                   p.confidence) for p in preds)))
+    final = {aid: select_consensus(bank) for aid, bank in banks.items()}
+    return final, records
+
+
+class TestBatchedCorrection:
+    """run_correction on arrays against the per-annotation reference loop."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), capacity=st.integers(1, 8),
+           epochs=st.integers(1, 9), U=st.integers(1, 6),
+           n=st.sampled_from([1, 5, 12, CONSENSUS_ROWS + 5]))
+    @example(seed=0, capacity=3, epochs=7, U=5, n=12)  # evicts from epoch 3
+    @example(seed=1, capacity=1, epochs=4, U=2, n=5)   # the seed alone
+    def test_replay_matches_reference_loop(self, seed, capacity, epochs, U, n):
+        import tempfile
+        from pathlib import Path
+
+        from morp.predictor import FilePredictor
+
+        rng = np.random.default_rng(seed)
+        manifest = replay_manifest(rng, n)
+        params = CorrectionParams(epochs=epochs, capacity=capacity,
+                                  predictions_per_query=U, lam=0.6)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_predictions(Path(tmp) / "p.jsonl", manifest, epochs,
+                                     rng)
+            out, trace = run_correction(manifest, FilePredictor(path), params)
+            final, records = reference_correction(manifest,
+                                                  FilePredictor(path), params)
+        assert trace.records == records
+        assert {a.annotation_id: a.boundary_frames
+                for a in out.annotations} == final
+        assert all(a.status == "corrected" for a in out.annotations)
+
+    def test_trainer_called_once_per_epoch(self, tmp_path):
+        refined = make_refined_corpus(tmp_path)
+        table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
+                 for a in refined.annotations}
+
+        class Recorder:
+            calls = []
+
+            def update(self, epoch, annotation_ids, blend, predictions):
+                self.calls.append((epoch, list(annotation_ids),
+                                   blend.consensus_target.tolist(),
+                                   predictions.count.tolist()))
+
+        trainer = Recorder()
+        _, trace = run_correction(refined, EchoPredictor(table),
+                                  CorrectionParams(epochs=3), trainer=trainer)
+        ids = sorted(table)
+        assert [c[0] for c in trainer.calls] == [1, 2, 3]
+        for epoch, got_ids, consensus, count in trainer.calls:
+            assert got_ids == ids
+            assert count == [1] * len(ids)
+            assert consensus == [list(r.consensus) for r in trace.records
+                                 if r.epoch == epoch]
+
+    def test_out_of_range_prediction_names_annotation_and_epoch(self,
+                                                                tmp_path):
+        import json
+
+        from morp.predictor import FilePredictor
+
+        refined = make_refined_corpus(tmp_path)
+        anns = sorted(refined.annotations, key=lambda a: a.annotation_id)
+        lines = []
+        for epoch in (1, 2):
+            for i, ann in enumerate(anns):
+                bad = epoch == 2 and i == 1
+                lines.append(json.dumps({
+                    "epoch": epoch, "annotation_id": ann.annotation_id,
+                    "predictions": [{"start": 0, "end": 1, "confidence": 0.5},
+                                    {"start": 0, "end": 1,
+                                     "confidence": 1.5 if bad else 0.5}]}))
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n".join(lines))
+        with pytest.raises(PredictorError) as err:
+            run_correction(refined, FilePredictor(path),
+                           CorrectionParams(epochs=2))
+        assert err.value.context["annotation_id"] == anns[1].annotation_id
+        assert err.value.context["epoch"] == 2
+        assert err.value.context["confidence"] == 1.5
+
+
+    def test_each_annotation_checked_against_its_own_timeline(self, tmp_path):
+        import json
+
+        from morp.featstore import CorpusManifest, PseudoAnnotation, VideoEntry
+        from morp.predictor import FilePredictor
+
+        videos = (VideoEntry("short", 10.0, 10, "short.vmrp"),
+                  VideoEntry("long", 40.0, 40, "long.vmrp"))
+        anns = tuple(
+            PseudoAnnotation(aid, vid, "q", 0, (0.0, 5.0), status="adjusted",
+                             boundary_frames=Boundary(0, 5, T))
+            for aid, vid, T in (("a", "short", 10), ("b", "long", 40)))
+        manifest = CorpusManifest(1, videos, "q.vmrp", anns)
+
+        def replay(end_a):
+            path = tmp_path / f"p{end_a}.jsonl"
+            path.write_text("\n".join(json.dumps(
+                {"epoch": 1, "annotation_id": aid,
+                 "predictions": [{"start": 0, "end": end, "confidence": 1.0}]})
+                for aid, end in (("a", end_a), ("b", 40))))
+            return FilePredictor(path)
+
+        out, _ = run_correction(manifest, replay(10), CorrectionParams(epochs=1))
+        assert [a.boundary_frames for a in out.annotations] == \
+            [Boundary(0, 5, 10), Boundary(0, 5, 40)]
+        with pytest.raises(PredictorError) as err:
+            run_correction(manifest, replay(11), CorrectionParams(epochs=1))
+        assert err.value.context["annotation_id"] == "a"
+        assert err.value.context["timeline_len"] == 10
 
 
 class TestAnnotationSeed:

@@ -242,3 +242,77 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(VersionError):
             read_manifest(path)
+
+    def test_duplicate_annotation_id(self, tmp_path):
+        ann = {"annotation_id": "a0", "video_id": "vid0", "query_text": "x",
+               "query_feature_ref": 0, "boundary_seconds": [0.0, 1.0],
+               "status": "raw"}
+        path = write_fixture_corpus(tmp_path, annotations=[ann, dict(ann)])
+        with pytest.raises(ReferentialError) as err:
+            read_manifest(path)
+        assert err.value.context == {"annotation_id": "a0"}
+
+
+class TestAtomicWrites:
+    """A writer that fails half way leaves the earlier file as it was."""
+
+    @staticmethod
+    def writers(tmp_path):
+        from morp.consensus import CorrectionTrace, TraceRecord
+        from morp.metrics import write_json
+        from morp.refine import RefineRecord, RefineReport
+
+        manifest = read_manifest(write_fixture_corpus(tmp_path))
+        trace = CorrectionTrace([TraceRecord(1, "a0", (0, 1), (0, 1), 2, 0.7,
+                                             0.3, ((0, 1, 1.0),))] * 3)
+        report = RefineReport([RefineRecord("a0", 1.5, "kept", (0, 4),
+                                            (0, 3))])
+        return {
+            "manifest": lambda p: write_manifest(manifest, p),
+            "trace": trace.write,
+            "report": report.write,
+            "json": lambda p: write_json({"x": [1, 2, 3]}, p),
+        }
+
+    @pytest.mark.parametrize("name", ["manifest", "trace", "report", "json"])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch,
+                                             name):
+        from contextlib import contextmanager
+
+        import morp.consensus
+        import morp.featstore
+        import morp.metrics
+        import morp.refine
+
+        write = self.writers(tmp_path)[name]
+        out = tmp_path / "out" / "artifact"
+        out.parent.mkdir()
+        out.write_text("earlier\n")
+        real = morp.featstore.atomic_write
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        @contextmanager
+        def failing(path):
+            with real(path) as fh:
+                yield HalfWrite(fh)
+
+        for module in (morp.consensus, morp.featstore, morp.metrics,
+                       morp.refine):
+            monkeypatch.setattr(module, "atomic_write", failing)
+        with pytest.raises(OSError):
+            write(out)
+        assert out.read_text() == "earlier\n"
+        assert sorted(p.name for p in out.parent.iterdir()) == ["artifact"]
+
+        monkeypatch.undo()
+        write(out)
+        assert out.read_text() != "earlier\n"
+        assert sorted(p.name for p in out.parent.iterdir()) == ["artifact"]

@@ -133,9 +133,12 @@ class TestPropose:
 
 def oracle(tracks, seeds, U, epoch, params):
     """Per-track propose over a corpus; stops at the first error, as
-    the per-annotation correction loop does."""
+    the per-annotation correction loop does.  Each track's proposals are
+    a tuple of (start, end, confidence), the form of
+    EpochPredictions.tuples()."""
     try:
-        return [propose(t, U, epoch, s, params)
+        return [tuple((p.boundary.start, p.boundary.end, p.confidence)
+                      for p in propose(t, U, epoch, s, params))
                 for t, s in zip(tracks, seeds)], None
     except (ContractViolation, NoCandidatesError) as exc:
         return None, exc
@@ -182,8 +185,8 @@ class TestProposalBatch:
         batch = ProposalBatch(tracks, seeds, params)
         want, err = oracle(tracks, seeds, U, epoch, params)
         if err is None:
-            # ScoredBoundary equality compares confidences exactly
-            assert batch.propose(U, epoch) == want
+            # float equality compares confidences exactly
+            assert batch.propose(U, epoch).tuples() == want
         else:
             with pytest.raises(type(err)) as got:
                 batch.propose(U, epoch)
@@ -209,7 +212,7 @@ class TestProposalBatch:
         batch = ProposalBatch(tracks, seeds)
         for epoch in (1, 2, 15):
             want, _ = oracle(tracks, seeds, 5, epoch, ProposalParams())
-            assert batch.propose(5, epoch) == want
+            assert batch.propose(5, epoch).tuples() == want
 
     def test_more_tracks_than_one_block(self):
         rng = np.random.default_rng(1)
@@ -217,7 +220,7 @@ class TestProposalBatch:
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
         seeds = list(range(len(tracks)))
         want, _ = oracle(tracks, seeds, 5, 3, ProposalParams())
-        assert ProposalBatch(tracks, seeds).propose(5, 3) == want
+        assert ProposalBatch(tracks, seeds).propose(5, 3).tuples() == want
 
     def test_first_failing_track_reported(self):
         # round(0.1 * T) < 1 for T <= 4: flat tracks that short fail
@@ -237,7 +240,7 @@ class TestProposalBatch:
             batch.propose(0, 1)
 
     def test_empty(self):
-        assert ProposalBatch([], []).propose(5, 1) == []
+        assert ProposalBatch([], []).propose(5, 1).tuples() == []
 
 
 class TestFilePredictor:
@@ -262,3 +265,67 @@ class TestFilePredictor:
         t = track_from_mapped(np.full(16, 0.5))
         with pytest.raises(PredictorError):
             fp.for_annotation("a0", t, U=5, epoch=1)
+
+    def test_replay_arrays_match_for_annotation(self, tmp_path):
+        import json
+
+        recs = [(1, "a0", [(2, 9, 0.8), (0, 4, 0.2), (1, 3, 0.1)]),
+                (1, "a1", [(5, 7, 1.0)]),
+                (2, "a0", [(0, 1, 0.5)]),
+                (1, "a1", [(6, 8, 0.3), (6, 8, 0.3)])]  # replaces a1 @ 1
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n\n".join(json.dumps(
+            {"epoch": j, "annotation_id": a,
+             "predictions": [{"start": s, "end": e, "confidence": c}
+                             for s, e, c in preds]}) for j, a, preds in recs))
+        fp = FilePredictor(path)
+        t = track_from_mapped(np.full(16, 0.5))
+        got = fp.replay(["a1", "a0"], 2, 1)
+        assert got.count.tolist() == [2, 2]
+        assert got.tuples() == [
+            tuple((p.boundary.start, p.boundary.end, p.confidence)
+                  for p in fp.for_annotation(aid, t, 2, 1))
+            for aid in ("a1", "a0")]
+        assert got.tuples() == [((6, 8, 0.3), (6, 8, 0.3)),
+                                ((2, 9, 0.8), (0, 4, 0.2))]
+        with pytest.raises(PredictorError) as err:
+            fp.replay(["a0", "a1"], 2, 2)
+        assert err.value.context == {"annotation_id": "a1", "epoch": 2}
+        assert fp.replay([], 3, 1).start.shape == (0, 3)
+
+    @pytest.mark.parametrize("line", [
+        '{"epoch": 1, "annotation_id": "a0", "predictions": [',  # bad JSON
+        '[1, 2]',                                                # not an object
+        '{"epoch": 1, "annotation_id": "a0"}',                   # no predictions
+        '{"annotation_id": "a0", "predictions": []}',            # no epoch
+        '{"epoch": "one", "annotation_id": "a0", "predictions": []}',
+        '{"epoch": 1, "annotation_id": 7, "predictions": []}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": {}}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": [3]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": "x", "end": 4, "confidence": 0.5}]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 0, "end": 4}]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 0, "end": Infinity, "confidence": 0.5}]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 0, "end": 4, "confidence": null}]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 0, "end": 99999999999999999999, "confidence": 0.5}]}',
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line):
+        good = ('{"epoch": 1, "annotation_id": "a1", "predictions": '
+                '[{"start": 0, "end": 4, "confidence": 0.5}]}')
+        path = tmp_path / "preds.jsonl"
+        path.write_text(good + "\n\n" + line + "\n" + good + "\n")
+        with pytest.raises(PredictorError) as err:
+            FilePredictor(path)
+        assert err.value.context["path"] == str(path)
+        assert err.value.context["line"] == 3
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(b'{"epoch": 1, "annotation_id": "\xff"}\n')
+        with pytest.raises(PredictorError) as err:
+            FilePredictor(path)
+        assert err.value.context["path"] == str(path)

@@ -1,0 +1,32 @@
+"""The benchmark tooling under perfbench/ reaches into morp by name."""
+
+import ast
+import importlib
+import os
+
+import pytest
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "tracer.py")
+
+
+def tracer_targets():
+    """The (module, attribute path) pairs of perfbench/tracer.py TARGETS,
+    read from its source without importing it."""
+    with open(TRACER, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("module,attr", tracer_targets())
+def test_tracer_target_resolves(module, attr):
+    # the tracer wraps every target with getattr; a missing one crashes
+    # a traced benchmark run
+    owner = importlib.import_module("morp." + module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
