@@ -6,6 +6,9 @@ Feature file layout (little-endian, bit-exact):
     bytes 4..15   three uint32: format_version (=1), T, D
     bytes 16..    T*D float32 values, row-major
 
+The reader checks the header's claimed size against the file's size
+before it reads the payload.
+
 A corpus manifest is a single UTF-8 JSON document.  Boundaries in the
 manifest are in seconds; frame indices are derived once at load time
 using each video's frame count.  Relative paths resolve against the
@@ -116,15 +119,17 @@ def read_feature_file(path) -> FrameFeatureMatrix:
         if t < 1 or d < 1:
             raise FormatError("header claims empty matrix", path=str(path),
                               T=t, D=d)
-        payload = fh.read(4 * t * d + 1)
-    if len(payload) < 4 * t * d:
-        raise TruncationError(
-            "payload shorter than header claims",
-            path=str(path), expected_rows=t,
-            actual_rows=len(payload) // (4 * d),
-        )
-    if len(payload) > 4 * t * d:
-        raise FormatError("trailing bytes after payload", path=str(path))
+        # Check the claimed size against the file's before reading, so a
+        # hostile header cannot ask for an allocation the file cannot fill.
+        size = os.fstat(fh.fileno()).st_size - HEADER.size
+        if size < 4 * t * d:
+            raise TruncationError(
+                "payload shorter than header claims",
+                path=str(path), expected_rows=t, actual_rows=size // (4 * d),
+            )
+        if size > 4 * t * d:
+            raise FormatError("trailing bytes after payload", path=str(path))
+        payload = fh.read(4 * t * d)
     data = np.frombuffer(payload, dtype="<f4").reshape(t, d)
     return FrameFeatureMatrix(data)
 

@@ -7,6 +7,13 @@ between the query embedding and each frame embedding, affinely mapped to
 sign-stable.  The moment contrastive score of a boundary is the mapped
 mass inside the boundary divided by the mass outside it; prefix sums make
 each evaluation O(1).
+
+:func:`compute_tracks` builds the tracks of a whole corpus a video at a
+time: each feature file is read once and its frame norms are taken once,
+and the tracks of all annotations whose video has T frames are rows of
+one (annotations, T) block, so the clip, the map and the prefix sums run
+over whole blocks.  :func:`frame_similarities` is the single-query form
+of the same arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -228,21 +235,59 @@ class RefineReport:
 def compute_tracks(manifest: CorpusManifest, threads: int = 1):
     """Similarity track per annotation, keyed by annotation_id.
 
-    Feature files are read once per video.  ``threads`` is accepted for
-    compatibility and changes neither the result nor the speed.
+    Videos are visited in sorted order and each feature file is read
+    once: the float64 cast and the frame norms are computed once per
+    video, then one matrix-vector product per annotation fills a row of
+    the preallocated (annotations, T) ``raw`` block of its timeline
+    length T.  Clipping, the ``(raw + 1) / 2`` map and the prefix sums
+    then run over whole blocks, and every returned track holds row views
+    into them; each track equals ``frame_similarities`` for its query bit
+    for bit.  ``threads`` is accepted for compatibility and changes
+    neither the result nor the speed.
     """
     queries = manifest.load_query_features()
     by_video = {}
     for ann in manifest.annotations:
         by_video.setdefault(ann.video_id, []).append(ann)
+    counts = {}
+    for video_id, anns in by_video.items():
+        T = manifest.video_by_id(video_id).num_frames
+        counts[T] = counts.get(T, 0) + len(anns)
+    raw = {T: np.empty((n, T)) for T, n in counts.items()}
+    rows = {}  # annotation_id -> (T, row)
+    filled = dict.fromkeys(counts, 0)
 
-    tracks = {}
     for video_id in sorted(by_video):
         frames = manifest.load_video_features(video_id)
+        if queries.dim != frames.dim:
+            raise ContractViolation("query and frame dimensions differ",
+                                    query_dim=queries.dim,
+                                    frame_dim=frames.dim)
+        v = frames.data.astype(np.float64)
+        v_norm = np.linalg.norm(v, axis=1)
+        T = frames.num_frames
+        block = raw[T]
         for ann in by_video[video_id]:
-            q = QueryFeature(queries.data[ann.query_feature_ref])
-            tracks[ann.annotation_id] = frame_similarities(q, frames)
-    return tracks
+            q = queries.data[ann.query_feature_ref].astype(np.float64)
+            row = filled[T]
+            np.divide(v @ q, v_norm * np.linalg.norm(q), out=block[row])
+            rows[ann.annotation_id] = (T, row)
+            filled[T] = row + 1
+
+    mapped, prefix = {}, {}
+    for T, block in raw.items():
+        # in place, so that no block-sized temporary raises peak memory
+        np.clip(block, -1.0, 1.0, out=block)
+        mapped[T] = m = block + 1.0
+        m /= 2.0
+        prefix[T] = p = np.empty((block.shape[0], T + 1))
+        p[:, 0] = 0.0
+        np.cumsum(m, axis=1, out=p[:, 1:])
+    return {
+        aid: SimilarityTrack(raw=raw[T][row], mapped=mapped[T][row],
+                             prefix=prefix[T][row])
+        for aid, (T, row) in rows.items()
+    }
 
 
 def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,

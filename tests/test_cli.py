@@ -334,6 +334,23 @@ class TestErrors:
         assert obj["code"] == "missing_file"
         assert "context" in obj
 
+    def test_hostile_feature_header(self, tmp_path, capsys):
+        import struct
+
+        manifest = make_corpus(tmp_path, capsys)
+        doc = json.loads(manifest.read_text())
+        path = manifest.parent / doc["videos"][0]["feature_file_path"]
+        path.write_bytes(struct.pack("<4sIII", b"VMRP", 1, 2 ** 31, 2 ** 20)
+                         + b"\0" * 64)
+        code, _, err = run(capsys, "refine", "--manifest", str(manifest),
+                           "--out-manifest", str(tmp_path / "r.json"))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        obj = json.loads(err)
+        assert obj["code"] == "truncation_error"
+        assert obj["context"]["expected_rows"] == 2 ** 31
+
     def test_invalid_clean_ratio(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)
         code, _, err = run(capsys, "refine", "--manifest", str(manifest),

@@ -1,10 +1,12 @@
 """Memory banks, consensus selection, insertion, and the correction loop."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morp.core import Boundary, ScoredBoundary, iou
+from morp.core import Boundary, ScoredBoundary
 from morp.errors import ContractViolation, PredictorError
 from morp.consensus import (
     CONSENSUS_ROWS,
@@ -32,19 +34,16 @@ def bank_of(*bounds, capacity=32):
 
 
 def consensus_oracle(bounds):
-    """Independent O(N^2) IoU-sum argmax with earliest-index ties."""
+    """Independent O(N^2) IoU sums, exact as Fractions of frame counts."""
     scores = []
     for r, br in enumerate(bounds):
-        total = 0.0
+        total = Fraction(0)
         for k, bk in enumerate(bounds):
-            if k != r:
-                total += iou(br, bk)
+            inter = min(br.end, bk.end) - max(br.start, bk.start)
+            if k != r and inter > 0:
+                total += Fraction(inter, br.length + bk.length - inter)
         scores.append(total)
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
-    return bounds[best], scores
+    return scores
 
 
 class TestConsensusScores:
@@ -155,6 +154,8 @@ class TestComposeTargets:
 class TestConsensusOracle:
     @settings(max_examples=300)
     @given(st.integers(0, 2 ** 32 - 1))
+    @example(seed=57954)
+    @example(seed=2457782)  # two exact scores of 311/144
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 33))
@@ -163,11 +164,14 @@ class TestConsensusOracle:
             s = int(rng.integers(0, 19))
             bounds.append(b(s, int(rng.integers(s + 1, 21))))
         bank = bank_of(*bounds)
-        expected, scores = consensus_oracle(bounds)
-        assert select_consensus(bank) == expected
-        # the returned instance must attain the maximum score
+        scores = consensus_oracle(bounds)
         got = consensus_scores(bank)
-        assert got[int(np.argmax(got))] == pytest.approx(max(scores))
+        np.testing.assert_allclose(got, [float(x) for x in scores])
+        # Exact ties may round apart in floats, so any instance attaining
+        # the exact maximum is a correct pick.
+        picked = int(np.argmax(got))
+        assert scores[picked] == max(scores)
+        assert select_consensus(bank) == bounds[picked]
 
 
 class TestConsensusPicks:

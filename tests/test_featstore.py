@@ -76,6 +76,16 @@ class TestFeatureFile:
         with pytest.raises(TruncationError):
             read_feature_file(path)
 
+    def test_hostile_header_checked_against_file_size(self, tmp_path):
+        # T = 2^31 and D = 2^20 claim 8 PiB; the file holds one float
+        path = tmp_path / "hostile.vmrp"
+        path.write_bytes(pack_file(1, 2 ** 31, 2 ** 20, struct.pack("<f", 1.0)))
+        with pytest.raises(TruncationError) as exc:
+            read_feature_file(path)
+        assert exc.value.context == {"path": str(path),
+                                     "expected_rows": 2 ** 31,
+                                     "actual_rows": 0}
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.vmrp"
         path.write_bytes(pack_file(1, 1, 1, struct.pack("<f", 1.0)) + b"extra")

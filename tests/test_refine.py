@@ -1,18 +1,29 @@
 """Similarity tracks, contrastive scoring, cleaning, boundary adjustment."""
 
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import morp.featstore
 from morp.core import Boundary
 from morp.errors import ContractViolation
-from morp.featstore import FrameFeatureMatrix, QueryFeature
+from morp.featstore import (
+    CorpusManifest,
+    FrameFeatureMatrix,
+    PseudoAnnotation,
+    QueryFeature,
+    VideoEntry,
+    write_feature_file,
+)
 from morp.refine import (
     AdjustParams,
     CleanParams,
     SimilarityTrack,
     adjust_boundary,
     clean_corpus,
+    compute_tracks,
     frame_similarities,
     moment_contrast,
 )
@@ -72,6 +83,110 @@ class TestFrameSimilarities:
         with pytest.raises(ContractViolation):
             frame_similarities(QueryFeature(np.ones(3, np.float32)),
                                FrameFeatureMatrix(np.ones((2, 2), np.float32)))
+
+
+def features(rng, t, d):
+    data = rng.standard_normal((t, d)).astype(np.float32)
+    data[~np.any(data, axis=1)] = 1.0
+    return data
+
+
+def write_corpus(base, queries, videos, anns):
+    """Write feature files and return a manifest over them.
+
+    ``videos`` maps video_id to a (T, D) float32 matrix, in manifest
+    order; ``anns`` lists (annotation_id, video_id, query_ref).
+    """
+    write_feature_file(FrameFeatureMatrix(queries), f"{base}/q.vmrp")
+    entries = []
+    for vid, data in videos.items():
+        write_feature_file(FrameFeatureMatrix(data), f"{base}/{vid}.vmrp")
+        entries.append(VideoEntry(vid, float(len(data)), len(data),
+                                  f"{vid}.vmrp"))
+    annotations = tuple(
+        PseudoAnnotation(aid, vid, "q", ref, (0.0, float(len(videos[vid]))))
+        for aid, vid, ref in anns)
+    return CorpusManifest(1, tuple(entries), "q.vmrp", annotations,
+                          base_dir=base)
+
+
+class TestComputeTracks:
+    """The per-video, per-T block computation must equal one
+    frame_similarities call per annotation, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 7, 64]))
+    @example(seed=0, dim=1)
+    def test_matches_frame_similarities(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        n_queries = int(rng.integers(1, 5))
+        queries = features(rng, n_queries, dim)
+        # T = 1 and at least one other length in every manifest
+        lengths = [1, int(rng.choice([2, 5, 16, 33]))]
+        lengths += rng.choice([1, 2, 5, 16, 33],
+                              int(rng.integers(0, 5))).tolist()
+        names = rng.permutation(100)[:len(lengths)]
+        videos = {}
+        for k, t in zip(names, lengths):
+            data = features(rng, t, dim)
+            # frames parallel to a query drive the cosine to +-1 and past it
+            hit = rng.random(t) < 0.3
+            ref = int(rng.integers(0, n_queries))
+            scale = rng.choice([-3.0, 0.5, 7.0], int(hit.sum()))
+            data[hit] = (queries[ref] * scale[:, None]).astype(np.float32)
+            videos[f"v{k:02d}"] = data
+        anns = [(vid, int(rng.integers(0, n_queries)))
+                for vid in videos
+                for _ in range(int(rng.integers(1, 4)))]
+        anns.append(anns[0])  # same video and query ref again
+        # manifest order: videos descending, the reverse of processing order
+        order = sorted(rng.permutation(len(anns)).tolist(),
+                       key=lambda i: anns[i][0], reverse=True)
+        anns = [(f"a{i:03d}",) + anns[i] for i in order]
+
+        with tempfile.TemporaryDirectory() as base:
+            manifest = write_corpus(base, queries, videos, anns)
+            tracks = compute_tracks(manifest)
+        assert list(tracks) != [aid for aid, _, _ in anns]
+        assert set(tracks) == {aid for aid, _, _ in anns}
+        for aid, vid, ref in anns:
+            want = frame_similarities(QueryFeature(queries[ref]),
+                                      FrameFeatureMatrix(videos[vid]))
+            got = tracks[aid]
+            assert np.array_equal(got.raw, want.raw)
+            assert np.array_equal(got.mapped, want.mapped)
+            assert np.array_equal(got.prefix, want.prefix)
+
+    def test_dim_mismatch(self, tmp_path):
+        rng = np.random.default_rng(1)
+        queries = features(rng, 2, 3)
+        videos = {"v0": features(rng, 4, 4)}
+        manifest = write_corpus(str(tmp_path), queries, videos,
+                                [("a0", "v0", 1)])
+        with pytest.raises(ContractViolation) as want:
+            frame_similarities(QueryFeature(queries[1]),
+                               FrameFeatureMatrix(videos["v0"]))
+        with pytest.raises(ContractViolation) as got:
+            compute_tracks(manifest)
+        assert got.value.message == want.value.message
+        assert got.value.context == want.value.context == \
+            {"query_dim": 3, "frame_dim": 4}
+
+    def test_each_feature_file_read_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        queries = features(rng, 3, 5)
+        videos = {f"v{k}": features(rng, t, 5)
+                  for k, t in enumerate([8, 8, 3, 1])}
+        anns = [(f"a{i:02d}", f"v{i % 4}", i % 3) for i in range(16)]
+        manifest = write_corpus(str(tmp_path), queries, videos, anns)
+        reads = []
+        original = morp.featstore.read_feature_file
+        monkeypatch.setattr(morp.featstore, "read_feature_file",
+                            lambda path: reads.append(path) or original(path))
+        tracks = compute_tracks(manifest)
+        assert len(tracks) == 16
+        assert len(reads) == len(videos) + 1
+        assert len(set(reads)) == len(reads)
 
 
 class TestMomentContrast:
