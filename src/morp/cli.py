@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -384,6 +385,24 @@ def _load_config(path) -> dict:
     return config
 
 
+def _json_safe(value):
+    """value with every non-finite float replaced by the name JSON
+    parsers use for it, so that the result is strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else \
+            ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def _print_error(obj) -> int:
+    print(json.dumps(_json_safe(obj), allow_nan=False), file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -391,12 +410,10 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         return COMMANDS[args.command](args, config)
     except MorpError as exc:
-        print(json.dumps(exc.to_json_obj()), file=sys.stderr)
-        return 1
+        return _print_error(exc.to_json_obj())
     except FileNotFoundError as exc:
-        print(json.dumps({"code": "missing_file", "message": str(exc),
-                          "context": {"path": exc.filename}}), file=sys.stderr)
-        return 1
+        return _print_error({"code": "missing_file", "message": str(exc),
+                             "context": {"path": exc.filename}})
 
 
 if __name__ == "__main__":

@@ -13,14 +13,20 @@ is taken on (rows, n, n) IoU tensors, a block of rows at a time.
 :class:`MemoryBank`, :func:`consensus_scores`, :func:`select_consensus`
 and :func:`select_insert` do the same for one annotation and are the
 reference the tests hold the arrays to.
+
+The :class:`CorrectionTrace` keeps each epoch's inserted, consensus and
+prediction arrays as columns and formats the JSON lines of a whole
+epoch at once; :class:`TraceRecord` is the per-(epoch, annotation) view
+of the same data, and ``json.dumps`` of its :meth:`~TraceRecord.to_json_obj`
+is the line format the writer reproduces byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -196,6 +202,9 @@ class NoOpTrainer:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One (epoch, annotation) row of a :class:`CorrectionTrace`; its
+    trace line is ``json.dumps(record.to_json_obj())``."""
+
     epoch: int
     annotation_id: str
     inserted: tuple
@@ -218,19 +227,85 @@ class TraceRecord:
         }
 
 
-@dataclass
+class _TraceEpoch(NamedTuple):
+    epoch: int
+    bank_size: int
+    inserted: np.ndarray   # (A, 2) start, end
+    consensus: np.ndarray  # (A, 2) start, end
+    predictions: EpochPredictions
+
+
 class CorrectionTrace:
-    records: list = field(default_factory=list)
+    """The bank updates of a correction run, kept as per-epoch columns.
+
+    The annotation ids and the two blend weights are stored once; each
+    epoch adds its bank size, its (A, 2) inserted and consensus arrays
+    and its :class:`EpochPredictions`, where row i belongs to
+    ``annotation_ids[i]``.  :attr:`records` rebuilds the equivalent
+    :class:`TraceRecord` list on demand, and :meth:`write` formats the
+    columns without it.
+    """
+
+    def __init__(self, annotation_ids, consensus_weight, refined_weight):
+        self.annotation_ids = list(annotation_ids)
+        self.consensus_weight = consensus_weight
+        self.refined_weight = refined_weight
+        self.epochs = []
+
+    def add_epoch(self, epoch: int, bank_size: int, inserted, consensus,
+                  predictions: EpochPredictions) -> None:
+        """Append one epoch's columns, as copies, so that later changes
+        to the caller's arrays do not reach the trace."""
+        self.epochs.append(_TraceEpoch(
+            epoch, bank_size, np.array(inserted), np.array(consensus),
+            EpochPredictions(*(np.array(a) for a in predictions))))
+
+    @property
+    def records(self):
+        """One :class:`TraceRecord` per (epoch, annotation), built anew."""
+        return [
+            TraceRecord(ep.epoch, aid, tuple(ins), tuple(con), ep.bank_size,
+                        self.consensus_weight, self.refined_weight, preds)
+            for ep in self.epochs
+            for aid, ins, con, preds in zip(
+                self.annotation_ids, ep.inserted.tolist(),
+                ep.consensus.tolist(), ep.predictions.tuples())
+        ]
 
     def write(self, path):
         """Serialize as JSON-lines, one record per (epoch, annotation).
 
-        The file appears whole or not at all: it is written beside
-        ``path`` and then moved over it.
+        The lines are the bytes of ``json.dumps(record.to_json_obj())``
+        for each of :attr:`records`, formatted an epoch at a time from
+        ``.tolist()`` columns: ids are JSON-encoded once, numbers are the
+        ``repr`` of the same Python ints and floats.  The file appears
+        whole or not at all: it is written beside ``path`` and then moved
+        over it.
         """
+        ids = [json.dumps(aid) for aid in self.annotation_ids]
+        weights = (f'"consensus_weight": {json.dumps(self.consensus_weight)}, '
+                   f'"refined_weight": {json.dumps(self.refined_weight)}, ')
         with atomic_write(path) as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.to_json_obj()) + "\n")
+            for ep in self.epochs:
+                fh.write(_format_epoch(ep, ids, weights))
+
+
+def _format_epoch(ep: _TraceEpoch, ids, weights) -> str:
+    """The JSON lines of one trace epoch, one per annotation."""
+    head = f'{{"epoch": {ep.epoch}, "annotation_id": '
+    tail = f', "bank_size": {ep.bank_size}, {weights}"predictions": [['
+    preds = ep.predictions
+    U = preds.start.shape[1]
+    triples = list(map("{}, {}, {!r}".format, preds.start.ravel().tolist(),
+                       preds.end.ravel().tolist(),
+                       preds.confidence.ravel().tolist()))
+    return "".join([
+        f'{head}{aid}, "inserted": [{i0}, {i1}], "consensus": [{c0}, {c1}]'
+        f'{tail}{"], [".join(triples[lo:lo + k])}]]}}\n'
+        for aid, (i0, i1), (c0, c1), lo, k in zip(
+            ids, ep.inserted.tolist(), ep.consensus.tolist(),
+            range(0, len(triples), U), preds.count.tolist())
+    ])
 
 
 def annotation_seed(base_seed: int, annotation_id: str) -> int:
@@ -326,7 +401,7 @@ def run_correction(manifest: CorpusManifest, predictor,
     n = 1
     all_rows = np.arange(A)
 
-    trace = CorrectionTrace()
+    trace = CorrectionTrace(ids, params.lam, 1.0 - params.lam)
     for epoch in range(1, params.epochs + 1):
         preds = predict(epoch)
         _check_predictions(preds, U, T, ids, epoch)
@@ -347,15 +422,7 @@ def run_correction(manifest: CorpusManifest, predictor,
                               bank_end[all_rows, pick]], axis=1)
         blend = compose_targets(consensus, refined, params.lam)
         trainer.update(epoch, ids, blend, preds)
-        trace.records.extend(
-            TraceRecord(epoch=epoch, annotation_id=aid, inserted=ins,
-                        consensus=con, bank_size=n,
-                        consensus_weight=blend.consensus_weight,
-                        refined_weight=blend.refined_weight,
-                        predictions=p)
-            for aid, ins, con, p in zip(ids, map(tuple, inserted.tolist()),
-                                        map(tuple, consensus.tolist()),
-                                        preds.tuples()))
+        trace.add_epoch(epoch, n, inserted, consensus, preds)
 
     corrected = tuple(
         with_updated_boundary(ann, Boundary(s, e, t),

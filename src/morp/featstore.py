@@ -6,8 +6,9 @@ Feature file layout (little-endian, bit-exact):
     bytes 4..15   three uint32: format_version (=1), T, D
     bytes 16..    T*D float32 values, row-major
 
-The reader checks the header's claimed size against the file's size
-before it reads the payload.
+Both readers check the header's claimed size against the file's size
+before they read the payload, and a manifest's frame count can be
+checked against the header alone (:meth:`CorpusManifest.video_frames`).
 
 A corpus manifest is a single UTF-8 JSON document.  Boundaries in the
 manifest are in seconds; frame indices are derived once at load time
@@ -103,32 +104,38 @@ def _check_rows(arr: np.ndarray):
         )
 
 
+def _read_header(fh, path):
+    """(T, D) from an open feature file's header, checked against the
+    file's size, so a hostile header cannot ask for an allocation the
+    file cannot fill."""
+    head = fh.read(HEADER.size)
+    if len(head) < HEADER.size:
+        raise TruncationError("file too short for header", path=str(path))
+    magic, version, t, d = HEADER.unpack(head)
+    if magic != MAGIC:
+        raise FormatError("bad magic bytes", path=str(path),
+                          magic=magic.hex())
+    if version != FORMAT_VERSION:
+        raise VersionError("unsupported feature-file version",
+                           path=str(path), version=version)
+    if t < 1 or d < 1:
+        raise FormatError("header claims empty matrix", path=str(path),
+                          T=t, D=d)
+    size = os.fstat(fh.fileno()).st_size - HEADER.size
+    if size < 4 * t * d:
+        raise TruncationError(
+            "payload shorter than header claims",
+            path=str(path), expected_rows=t, actual_rows=size // (4 * d),
+        )
+    if size > 4 * t * d:
+        raise FormatError("trailing bytes after payload", path=str(path))
+    return t, d
+
+
 def read_feature_file(path) -> FrameFeatureMatrix:
     """Load a binary feature file, validating header and payload."""
     with open(path, "rb") as fh:
-        head = fh.read(HEADER.size)
-        if len(head) < HEADER.size:
-            raise TruncationError("file too short for header", path=str(path))
-        magic, version, t, d = HEADER.unpack(head)
-        if magic != MAGIC:
-            raise FormatError("bad magic bytes", path=str(path),
-                              magic=magic.hex())
-        if version != FORMAT_VERSION:
-            raise VersionError("unsupported feature-file version",
-                               path=str(path), version=version)
-        if t < 1 or d < 1:
-            raise FormatError("header claims empty matrix", path=str(path),
-                              T=t, D=d)
-        # Check the claimed size against the file's before reading, so a
-        # hostile header cannot ask for an allocation the file cannot fill.
-        size = os.fstat(fh.fileno()).st_size - HEADER.size
-        if size < 4 * t * d:
-            raise TruncationError(
-                "payload shorter than header claims",
-                path=str(path), expected_rows=t, actual_rows=size // (4 * d),
-            )
-        if size > 4 * t * d:
-            raise FormatError("trailing bytes after payload", path=str(path))
+        t, d = _read_header(fh, path)
         payload = fh.read(4 * t * d)
     data = np.frombuffer(payload, dtype="<f4").reshape(t, d)
     return FrameFeatureMatrix(data)
@@ -143,18 +150,13 @@ def write_feature_file(matrix: FrameFeatureMatrix, path) -> None:
 
 
 def read_feature_header(path):
-    """Return (T, D) from a feature file without reading the payload."""
+    """Return (T, D) from a feature file without reading the payload.
+
+    The header gets every check :func:`read_feature_file` makes before
+    it reads the payload, the file size included.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(HEADER.size)
-    if len(head) < HEADER.size:
-        raise TruncationError("file too short for header", path=str(path))
-    magic, version, t, d = HEADER.unpack(head)
-    if magic != MAGIC:
-        raise FormatError("bad magic bytes", path=str(path))
-    if version != FORMAT_VERSION:
-        raise VersionError("unsupported feature-file version",
-                           path=str(path), version=version)
-    return t, d
+        return _read_header(fh, path)
 
 
 def seconds_to_frames(t: float, duration: float, num_frames: int) -> int:
@@ -238,16 +240,28 @@ class CorpusManifest:
     def load_video_features(self, video_id: str) -> FrameFeatureMatrix:
         entry = self.video_by_id(video_id)
         mat = read_feature_file(self.resolve(entry.feature_file_path))
-        if mat.num_frames != entry.num_frames:
-            raise ReferentialError(
-                "feature file frame count disagrees with manifest",
-                video_id=video_id, manifest=entry.num_frames,
-                file=mat.num_frames,
-            )
+        _check_frame_count(entry, mat.num_frames)
         return mat
+
+    def video_frames(self, video_id: str) -> int:
+        """The manifest's frame count of a video, checked against the
+        header of its feature file; the payload is not read."""
+        entry = self.video_by_id(video_id)
+        t, _ = read_feature_header(self.resolve(entry.feature_file_path))
+        _check_frame_count(entry, t)
+        return entry.num_frames
 
     def load_query_features(self) -> FrameFeatureMatrix:
         return read_feature_file(self.resolve(self.queries_file_path))
+
+
+def _check_frame_count(entry: VideoEntry, file_frames: int) -> None:
+    if file_frames != entry.num_frames:
+        raise ReferentialError(
+            "feature file frame count disagrees with manifest",
+            video_id=entry.video_id, manifest=entry.num_frames,
+            file=file_frames,
+        )
 
 
 def derive_boundary_frames(start_s, end_s, duration, num_frames) -> Boundary:
@@ -292,6 +306,17 @@ def _validate_manifest(manifest: CorpusManifest, num_queries: Optional[int]):
                                    num_queries=num_queries)
 
 
+def _boundary_pair(a: dict, key: str) -> tuple:
+    """An annotation's [start, end] seconds field as a tuple of two numbers."""
+    pair = a.get(key)
+    if not (isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in pair)):
+        raise FormatError(f"{key} must be a list of two numbers",
+                          annotation_id=a.get("annotation_id"), field=key)
+    return tuple(pair)
+
+
 def read_manifest(path, check_queries=True) -> CorpusManifest:
     """Parse and validate a manifest JSON file.
 
@@ -325,10 +350,11 @@ def read_manifest(path, check_queries=True) -> CorpusManifest:
             video_id=a["video_id"],
             query_text=a["query_text"],
             query_feature_ref=int(a["query_feature_ref"]),
-            boundary_seconds=tuple(a["boundary_seconds"]),
+            boundary_seconds=_boundary_pair(a, "boundary_seconds"),
             status=a.get("status", "raw"),
-            gt_boundary_seconds=(tuple(a["gt_boundary_seconds"])
-                                 if a.get("gt_boundary_seconds") else None),
+            gt_boundary_seconds=(_boundary_pair(a, "gt_boundary_seconds")
+                                 if a.get("gt_boundary_seconds") is not None
+                                 else None),
             error_tag=a.get("error_tag"),
         )
         video = vid_index.get(ann.video_id)

@@ -235,8 +235,10 @@ class RefineReport:
 def compute_tracks(manifest: CorpusManifest, threads: int = 1):
     """Similarity track per annotation, keyed by annotation_id.
 
-    Videos are visited in sorted order and each feature file is read
-    once: the float64 cast and the frame norms are computed once per
+    Each video's frame count in the manifest is first checked against
+    its feature file's header, before any block is allocated.  Videos
+    are visited in sorted order and each feature file is read once: the
+    float64 cast and the frame norms are computed once per
     video, then one matrix-vector product per annotation fills a row of
     the preallocated (annotations, T) ``raw`` block of its timeline
     length T.  Clipping, the ``(raw + 1) / 2`` map and the prefix sums
@@ -250,9 +252,11 @@ def compute_tracks(manifest: CorpusManifest, threads: int = 1):
     for ann in manifest.annotations:
         by_video.setdefault(ann.video_id, []).append(ann)
     counts = {}
-    for video_id, anns in by_video.items():
-        T = manifest.video_by_id(video_id).num_frames
-        counts[T] = counts.get(T, 0) + len(anns)
+    for video_id in sorted(by_video):
+        # the blocks are sized from the headers' frame counts, so a
+        # manifest cannot ask for more than the feature files hold
+        T = manifest.video_frames(video_id)
+        counts[T] = counts.get(T, 0) + len(by_video[video_id])
     raw = {T: np.empty((n, T)) for T, n in counts.items()}
     rows = {}  # annotation_id -> (T, row)
     filled = dict.fromkeys(counts, 0)

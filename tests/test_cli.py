@@ -134,6 +134,22 @@ class TestPipeline:
         assert body(pipe / "refined.json") == body(refined)
         assert body(pipe / "corrected.json") == body(corrected)
 
+    def test_integer_lambda_from_config(self, tmp_path, capsys):
+        # a config file's "lambda": 1 arrives as the int 1, and the trace
+        # writes it as json.dumps does
+        manifest = make_corpus(tmp_path, capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 1}))
+        out_dir = tmp_path / "lam1"
+        code, _, err = run(capsys, "--config", str(cfg), "pipeline",
+                           "--manifest", str(manifest), "--out-dir",
+                           str(out_dir), "--epochs", "2")
+        assert code == 0, err
+        lines = (out_dir / "trace.jsonl").read_text().splitlines()
+        assert lines
+        for line in lines:
+            assert '"consensus_weight": 1, "refined_weight": 0.0, ' in line
+
     def test_tracks_computed_once(self, tmp_path, capsys, monkeypatch):
         import morp.consensus
         import morp.pipeline
@@ -350,6 +366,71 @@ class TestErrors:
         obj = json.loads(err)
         assert obj["code"] == "truncation_error"
         assert obj["context"]["expected_rows"] == 2 ** 31
+
+    @staticmethod
+    def one_error(err):
+        """The one error object on stderr, parsed as strict JSON."""
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        return json.loads(lines[0], parse_constant=reject)
+
+    def refine_mutated(self, tmp_path, capsys, edit):
+        manifest = make_corpus(tmp_path, capsys)
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "refine", "--manifest", str(manifest),
+                           "--out-manifest", str(tmp_path / "r.json"))
+        assert code == 1
+        return doc, self.one_error(err)
+
+    def test_manifest_frames_past_feature_file(self, tmp_path, capsys):
+        def edit(doc):
+            doc["videos"][1]["num_frames"] = 2 ** 40
+
+        doc, obj = self.refine_mutated(tmp_path, capsys, edit)
+        assert obj["code"] == "referential_error"
+        assert obj["message"] == \
+            "feature file frame count disagrees with manifest"
+        assert obj["context"] == {"video_id": doc["videos"][1]["video_id"],
+                                  "manifest": 2 ** 40, "file": 64}
+
+    def test_nan_duration_error_is_strict_json(self, tmp_path, capsys):
+        def edit(doc):
+            doc["videos"][0]["duration_seconds"] = float("nan")
+
+        _, obj = self.refine_mutated(tmp_path, capsys, edit)
+        assert obj["code"] == "range_error"
+        assert obj["context"]["duration"] == "NaN"
+
+    @pytest.mark.parametrize("pair", [[1], None, [1, 2, 3], ["a", 2]])
+    def test_malformed_boundary_pair(self, tmp_path, capsys, pair):
+        def edit(doc):
+            doc["annotations"][2]["boundary_seconds"] = pair
+
+        doc, obj = self.refine_mutated(tmp_path, capsys, edit)
+        assert obj["code"] == "format_error"
+        assert obj["context"] == {
+            "annotation_id": doc["annotations"][2]["annotation_id"],
+            "field": "boundary_seconds"}
+
+    def test_non_finite_context_values(self, capsys, monkeypatch):
+        from morp.cli import COMMANDS
+        from morp.errors import RangeError
+
+        def fail(args, config):
+            raise RangeError("bad", x=float("inf"),
+                             nested={"y": [float("-inf"), float("nan"), 1.5]})
+
+        monkeypatch.setitem(COMMANDS, "stats", fail)
+        code, _, err = run(capsys, "stats", "--manifest", "m.json")
+        assert code == 1
+        assert self.one_error(err)["context"] == {
+            "x": "Infinity", "nested": {"y": ["-Infinity", "NaN", 1.5]}}
 
     def test_invalid_clean_ratio(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)

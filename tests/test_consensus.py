@@ -333,27 +333,31 @@ class TestRunCorrection:
                             "predictions"}
 
 
-def replay_manifest(rng, n):
-    """n adjusted annotations on videos of 2, 5 or 20 frames, ids not in
-    insertion order.  Replay reads no feature file, so none exists."""
+def replay_manifest(rng, n, ids=None):
+    """n adjusted annotations on videos of 2, 5 or 20 frames, with the
+    given ids or else ids not in insertion order.  Replay reads no
+    feature file, so none exists."""
     from morp.featstore import CorpusManifest, PseudoAnnotation, VideoEntry
 
+    if ids is None:
+        ids = [f"a{j:04d}" for j in rng.permutation(n).tolist()]
     videos, anns = [], []
-    for i, j in enumerate(rng.permutation(n).tolist()):
+    for i, aid in enumerate(ids):
         T = int(rng.choice([2, 5, 20]))
         s = int(rng.integers(0, T))
         e = int(rng.integers(s + 1, T + 1))
         videos.append(VideoEntry(f"v{i}", float(T), T, f"v{i}.vmrp"))
-        anns.append(PseudoAnnotation(f"a{j:04d}", f"v{i}", "q", 0,
+        anns.append(PseudoAnnotation(aid, f"v{i}", "q", 0,
                                      (float(s), float(e)), status="adjusted",
                                      boundary_frames=Boundary(s, e, T)))
     return CorpusManifest(1, tuple(videos), "q.vmrp", tuple(anns))
 
 
-def write_predictions(path, manifest, epochs, rng, max_count=6):
+def write_predictions(path, manifest, epochs, rng, max_count=6,
+                      confidences=(0.25, 0.5, 1.0)):
     """A shuffled replay file with many duplicate boundaries and tied
     confidences: records hold 1..max_count predictions drawn from three
-    boundaries per annotation, with confidences from {0.25, 0.5, 1.0},
+    boundaries per annotation, with confidences from ``confidences``,
     and one record in ten comes twice (the later one counts)."""
     import json
 
@@ -366,7 +370,7 @@ def write_predictions(path, manifest, epochs, rng, max_count=6):
             for _ in range(1 + int(rng.random() < 0.1)):
                 pick = rng.integers(0, 3, size=int(rng.integers(1, max_count + 1)))
                 preds = [{"start": int(starts[j]), "end": int(ends[j]),
-                          "confidence": float(rng.choice([0.25, 0.5, 1.0]))}
+                          "confidence": float(rng.choice(confidences))}
                          for j in pick]
                 lines.append(json.dumps({"epoch": epoch,
                                          "annotation_id": ann.annotation_id,
@@ -530,3 +534,72 @@ class TestAnnotationSeed:
     def test_range(self):
         s = annotation_seed(2 ** 40, "x")
         assert 0 <= s < 2 ** 32
+
+
+# annotation ids that JSON must escape: quotes, backslashes, control
+# characters, non-ASCII text and lone surrogates
+ODD_IDS = ['say "hi"', "back\\slash", "ctl\x00\x1f\x7f\n\t", "café 漢 \U0001f600",
+           "lone \ud800", "\udfff", ""]
+# confidences whose repr is easy to get wrong
+ODD_CONFIDENCES = [5e-324, 1e-05, 0.1 + 0.2, 0.0, -0.0, 1.0]
+
+
+class TestTraceFormat:
+    """CorrectionTrace.write is byte-equal to json.dumps of every record."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ids=st.lists(st.sampled_from(ODD_IDS) | st.text(max_size=5),
+                        min_size=1, max_size=7, unique=True),
+           lam=st.sampled_from([0.7, 1.0, 1, 0, 0.25]),
+           capacity=st.integers(1, 4), epochs=st.integers(1, 7),
+           U=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @example(ids=ODD_IDS, lam=1, capacity=2, epochs=6, U=3, seed=0)
+    @example(ids=ODD_IDS, lam=0.7, capacity=3, epochs=7, U=1, seed=1)
+    def test_write_matches_json_dumps(self, ids, lam, capacity, epochs, U,
+                                      seed):
+        import json
+        import tempfile
+        from pathlib import Path
+
+        from morp.predictor import FilePredictor
+
+        rng = np.random.default_rng(seed)
+        manifest = replay_manifest(rng, len(ids), ids)
+        params = CorrectionParams(epochs=epochs, lam=lam, capacity=capacity,
+                                  predictions_per_query=U)
+        with tempfile.TemporaryDirectory() as tmp:
+            # up to U + 1 predictions, so some rows hold fewer than U
+            # and some are truncated
+            path = write_predictions(Path(tmp) / "p.jsonl", manifest, epochs,
+                                     rng, max_count=U + 1,
+                                     confidences=ODD_CONFIDENCES)
+            _, trace = run_correction(manifest, FilePredictor(path), params)
+            trace.write(Path(tmp) / "trace.jsonl")
+            written = (Path(tmp) / "trace.jsonl").read_bytes()
+        records = trace.records
+        assert len(records) == epochs * len(ids)
+        assert records[-1].bank_size == min(capacity, epochs + 1)
+        assert type(records[0].consensus_weight) is type(lam)
+        expected = "".join(json.dumps(r.to_json_obj()) + "\n" for r in records)
+        assert written == expected.encode("ascii")
+
+    def test_records_are_snapshots(self, tmp_path):
+        """A trainer that changes the arrays it was handed, after its
+        update call returned, changes nothing in the trace."""
+        refined = make_refined_corpus(tmp_path)
+        table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
+                 for a in refined.annotations}
+
+        class Scribbler:
+            held = []
+
+            def update(self, epoch, annotation_ids, blend, predictions):
+                for arr in self.held:
+                    arr[...] = 0
+                self.held = [blend.consensus_target, *predictions]
+
+        params = CorrectionParams(epochs=3)
+        _, clean = run_correction(refined, EchoPredictor(table), params)
+        _, scribbled = run_correction(refined, EchoPredictor(table), params,
+                                      trainer=Scribbler())
+        assert scribbled.records == clean.records

@@ -263,18 +263,75 @@ class TestManifest:
         assert err.value.context == {"annotation_id": "a0"}
 
 
+class TestBoundaryPairs:
+    """A [start, end] field that is not two numbers is a FormatError."""
+
+    @staticmethod
+    def load(tmp_path, **fields):
+        ann = {"annotation_id": "a0", "video_id": "vid0", "query_text": "x",
+               "query_feature_ref": 0, "boundary_seconds": [0.0, 1.0],
+               "status": "raw", **fields}
+        return read_manifest(write_fixture_corpus(tmp_path, annotations=[ann]))
+
+    @pytest.mark.parametrize("field", ["boundary_seconds",
+                                       "gt_boundary_seconds"])
+    @pytest.mark.parametrize("pair", [[1], [], [1, 2, 3], ["a", 2],
+                                      [True, 2], "0,1"])
+    def test_malformed_pair(self, tmp_path, field, pair):
+        with pytest.raises(FormatError) as err:
+            self.load(tmp_path, **{field: pair})
+        assert err.value.context == {"annotation_id": "a0", "field": field}
+
+    def test_null_boundary(self, tmp_path):
+        # a null ground truth means none; a null boundary is an error
+        with pytest.raises(FormatError):
+            self.load(tmp_path, boundary_seconds=None)
+
+    @pytest.mark.parametrize("gt", [None, [0, 1], [0.5, 2.0]])
+    def test_valid_pairs_load(self, tmp_path, gt):
+        m = self.load(tmp_path, boundary_seconds=[0, 10],
+                      gt_boundary_seconds=gt)
+        assert m.annotations[0].boundary_seconds == (0, 10)
+        assert m.annotations[0].gt_boundary_seconds == (
+            None if gt is None else tuple(gt))
+
+
+class TestFrameCountCheck:
+    def test_video_frames(self, tmp_path):
+        m = read_manifest(write_fixture_corpus(tmp_path))
+        assert m.video_frames("vid0") == 8
+
+    @pytest.mark.parametrize("frames", [7, 2 ** 40])
+    def test_disagreeing_header(self, tmp_path, frames):
+        path = write_fixture_corpus(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["videos"][0]["num_frames"] = frames
+        doc["annotations"] = []
+        path.write_text(json.dumps(doc))
+        m = read_manifest(path)
+        for check in (m.video_frames, m.load_video_features):
+            with pytest.raises(ReferentialError) as err:
+                check("vid0")
+            assert err.value.context == {"video_id": "vid0",
+                                         "manifest": frames, "file": 8}
+
+
 class TestAtomicWrites:
     """A writer that fails half way leaves the earlier file as it was."""
 
     @staticmethod
     def writers(tmp_path):
-        from morp.consensus import CorrectionTrace, TraceRecord
+        from morp.consensus import CorrectionTrace
         from morp.metrics import write_json
+        from morp.predictor import EpochPredictions
         from morp.refine import RefineRecord, RefineReport
 
         manifest = read_manifest(write_fixture_corpus(tmp_path))
-        trace = CorrectionTrace([TraceRecord(1, "a0", (0, 1), (0, 1), 2, 0.7,
-                                             0.3, ((0, 1, 1.0),))] * 3)
+        trace = CorrectionTrace(["a0"], 0.7, 0.3)
+        for epoch in (1, 2, 3):
+            trace.add_epoch(epoch, 2, [[0, 1]], [[0, 1]], EpochPredictions(
+                np.array([[0]]), np.array([[1]]), np.array([[1.0]]),
+                np.array([1])))
         report = RefineReport([RefineRecord("a0", 1.5, "kept", (0, 4),
                                             (0, 3))])
         return {
