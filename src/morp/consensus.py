@@ -337,7 +337,7 @@ def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
 def run_correction(manifest: CorpusManifest, predictor,
                    params: CorrectionParams,
                    trainer: Optional[NoOpTrainer] = None,
-                   threads: int = 1, tracks: Optional[dict] = None):
+                   tracks: Optional[dict] = None):
     """Run the epoch loop over a refined corpus.
 
     Every annotation must arrive with status ``adjusted``.  For each
@@ -346,8 +346,7 @@ def run_correction(manifest: CorpusManifest, predictor,
     and the (consensus, seed) target blend is handed to the trainer and
     recorded in the trace.  The corrected boundary is the consensus pick
     of the final epoch.  Fully deterministic given params.seed; results
-    do not depend on the processing order.  ``threads`` is accepted for
-    compatibility and changes neither the output nor the speed.
+    do not depend on the processing order.
 
     Each epoch is one set of array operations over all annotations,
     sorted by id: the predictor hands back :class:`EpochPredictions`,

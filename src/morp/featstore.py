@@ -317,9 +317,55 @@ def _boundary_pair(a: dict, key: str) -> tuple:
     return tuple(pair)
 
 
+# Typed fields of each video and annotation object.  An int field also
+# rejects bool, which JSON true/false parse to and which subclasses int.
+_VIDEO_FIELDS = (("video_id", str), ("num_frames", int),
+                 ("feature_file_path", str))
+_ANNOTATION_FIELDS = (("annotation_id", str), ("video_id", str),
+                      ("query_text", str), ("query_feature_ref", int))
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
+def _objects(doc: dict, key: str, fields, id_key: str) -> list:
+    """doc[key] (default []), checked to be a list of objects whose
+    fields have their types; a violation is a FormatError naming the
+    object's id_key and the field."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{key} must be a list of objects", field=key)
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{key} must be a list of objects",
+                              field=key, index=index)
+        for name, kind in fields:
+            value = entry.get(name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise FormatError(f"{name} must be {_TYPE_NAMES[kind]}",
+                                  **{id_key: entry.get(id_key)}, field=name)
+    return entries
+
+
+def _duration(v: dict) -> float:
+    """A video's duration_seconds: a finite number (an int or a float)."""
+    d = v.get("duration_seconds")
+    if not isinstance(d, (int, float)) or isinstance(d, bool):
+        raise FormatError("duration_seconds must be a number",
+                          video_id=v["video_id"], field="duration_seconds")
+    try:
+        d = float(d)
+    except OverflowError:  # an integer past the float range
+        d = math.inf
+    if not math.isfinite(d):
+        raise RangeError("video duration must be finite",
+                         video_id=v["video_id"], duration=d)
+    return d
+
+
 def read_manifest(path, check_queries=True) -> CorpusManifest:
     """Parse and validate a manifest JSON file.
 
+    Field types are checked first: ids, texts and paths are strings,
+    frame counts and query references integers, durations finite numbers.
     All referential invariants are checked on read; per-annotation frame
     boundaries are derived here using the owning video's frame count.
     """
@@ -329,27 +375,32 @@ def read_manifest(path, check_queries=True) -> CorpusManifest:
         except json.JSONDecodeError as exc:
             raise FormatError("manifest is not valid JSON",
                               path=str(path), detail=str(exc))
+    if not isinstance(doc, dict):
+        raise FormatError("manifest must be a JSON object", path=str(path))
     if doc.get("format_version") != FORMAT_VERSION:
         raise VersionError("unknown manifest format_version",
                            version=doc.get("format_version"))
+    if not isinstance(doc.get("queries_file_path"), str):
+        raise FormatError("queries_file_path must be a string",
+                          field="queries_file_path")
     base_dir = os.path.dirname(os.path.abspath(path))
     videos = tuple(
         VideoEntry(
             video_id=v["video_id"],
-            duration_seconds=float(v["duration_seconds"]),
-            num_frames=int(v["num_frames"]),
+            duration_seconds=_duration(v),
+            num_frames=v["num_frames"],
             feature_file_path=v["feature_file_path"],
         )
-        for v in doc.get("videos", [])
+        for v in _objects(doc, "videos", _VIDEO_FIELDS, "video_id")
     )
     vid_index = {v.video_id: v for v in videos}
     annotations = []
-    for a in doc.get("annotations", []):
+    for a in _objects(doc, "annotations", _ANNOTATION_FIELDS, "annotation_id"):
         ann = PseudoAnnotation(
             annotation_id=a["annotation_id"],
             video_id=a["video_id"],
             query_text=a["query_text"],
-            query_feature_ref=int(a["query_feature_ref"]),
+            query_feature_ref=a["query_feature_ref"],
             boundary_seconds=_boundary_pair(a, "boundary_seconds"),
             status=a.get("status", "raw"),
             gt_boundary_seconds=(_boundary_pair(a, "gt_boundary_seconds")

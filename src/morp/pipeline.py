@@ -41,12 +41,10 @@ def evaluate_manifest(manifest: CorpusManifest,
 
 def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
                  adjust_params: AdjustParams, correction_params: CorrectionParams,
-                 proposal_params: ProposalParams = None, threads: int = 1):
+                 proposal_params: ProposalParams = None):
     """refine + correct; returns (refined, refine_report, corrected, trace).
 
     The similarity tracks are computed once and shared by both stages.
-    ``threads`` is accepted for compatibility and changes neither the
-    output nor the speed.
     """
     tracks = compute_tracks(manifest)
     refined, report = refine_corpus(manifest, clean_params, adjust_params,
@@ -132,8 +130,8 @@ def _quality_for(manifest, clean_ratio, adjust_params, correction_params):
 
 
 def sweep_clean_ratio(spec: SynthSpec, ratios, seeds, work_dir,
-                      adjust_params=None, correction_params=None,
-                      threads: int = 1) -> SweepResult:
+                      adjust_params=None,
+                      correction_params=None) -> SweepResult:
     """Corpus quality of the corrected corpus across cleaning ratios."""
     import os
     from dataclasses import replace
@@ -156,8 +154,8 @@ def sweep_clean_ratio(spec: SynthSpec, ratios, seeds, work_dir,
 
 
 def sweep_corpus_size(spec: SynthSpec, sizes, seeds, work_dir, clean_ratio=0.4,
-                      adjust_params=None, correction_params=None,
-                      threads: int = 1) -> SweepResult:
+                      adjust_params=None,
+                      correction_params=None) -> SweepResult:
     """Corpus quality of the corrected corpus across corpus sizes."""
     import os
     from dataclasses import replace

@@ -22,10 +22,19 @@ run, one epoch per call: tracks that share a timeline length T are cut
 into blocks of at most ``BLOCK_ROWS`` rows, each block's support runs and
 prefix sums are stacked once, and every epoch enumerates, scores, ranks
 and NMS-suppresses a whole block with array operations.  Per track it
-performs the same elementwise arithmetic as :func:`propose`, draws the
-jitter offsets from the same generator and takes the softmax over the
-same survivor vector, so its output equals :func:`propose`'s bit for
-bit; the tests keep :func:`propose` as the reference.
+performs the same elementwise arithmetic as :func:`propose`, so its
+output equals :func:`propose`'s bit for bit; the tests keep
+:func:`propose` as the reference.  Two steps differ in form only:
+
+- The jitter offsets of every track are drawn at once per epoch by
+  :func:`_jitter_offsets`, a numpy replica of ``default_rng([seed,
+  epoch]).integers``.  The rare row that hits the bounded draw's
+  rejection branch, and every row when the epoch or the jitter span does
+  not fit 32 bits, is drawn by ``default_rng`` itself.
+- The softmax packs each row's NMS survivors to the left in rank order
+  and takes ``exp`` and the row sum on one contiguous (rows, n) array per
+  survivor count n, which sums each row as pairwise as the 1-D sum of
+  its n survivors does.
 
 Correction consumes predictions one epoch at a time, as
 :class:`EpochPredictions`: padded (A, U) start/end/confidence arrays over
@@ -228,6 +237,119 @@ def propose(track: SimilarityTrack, U: int, epoch: int, seed: int,
     ]
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+
+
+def _carry(acc):
+    """Four 32-bit limbs, low first, from uint64 limb sums; mod 2**128."""
+    out, carry = [], 0
+    for v in acc:
+        v = v + carry
+        out.append(v & _M32)
+        carry = v >> 32
+    return out
+
+
+def _pcg64_step(state, inc):
+    """One PCG64 LCG step, state * multiplier + inc, on 32-bit limbs."""
+    acc = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            p = state[i] * ((_PCG64_MULT >> 32 * j) & _M32)
+            acc[i + j] = acc[i + j] + (p & _M32)
+            if i + j < 3:
+                acc[i + j + 1] = acc[i + j + 1] + (p >> 32)
+    return _carry(acc)
+
+
+def _replica_draws(seeds, epoch, span, F):
+    """(draws in [0, span), rejected) of default_rng([seed, epoch]) per seed.
+
+    Needs 0 <= seed, epoch < 2**32 and span < 2**32.  Row r holds the
+    first F values of the buffered Lemire draw from
+    ``default_rng([seeds[r], epoch])``; it is valid unless ``rejected[r]``,
+    which marks a row that reached the rejection branch and so drew
+    further words.
+    """
+    # SeedSequence: hash the entropy words [seed, epoch] into a 4-word
+    # pool, then generate_state(4, uint64) as 8 uint32 words
+    hash_a = _SS_INIT_A
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ hash_a
+        hash_a = hash_a * _SS_MULT_A & _M32
+        v = v * hash_a
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = x * _SS_MIX_L - y * _SS_MIX_R
+        return v ^ (v >> 16)
+
+    n = len(seeds)
+    pool = [hashmix(w) for w in (seeds.astype(np.uint32),
+                                 np.full(n, epoch, dtype=np.uint32),
+                                 np.zeros(n, dtype=np.uint32),
+                                 np.zeros(n, dtype=np.uint32))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_b, words = _SS_INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ hash_b
+        hash_b = hash_b * _SS_MULT_B & _M32
+        v = v * hash_b
+        words.append((v ^ (v >> 16)).astype(np.uint64))
+
+    # PCG64 seeding from the uint64 words (w0, w1, w2, w3): the increment
+    # is 2 * (w2 << 64 | w3) + 1, and stepping from state 0, adding the
+    # seed w0 << 64 | w1 and stepping again gives the first state
+    seed128 = [words[2], words[3], words[0], words[1]]
+    seq = [words[6], words[7], words[4], words[5]]
+    inc = [(seq[0] << 1 | 1) & _M32] + \
+        [(seq[k] << 1 | seq[k - 1] >> 31) & _M32 for k in (1, 2, 3)]
+    state = _pcg64_step(_carry([a + b for a, b in zip(inc, seed128)]), inc)
+
+    # XSL-RR outputs; next_uint32 hands out the low half of each first
+    cols = []
+    for _ in range((F + 1) // 2):
+        state = _pcg64_step(state, inc)
+        x = (state[3] ^ state[1]) << 32 | (state[2] ^ state[0])
+        rot = state[3] >> 26
+        x = x >> rot | x << ((64 - rot) & 63)
+        cols += [x & _M32, x >> 32]
+    m = np.stack(cols[:F], axis=1) * span
+    rejected = ((m & _M32) < (2 ** 32 - span) % span).any(axis=1)
+    return (m >> 32).astype(np.int64), rejected
+
+
+def _jitter_offsets(seeds, epoch, jitter, F):
+    """Row r: ``default_rng([seeds[r], epoch]).integers(-jitter, jitter + 1,
+    size=F)``, for seeds in [0, 2**32).
+
+    The rows are computed together by :func:`_replica_draws`; rows it
+    cannot reproduce are drawn by ``default_rng`` one at a time.
+    """
+    seeds = np.asarray(seeds, dtype=np.int64)
+    span = 2 * jitter + 1
+    if 0 <= epoch <= _M32 and span <= _M32:
+        draws, rejected = _replica_draws(seeds, epoch, span, F)
+        out, redraw = draws - jitter, np.flatnonzero(rejected)
+    else:
+        out = np.empty((len(seeds), F), dtype=np.int64)
+        redraw = range(len(seeds))
+    for r in redraw:
+        out[r] = np.random.default_rng([int(seeds[r]), epoch]).integers(
+            -jitter, jitter + 1, size=F)
+    return out
+
+
 # Rows per ProposalBatch block.  Larger blocks pay the per-rank-position
 # NMS loop overhead fewer times but hold larger (rows, candidates)
 # arrays.  On `morp pipeline` at 500 videos x 128 frames (600 kept
@@ -243,12 +365,19 @@ class _Block:
     Holds what does not change across epochs: the tracks' prefix sums,
     the support runs padded to a common width, and the unjittered
     sliding-window starts of every usable fraction laid end to end.
+
+    Each epoch it takes its rows' jitter offsets, which
+    :class:`ProposalBatch` draws for all tracks at once with
+    :func:`_jitter_offsets` (``default_rng`` redraws only the rows whose
+    bounded draw was rejected).  After the NMS loop over rank positions,
+    the softmax packs each row's survivors to the left and works on one
+    contiguous array per survivor count, so every row's sum rounds as
+    :func:`propose`'s 1-D sum does.
     """
 
-    def __init__(self, T, rows, tracks, seeds, params: ProposalParams):
+    def __init__(self, T, rows, tracks, params: ProposalParams):
         self.T = T
-        self.rows = rows
-        self.seeds = [seeds[i] for i in rows]
+        self.rows = np.asarray(rows, dtype=np.int64)
         self.prefixes = [tracks[i].prefix for i in rows]
 
         support = [_support_candidates(tracks[i]) for i in rows]
@@ -276,21 +405,13 @@ class _Block:
         self.empty = [] if lengths else \
             [i for i, runs in zip(rows, support) if not runs]
 
-    def _candidates(self, epoch, jitter):
-        """(starts, ends, valid) candidate arrays in propose's order.
+    def _candidates(self, offsets):
+        """(starts, ends, valid) candidate arrays in propose's order, for
+        (rows, n_fractions) jitter offsets.
 
         Invalid slots are padding or repeated clipped windows; the valid
         slots of a row are that track's candidates, in order.
         """
-        A, F = len(self.rows), self.n_fractions
-        if jitter > 0 and F:
-            # one size-F draw yields the same values as F scalar draws
-            offsets = np.stack([
-                np.random.default_rng([seed, epoch]).integers(
-                    -jitter, jitter + 1, size=F)
-                for seed in self.seeds])
-        else:
-            offsets = np.zeros((A, F), dtype=np.int64)
         win_start = np.clip(self.win_base + offsets[:, self.win_frac], 0,
                             self.T - self.win_len)
         # clipped starts are nondecreasing within a fraction, so dropping
@@ -302,10 +423,12 @@ class _Block:
                 np.concatenate((self.sup_end, win_start + self.win_len), axis=1),
                 np.concatenate((self.sup_valid, fresh), axis=1))
 
-    def propose(self, U, epoch, params: ProposalParams, out: EpochPredictions):
-        """Write each row's propose(track, U, epoch, seed, params) into out."""
+    def propose(self, U, offsets, params: ProposalParams,
+                out: EpochPredictions):
+        """Write each row's propose(track, U, epoch, seed, params) into out,
+        given the rows' jitter offsets for the epoch."""
         T = self.T
-        starts, ends, valid = self._candidates(epoch, params.jitter)
+        starts, ends, valid = self._candidates(offsets)
 
         # _contrast_margin, elementwise over the block.  The prefix sums
         # are stacked per call: a stack kept for the whole run would
@@ -340,18 +463,39 @@ class _Block:
             union = length[rows, i, None] + length[rows, i + 1:] - inter
             alive[rows, i + 1:] &= ~(inter / union > params.nms_iou)
 
-        for r, i in enumerate(self.rows):
-            keep = order[r, alive[r]]
-            kept_scores = scores[r, keep]
-            shifted = kept_scores - np.max(kept_scores)
-            weights = np.exp(shifted)
-            conf = weights / weights.sum()
-            keep = keep[:U]
-            k = len(keep)
-            out.start[i, :k] = starts[r, keep]
-            out.end[i, :k] = ends[r, keep]
-            out.confidence[i, :k] = conf[:k]
-            out.count[i] = k
+        # propose's softmax over each row's survivors.  The survivors are
+        # packed to the left in rank order, so slot 0 holds the row's
+        # maximum.  Packed rows are sorted by survivor count n, and exp
+        # and the row sum run on one contiguous (rows, n) array per n,
+        # where each row sums as the 1-D sum of its n weights does;
+        # trailing padding would regroup NumPy's pairwise sum.  Survivor
+        # (r, c) is rank c of block row by_count[r] and lands in slot
+        # `slot` of packed row r.
+        count = alive.sum(axis=1)
+        by_count = np.argsort(count, kind="stable")
+        grouped = alive[by_count]
+        r, c = np.nonzero(grouped)
+        slot = np.cumsum(grouped, axis=1)[r, c] - 1
+        row = by_count[r]
+        packed = np.empty(alive.shape)
+        packed[r, slot] = scores[row, order[row, c]]
+        conf = np.empty((len(self.rows), min(U, alive.shape[1])))
+        sizes, first = np.unique(count[by_count], return_index=True)
+        for n, lo, hi in zip(sizes.tolist(), first.tolist(),
+                             first[1:].tolist() + [len(self.rows)]):
+            kept = packed[lo:hi, :n]
+            weights = np.exp(kept - kept[:, :1])
+            k = min(n, U)
+            conf[lo:hi, :k] = weights[:, :k] / \
+                weights.sum(axis=1, keepdims=True)
+
+        top = slot < U
+        r, c, slot, row = r[top], c[top], slot[top], row[top]
+        i = self.rows[row]
+        out.start[i, slot] = s[row, c]
+        out.end[i, slot] = e[row, c]
+        out.confidence[i, slot] = conf[r, slot]
+        out.count[self.rows] = np.minimum(count, U)
 
 
 class ProposalBatch:
@@ -365,7 +509,8 @@ class ProposalBatch:
 
     def __init__(self, tracks, seeds, params: Optional[ProposalParams] = None):
         tracks = list(tracks)
-        seeds = [int(seed) & 0xFFFFFFFF for seed in seeds]
+        seeds = np.asarray([int(seed) & 0xFFFFFFFF for seed in seeds],
+                           dtype=np.int64)
         if len(seeds) != len(tracks):
             raise ContractViolation("need one seed per track",
                                     tracks=len(tracks), seeds=len(seeds))
@@ -375,10 +520,12 @@ class ProposalBatch:
         for i, track in enumerate(tracks):
             by_len.setdefault(track.num_frames, []).append(i)
         self._blocks = [
-            _Block(T, rows[k:k + BLOCK_ROWS], tracks, seeds, self.params)
+            _Block(T, rows[k:k + BLOCK_ROWS], tracks, self.params)
             for T, rows in by_len.items()
             for k in range(0, len(rows), BLOCK_ROWS)
         ]
+        self._seeds = seeds
+        self._fractions = max((b.n_fractions for b in self._blocks), default=0)
         empty = [i for block in self._blocks for i in block.empty]
         self._empty_T = tracks[min(empty)].num_frames if empty else None
 
@@ -388,9 +535,17 @@ class ProposalBatch:
         if self._empty_T is not None:
             raise NoCandidatesError("track too short for every window fraction",
                                     T=self._empty_T)
+        # a block with fewer usable fractions takes a prefix of each row's
+        # draws, as propose's scalar draws are a prefix of the size-F draw
+        jitter, F = self.params.jitter, self._fractions
+        if jitter > 0 and F:
+            offsets = _jitter_offsets(self._seeds, epoch, jitter, F)
+        else:
+            offsets = np.zeros((self._size, F), dtype=np.int64)
         out = EpochPredictions.empty(self._size, U)
         for block in self._blocks:
-            block.propose(U, epoch, self.params, out)
+            block.propose(U, offsets[block.rows, :block.n_fractions],
+                          self.params, out)
         return out
 
 

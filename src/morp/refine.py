@@ -232,7 +232,7 @@ class RefineReport:
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
 
 
-def compute_tracks(manifest: CorpusManifest, threads: int = 1):
+def compute_tracks(manifest: CorpusManifest):
     """Similarity track per annotation, keyed by annotation_id.
 
     Each video's frame count in the manifest is first checked against
@@ -244,8 +244,7 @@ def compute_tracks(manifest: CorpusManifest, threads: int = 1):
     length T.  Clipping, the ``(raw + 1) / 2`` map and the prefix sums
     then run over whole blocks, and every returned track holds row views
     into them; each track equals ``frame_similarities`` for its query bit
-    for bit.  ``threads`` is accepted for compatibility and changes
-    neither the result nor the speed.
+    for bit.
     """
     queries = manifest.load_query_features()
     by_video = {}
@@ -295,7 +294,7 @@ def compute_tracks(manifest: CorpusManifest, threads: int = 1):
 
 
 def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
-                  adjust_params: AdjustParams, threads: int = 1,
+                  adjust_params: AdjustParams,
                   tracks: Optional[dict] = None):
     """Score, clean, then adjust a raw corpus.
 
@@ -304,8 +303,7 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
     replaced by the adjusted one; the report records gamma, the keep/drop
     decision and the boundary delta for every input annotation.
     ``tracks`` holds the similarity tracks of ``compute_tracks(manifest)``
-    when the caller has them already.  ``threads`` is accepted for
-    compatibility and changes neither the output nor the speed.
+    when the caller has them already.
     """
     if tracks is None:
         tracks = compute_tracks(manifest)

@@ -206,12 +206,10 @@ def _draw_video(spec: SynthSpec, v: int):
     return records, queries, frames.astype(np.float32)
 
 
-def generate_corpus(spec: SynthSpec, out_dir, threads: int = 1) -> CorpusManifest:
+def generate_corpus(spec: SynthSpec, out_dir) -> CorpusManifest:
     """Emit feature files plus a manifest under ``out_dir``.
 
     Deterministic: the same spec writes byte-identical files.
-    ``threads`` is accepted for compatibility and changes neither the
-    output nor the speed.
     """
     T = spec.num_frames
     duration = float(T)  # one frame per second

@@ -158,7 +158,7 @@ class TestPipeline:
         calls = []
         original = morp.refine.compute_tracks
 
-        def counted(manifest, threads=1):
+        def counted(manifest):
             calls.append(len(manifest.annotations))
             return original(manifest)
 
@@ -417,6 +417,50 @@ class TestErrors:
         assert obj["context"] == {
             "annotation_id": doc["annotations"][2]["annotation_id"],
             "field": "boundary_seconds"}
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("videos", "duration_seconds", "64"),
+        ("videos", "num_frames", "64"),
+        ("videos", "num_frames", 64.5),
+        ("videos", "num_frames", True),
+        ("annotations", "query_feature_ref", 1.5),
+        ("annotations", "query_text", None),  # None: the key is removed
+    ])
+    def test_mistyped_manifest_field(self, tmp_path, capsys, kind, field,
+                                     value):
+        def edit(doc):
+            if value is None:
+                del doc[kind][1][field]
+            else:
+                doc[kind][1][field] = value
+
+        doc, obj = self.refine_mutated(tmp_path, capsys, edit)
+        id_key = "video_id" if kind == "videos" else "annotation_id"
+        assert obj["code"] == "format_error"
+        assert obj["context"] == {id_key: doc[kind][1][id_key],
+                                  "field": field}
+
+    def test_infinite_duration(self, tmp_path, capsys):
+        def edit(doc):
+            doc["videos"][1]["duration_seconds"] = float("inf")
+
+        doc, obj = self.refine_mutated(tmp_path, capsys, edit)
+        assert obj["code"] == "range_error"
+        assert obj["context"] == {"video_id": doc["videos"][1]["video_id"],
+                                  "duration": "Infinity"}
+
+    @pytest.mark.parametrize("annotations,context", [
+        ({}, {"field": "annotations"}),
+        ([3], {"field": "annotations", "index": 0}),
+    ])
+    def test_annotations_not_objects(self, tmp_path, capsys, annotations,
+                                     context):
+        def edit(doc):
+            doc["annotations"] = annotations
+
+        _, obj = self.refine_mutated(tmp_path, capsys, edit)
+        assert obj["code"] == "format_error"
+        assert obj["context"] == context
 
     def test_non_finite_context_values(self, capsys, monkeypatch):
         from morp.cli import COMMANDS

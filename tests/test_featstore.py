@@ -263,6 +263,70 @@ class TestManifest:
         assert err.value.context == {"annotation_id": "a0"}
 
 
+class TestFieldTypes:
+    """A manifest field of the wrong type is an error, never a cast."""
+
+    @staticmethod
+    def load(tmp_path, edit):
+        path = write_fixture_corpus(tmp_path)
+        doc = json.loads(path.read_text())
+        doc = edit(doc) or doc
+        path.write_text(json.dumps(doc))
+        return read_manifest(path)
+
+    def test_integer_duration_accepted(self, tmp_path):
+        def edit(doc):
+            doc["videos"][0]["duration_seconds"] = 40
+
+        m = self.load(tmp_path, edit)
+        assert m.videos[0].duration_seconds == 40.0
+        assert m.annotations[0].boundary_frames.as_tuple() == (0, 4)
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("-inf"),
+                                          10 ** 400])
+    def test_non_finite_duration(self, tmp_path, duration):
+        def edit(doc):
+            doc["videos"][0]["duration_seconds"] = duration
+
+        with pytest.raises(RangeError) as err:
+            self.load(tmp_path, edit)
+        assert err.value.context["video_id"] == "vid0"
+
+    @pytest.mark.parametrize("field,value", [
+        ("video_id", 3), ("duration_seconds", None), ("duration_seconds", False),
+        ("num_frames", 8.0), ("num_frames", False), ("feature_file_path", 1)])
+    def test_video_field(self, tmp_path, field, value):
+        def edit(doc):
+            doc["videos"][0][field] = value
+
+        with pytest.raises(FormatError) as err:
+            self.load(tmp_path, edit)
+        assert err.value.context["field"] == field
+
+    @pytest.mark.parametrize("field,value", [
+        ("annotation_id", ["a0"]), ("video_id", None), ("query_text", 1),
+        ("query_feature_ref", "0"), ("query_feature_ref", True)])
+    def test_annotation_field(self, tmp_path, field, value):
+        def edit(doc):
+            doc["annotations"][1][field] = value
+
+        with pytest.raises(FormatError) as err:
+            self.load(tmp_path, edit)
+        assert err.value.context == {
+            "annotation_id": "a1" if field != "annotation_id" else ["a0"],
+            "field": field}
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: doc.pop("queries_file_path") and None,
+        lambda doc: doc.update(videos={"vid0": {}}),
+        lambda doc: doc.update(videos=["vid0"]),
+    ])
+    def test_document_shape(self, tmp_path, edit):
+        with pytest.raises(FormatError):
+            self.load(tmp_path, edit)
+
+
 class TestBoundaryPairs:
     """A [start, end] field that is not two numbers is a FormatError."""
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morp.core import iou
 from morp.errors import ContractViolation, NoCandidatesError, PredictorError
@@ -11,6 +11,8 @@ from morp.predictor import (
     FilePredictor,
     ProposalBatch,
     ProposalParams,
+    _jitter_offsets,
+    _replica_draws,
     propose,
 )
 from morp.refine import SimilarityTrack
@@ -174,6 +176,52 @@ proposal_params = st.builds(
 )
 
 
+def rng_offsets(seed, epoch, jitter, F):
+    return np.random.default_rng([seed, epoch]).integers(
+        -jitter, jitter + 1, size=F)
+
+
+# default_rng([REJECTED_SEED, 1]).integers(-5, 6, size=8) rejects its 6th
+# 32-bit word and draws a 9th
+REJECTED_SEED = 253736813
+
+
+class TestJitterOffsets:
+    """_jitter_offsets must draw what default_rng([seed, epoch]) draws."""
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2 ** 32 - 1), epoch=st.integers(1, 2 ** 32 - 1),
+           jitter=st.one_of(st.integers(1, 64), st.integers(1, 2 ** 33)),
+           F=st.integers(1, 12))
+    @example(seed=REJECTED_SEED, epoch=1, jitter=5, F=8)
+    @example(seed=7, epoch=2 ** 32, jitter=3, F=4)          # 3 entropy words
+    @example(seed=0, epoch=1, jitter=2 ** 31 - 1, F=3)      # widest replica span
+    @example(seed=0, epoch=1, jitter=2 ** 31, F=3)          # 64-bit bounded draw
+    def test_matches_default_rng(self, seed, epoch, jitter, F):
+        assert _jitter_offsets([seed], epoch, jitter, F).tolist() == \
+            [rng_offsets(seed, epoch, jitter, F).tolist()]
+
+    def test_rejected_draw_is_redrawn(self):
+        want = [-3, -4, 5, 1, 2, -1, 0, 4]
+        assert rng_offsets(REJECTED_SEED, 1, 5, 8).tolist() == want
+        draws, rejected = _replica_draws(np.array([REJECTED_SEED]), 1, 11, 8)
+        assert rejected.tolist() == [True]
+        assert (draws - 5).tolist() == [[-3, -4, 5, 1, 2, 3, -1, 0]]
+        assert _jitter_offsets([REJECTED_SEED], 1, 5, 8).tolist() == [want]
+
+    @pytest.mark.parametrize("jitter", [1, 5, 40, 1000003, 2 ** 30])
+    def test_many_pairs(self, jitter):
+        """4 x 5 x 1000 = 20,000 (seed, epoch) pairs.  With jitter 1000003
+        a few rows take the rejection branch; with 2**30 almost all do."""
+        rng = np.random.default_rng(jitter)
+        seeds = rng.integers(0, 2 ** 32, size=1000)
+        epochs = [1, 15] + rng.integers(16, 2 ** 32, size=2).tolist()
+        for epoch in epochs:
+            want = [rng_offsets(int(s), epoch, jitter, 8) for s in seeds]
+            assert np.array_equal(_jitter_offsets(seeds, epoch, jitter, 8),
+                                  np.array(want))
+
+
 class TestProposalBatch:
     """ProposalBatch must return exactly what per-track propose returns."""
 
@@ -221,6 +269,55 @@ class TestProposalBatch:
         seeds = list(range(len(tracks)))
         want, _ = oracle(tracks, seeds, 5, 3, ProposalParams())
         assert ProposalBatch(tracks, seeds).propose(5, 3).tuples() == want
+
+    def test_more_than_one_pairwise_block_of_survivors(self):
+        """Rows with more than 128 survivors: their softmax sums take
+        NumPy's recursive pairwise branch."""
+        rng = np.random.default_rng(2)
+        tracks = [track_from_mapped(rng.uniform(0, 1, T))
+                  for T in (512, 512, 600, 700)]
+        tracks.append(track_from_mapped(np.full(512, 0.3)))
+        seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
+        p = ProposalParams(stride=1, nms_iou=0.9)
+        got = ProposalBatch(tracks, seeds, p).propose(1000, 4)
+        assert got.count.max() > 128
+        assert got.tuples() == oracle(tracks, seeds, 1000, 4, p)[0]
+
+    def test_u_above_survivor_count(self):
+        rng = np.random.default_rng(3)
+        tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in (17, 40, 64)]
+        got = ProposalBatch(tracks, [5, 6, 7]).propose(300, 2)
+        assert (got.count < 300).all()
+        assert got.tuples() == oracle(tracks, [5, 6, 7], 300, 2,
+                                      ProposalParams())[0]
+
+    @pytest.mark.parametrize("jitter", [0, 5, 40])
+    def test_flat_tracks(self, jitter):
+        tracks = [track_from_mapped(np.full(T, v))
+                  for T, v in ((128, 0.5), (128, 0.0), (64, 1.0), (300, 0.7))]
+        p = ProposalParams(jitter=jitter)
+        for epoch in (1, 9):
+            assert ProposalBatch(tracks, [1, 2, 3, 4], p).propose(7, epoch) \
+                .tuples() == oracle(tracks, [1, 2, 3, 4], 7, epoch, p)[0]
+
+    def test_padding_slot_outscoring_every_candidate(self):
+        """The second track has one support run, (0, 2), so the block pads
+        its support slots with the window (0, 1), which outscores all its
+        candidates; the softmax shift must still be its top survivor."""
+        many = track_from_mapped(np.tile([0.0, 1.0, 0.0, 0.6], 25))
+        peak = np.zeros(100)
+        peak[:2] = (1.0, 0.7)
+        tracks = [many, track_from_mapped(peak)]
+        got = ProposalBatch(tracks, [1, 2]).propose(10, 3)
+        assert got.tuples() == oracle(tracks, [1, 2], 10, 3,
+                                      ProposalParams())[0]
+
+    def test_rejected_jitter_draw(self):
+        rng = np.random.default_rng(4)
+        tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(3)]
+        seeds = [11, REJECTED_SEED, 2 ** 32 + REJECTED_SEED]
+        want, _ = oracle(tracks, seeds, 40, 1, ProposalParams())
+        assert ProposalBatch(tracks, seeds).propose(40, 1).tuples() == want
 
     def test_first_failing_track_reported(self):
         # round(0.1 * T) < 1 for T <= 4: flat tracks that short fail

@@ -59,17 +59,6 @@ class TestDeterminism:
         for name in names:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        spec = small_spec()
-        a, b = tmp_path / "a", tmp_path / "b"
-        generate_corpus(spec, a, threads=1)
-        generate_corpus(spec, b, threads=4)
-        assert filecmp.cmp(a / "manifest.json", b / "manifest.json",
-                           shallow=False)
-        for f in os.listdir(a / "features"):
-            assert filecmp.cmp(a / "features" / f, b / "features" / f,
-                               shallow=False)
-
     def test_seed_changes_output(self, tmp_path):
         generate_corpus(small_spec(seed=1), tmp_path / "a")
         generate_corpus(small_spec(seed=2), tmp_path / "b")
