@@ -10,7 +10,7 @@ Run: python3 demos/clean_ratio.py
 import tempfile
 
 from morp.consensus import CorrectionParams
-from morp.pipeline import sweep_clean_ratio
+from morp.pipeline import sweep
 from morp.synth import SynthSpec
 
 
@@ -20,8 +20,8 @@ def main():
     ratios = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
     print("sweeping cleaning ratio on a corpus with 30% bad annotations ...")
     with tempfile.TemporaryDirectory() as work:
-        result = sweep_clean_ratio(
-            spec, ratios, seeds=[0, 1], work_dir=work,
+        result = sweep(
+            "clean_ratio", spec, ratios, seeds=[0, 1], work_dir=work,
             correction_params=CorrectionParams(epochs=6))
     print()
     print(result.to_text_table())

@@ -15,18 +15,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .consensus import CorrectionParams, run_correction
 from .errors import ConfigError, MorpError
-from .featstore import CorpusManifest, read_manifest, write_manifest
+from .featstore import read_manifest, write_manifest
 from .metrics import corpus_stats, write_json
-from .pipeline import (
-    evaluate_manifest,
-    run_pipeline,
-    sweep_clean_ratio,
-    sweep_corpus_size,
-)
+from .pipeline import evaluate_manifest, run_pipeline, sweep
 from .predictor import FilePredictor, ProposalParams, SlidingWindowPredictor
 from .refine import AdjustParams, CleanParams, refine_corpus
 from .synth import SynthSpec, generate_corpus
@@ -36,8 +32,16 @@ def _float_list(text):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _list_option(text, typ, name):
+    """A comma-separated list option; an empty list or an entry that
+    does not parse as ``typ`` is a ConfigError naming the option."""
+    try:
+        values = [typ(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"cannot parse --{name}", option=name, value=text)
+    return values
 
 
 # name, type, default, help
@@ -210,11 +214,6 @@ def _provenance(config: dict) -> dict:
     }
 
 
-def _with_provenance(manifest: CorpusManifest, prov: dict) -> CorpusManifest:
-    from dataclasses import replace
-    return replace(manifest, provenance=prov)
-
-
 def _adjust_params(cfg) -> AdjustParams:
     return AdjustParams(delta=cfg["delta"], alpha1=cfg["alpha1"],
                         alpha2=cfg["alpha2"], max_iters=cfg["max_iters"],
@@ -243,7 +242,7 @@ def _cmd_synth(args, config):
     cfg = _resolve(args, SYNTH_OPTS + COMMON_OPTS, config)
     spec = _synth_spec(cfg)
     manifest = generate_corpus(spec, args.out)
-    manifest = _with_provenance(manifest, _provenance(cfg))
+    manifest = replace(manifest, provenance=_provenance(cfg))
     write_manifest(manifest, os.path.join(args.out, "manifest.json"))
     print(f"wrote corpus with {len(manifest.videos)} videos and "
           f"{len(manifest.annotations)} annotations to {args.out}")
@@ -258,7 +257,7 @@ def _cmd_refine(args, config):
     prov = _provenance(cfg)
     report_path = args.report or args.out_manifest + ".report.json"
     _parent_dirs(args.out_manifest, report_path)
-    write_manifest(_with_provenance(refined, prov), args.out_manifest)
+    write_manifest(replace(refined, provenance=prov), args.out_manifest)
     obj = report.to_json_obj()
     obj["provenance"] = prov
     write_json(obj, report_path)
@@ -281,7 +280,7 @@ def _cmd_correct(args, config):
     prov = _provenance(cfg)
     trace_path = args.trace or args.out_manifest + ".trace.jsonl"
     _parent_dirs(args.out_manifest, trace_path)
-    write_manifest(_with_provenance(corrected, prov), args.out_manifest)
+    write_manifest(replace(corrected, provenance=prov), args.out_manifest)
     trace.write(trace_path)
     print(f"corrected {len(corrected.annotations)} annotations; "
           f"trace at {trace_path}")
@@ -296,12 +295,12 @@ def _cmd_pipeline(args, config):
         manifest, CleanParams(cfg["clean_ratio"]), _adjust_params(cfg),
         _correction_params(cfg))
     prov = _provenance(cfg)
-    write_manifest(_with_provenance(refined, prov),
+    write_manifest(replace(refined, provenance=prov),
                    os.path.join(args.out_dir, "refined.json"))
     obj = report.to_json_obj()
     obj["provenance"] = prov
     write_json(obj, os.path.join(args.out_dir, "refine_report.json"))
-    write_manifest(_with_provenance(corrected, prov),
+    write_manifest(replace(corrected, provenance=prov),
                    os.path.join(args.out_dir, "corrected.json"))
     trace.write(os.path.join(args.out_dir, "trace.jsonl"))
     print(f"pipeline artifacts in {args.out_dir}")
@@ -339,20 +338,14 @@ def _cmd_stats(args, config):
 def _cmd_sweep(args, config):
     cfg = _resolve(args, SYNTH_OPTS + REFINE_OPTS + CORRECT_OPTS + COMMON_OPTS,
                    config)
-    seeds = _int_list(args.seeds)
-    spec = _synth_spec(cfg)
-    adjust = _adjust_params(cfg)
-    correction = _correction_params(cfg)
-    if args.knob == "clean-ratio":
-        result = sweep_clean_ratio(spec, _float_list(args.values), seeds,
-                                   args.work_dir, adjust_params=adjust,
-                                   correction_params=correction)
-    else:
-        result = sweep_corpus_size(spec, _int_list(args.values), seeds,
-                                   args.work_dir,
-                                   clean_ratio=cfg["clean_ratio"],
-                                   adjust_params=adjust,
-                                   correction_params=correction)
+    knob = args.knob.replace("-", "_")
+    values = _list_option(args.values, float if knob == "clean_ratio"
+                          else int, "values")
+    seeds = _list_option(args.seeds, int, "seeds")
+    result = sweep(knob, _synth_spec(cfg), values, seeds, args.work_dir,
+                   clean_ratio=cfg["clean_ratio"],
+                   adjust_params=_adjust_params(cfg),
+                   correction_params=_correction_params(cfg))
     obj = result.to_json_obj()
     obj["provenance"] = _provenance(cfg)
     print(json.dumps(obj, indent=2))
@@ -413,6 +406,9 @@ def main(argv=None) -> int:
         return _print_error(exc.to_json_obj())
     except FileNotFoundError as exc:
         return _print_error({"code": "missing_file", "message": str(exc),
+                             "context": {"path": exc.filename}})
+    except OSError as exc:
+        return _print_error({"code": "io_error", "message": str(exc),
                              "context": {"path": exc.filename}})
 
 

@@ -7,9 +7,11 @@ rest becomes the consensus pick.  After the final epoch the consensus
 pick replaces the annotation's boundary.
 
 :func:`run_correction` runs each epoch as array operations over all
-annotations: the banks are (A, n) start/end arrays, the insert is a
-row-wise argmax over the epoch's padded confidences, and the consensus
-is taken on (rows, n, n) IoU tensors, a block of rows at a time.
+annotations: the predictor's ``epoch_source`` hands over the epoch's
+predictions as padded arrays, the banks are (A, n) start/end arrays, the
+insert is a row-wise argmax over the epoch's padded confidences, and the
+consensus is taken on (rows, n, n) IoU tensors, a block of rows at a
+time.
 :class:`MemoryBank`, :func:`consensus_scores`, :func:`select_consensus`
 and :func:`select_insert` do the same for one annotation and are the
 reference the tests hold the arrays to.
@@ -33,14 +35,7 @@ import numpy as np
 from .core import Boundary, ScoredBoundary
 from .errors import ContractViolation, PredictorError
 from .featstore import CorpusManifest, atomic_write, with_updated_boundary
-from .predictor import (
-    AnnotationBatch,
-    EpochPredictions,
-    FilePredictor,
-    ProposalBatch,
-    SlidingWindowPredictor,
-)
-from .refine import compute_tracks
+from .predictor import EpochPredictions
 
 
 @dataclass
@@ -186,20 +181,6 @@ class CorrectionParams:
             raise ContractViolation("seed must be a nonnegative integer")
 
 
-class NoOpTrainer:
-    """Trainer stub: accepts target blends and does nothing.
-
-    Lets the correction loop run standalone; a real trainer would fit a
-    localization model against every blend it receives.  It is called
-    once per epoch: row i of the blend's (A, 2) target arrays and of the
-    :class:`EpochPredictions` belongs to ``annotation_ids[i]``.
-    """
-
-    def update(self, epoch: int, annotation_ids, blend: TargetBlend,
-               predictions: EpochPredictions) -> None:
-        return None
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     """One (epoch, annotation) row of a :class:`CorrectionTrace`; its
@@ -309,8 +290,13 @@ def _format_epoch(ep: _TraceEpoch, ids, weights) -> str:
 
 
 def annotation_seed(base_seed: int, annotation_id: str) -> int:
-    """Stable per-annotation seed derivation."""
-    return (base_seed ^ zlib.crc32(annotation_id.encode("utf-8"))) & 0xFFFFFFFF
+    """Stable per-annotation seed derivation.
+
+    A lone surrogate, which a JSON ``\\ud800`` escape parses to, is
+    encoded as is; every other id hashes its UTF-8 bytes.
+    """
+    return (base_seed ^ zlib.crc32(annotation_id.encode(
+        "utf-8", "surrogatepass"))) & 0xFFFFFFFF
 
 
 def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
@@ -335,33 +321,35 @@ def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
 
 
 def run_correction(manifest: CorpusManifest, predictor,
-                   params: CorrectionParams,
-                   trainer: Optional[NoOpTrainer] = None,
+                   params: CorrectionParams, trainer=None,
                    tracks: Optional[dict] = None):
     """Run the epoch loop over a refined corpus.
 
     Every annotation must arrive with status ``adjusted``.  For each
     epoch and annotation, the predictor's highest-confidence proposal is
     inserted into the annotation's bank, the consensus pick is computed
-    and the (consensus, seed) target blend is handed to the trainer and
-    recorded in the trace.  The corrected boundary is the consensus pick
-    of the final epoch.  Fully deterministic given params.seed; results
-    do not depend on the processing order.
+    and recorded in the trace.  The corrected boundary is the consensus
+    pick of the final epoch.  Fully deterministic given params.seed;
+    results do not depend on the processing order.
 
     Each epoch is one set of array operations over all annotations,
-    sorted by id: the predictor hands back :class:`EpochPredictions`,
-    the banks are (A, n) start/end arrays with the seed in column 0
-    (at capacity, column 1 leaves), and the picks are row-wise argmaxes.
-    A :class:`SlidingWindowPredictor` proposes through a
-    :class:`ProposalBatch`, a :class:`FilePredictor` replays its file,
-    and any other predictor is asked per annotation through an
-    :class:`AnnotationBatch`.  The replay needs only each annotation's
-    timeline length, which the manifest holds, so it reads no feature
-    file; the others use ``tracks``, which maps annotation ids to
-    similarity tracks already computed for this corpus (by refinement,
-    say), or else the tracks computed here from the feature files.
+    sorted by id: the banks are (A, n) start/end arrays with the seed in
+    column 0 (at capacity, column 1 leaves), and the picks are row-wise
+    argmaxes.  The predictions come from the callable
+    ``predictor.epoch_source(manifest, ids, seeds, tracks)`` returns, as
+    one :class:`EpochPredictions` per ``(U, epoch)`` call; row i belongs
+    to ``ids[i]``, and ``seeds[i]`` is its :func:`annotation_seed`.
+    ``tracks`` maps annotation ids to similarity tracks already computed
+    for this corpus (by refinement, say); a predictor that needs tracks
+    computes them from the feature files when it is None, and one that
+    replays a file reads no feature file.
+
+    ``trainer``, when given, stands in for a model trained on the
+    corrected targets.  Its ``update(epoch, ids, blend, predictions)``
+    is called once per epoch with the epoch's :class:`TargetBlend`,
+    whose targets are (A, 2) arrays of (consensus pick, adjusted seed)
+    rows, and the epoch's predictions; row i belongs to ``ids[i]``.
     """
-    trainer = trainer or NoOpTrainer()
     for ann in manifest.annotations:
         if ann.status != "adjusted":
             raise ContractViolation(
@@ -371,22 +359,8 @@ def run_correction(manifest: CorpusManifest, predictor,
     anns = sorted(manifest.annotations, key=lambda a: a.annotation_id)
     ids = [a.annotation_id for a in anns]
     U = params.predictions_per_query
-
-    if isinstance(predictor, FilePredictor):
-        def predict(epoch):
-            return predictor.replay(ids, U, epoch)
-    else:
-        if tracks is None:
-            tracks = compute_tracks(manifest)
-        rows = [tracks[i] for i in ids]
-        seeds = [annotation_seed(params.seed, i) for i in ids]
-        if isinstance(predictor, SlidingWindowPredictor):
-            batch = ProposalBatch(rows, seeds, predictor.params)
-        else:
-            batch = AnnotationBatch(predictor, ids, rows, seeds)
-
-        def predict(epoch):
-            return batch.propose(U, epoch)
+    seeds = [annotation_seed(params.seed, i) for i in ids]
+    predict = predictor.epoch_source(manifest, ids, seeds, tracks)
 
     A = len(anns)
     T = np.array([a.boundary_frames.timeline_len for a in anns], dtype=np.int64)
@@ -402,7 +376,7 @@ def run_correction(manifest: CorpusManifest, predictor,
 
     trace = CorrectionTrace(ids, params.lam, 1.0 - params.lam)
     for epoch in range(1, params.epochs + 1):
-        preds = predict(epoch)
+        preds = predict(U, epoch)
         _check_predictions(preds, U, T, ids, epoch)
         # select_insert per row: the earliest of the most confident
         best = np.where(preds.valid(), preds.confidence, -np.inf).argmax(axis=1)
@@ -419,8 +393,10 @@ def run_correction(manifest: CorpusManifest, predictor,
         pick = consensus_picks(bank_start[:, :n], bank_end[:, :n])
         consensus = np.stack([bank_start[all_rows, pick],
                               bank_end[all_rows, pick]], axis=1)
-        blend = compose_targets(consensus, refined, params.lam)
-        trainer.update(epoch, ids, blend, preds)
+        if trainer is not None:
+            trainer.update(epoch, ids,
+                           compose_targets(consensus, refined, params.lam),
+                           preds)
         trace.add_epoch(epoch, n, inserted, consensus, preds)
 
     corrected = tuple(

@@ -361,7 +361,7 @@ def _duration(v: dict) -> float:
     return d
 
 
-def read_manifest(path, check_queries=True) -> CorpusManifest:
+def read_manifest(path) -> CorpusManifest:
     """Parse and validate a manifest JSON file.
 
     Field types are checked first: ids, texts and paths are strings,
@@ -372,7 +372,7 @@ def read_manifest(path, check_queries=True) -> CorpusManifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or UTF-8
             raise FormatError("manifest is not valid JSON",
                               path=str(path), detail=str(exc))
     if not isinstance(doc, dict):
@@ -396,26 +396,26 @@ def read_manifest(path, check_queries=True) -> CorpusManifest:
     vid_index = {v.video_id: v for v in videos}
     annotations = []
     for a in _objects(doc, "annotations", _ANNOTATION_FIELDS, "annotation_id"):
-        ann = PseudoAnnotation(
+        s, e = seconds = _boundary_pair(a, "boundary_seconds")
+        gt = (_boundary_pair(a, "gt_boundary_seconds")
+              if a.get("gt_boundary_seconds") is not None else None)
+        video = vid_index.get(a["video_id"])
+        frames = None
+        # a pair that is not 0 <= s < e is PseudoAnnotation's to reject
+        if video is not None and 0 <= s < e:
+            frames = derive_boundary_frames(s, e, video.duration_seconds,
+                                            video.num_frames)
+        annotations.append(PseudoAnnotation(
             annotation_id=a["annotation_id"],
             video_id=a["video_id"],
             query_text=a["query_text"],
             query_feature_ref=a["query_feature_ref"],
-            boundary_seconds=_boundary_pair(a, "boundary_seconds"),
+            boundary_seconds=seconds,
             status=a.get("status", "raw"),
-            gt_boundary_seconds=(_boundary_pair(a, "gt_boundary_seconds")
-                                 if a.get("gt_boundary_seconds") is not None
-                                 else None),
+            gt_boundary_seconds=gt,
             error_tag=a.get("error_tag"),
-        )
-        video = vid_index.get(ann.video_id)
-        if video is not None:
-            frames = derive_boundary_frames(
-                ann.boundary_seconds[0], ann.boundary_seconds[1],
-                video.duration_seconds, video.num_frames,
-            )
-            ann = replace(ann, boundary_frames=frames)
-        annotations.append(ann)
+            boundary_frames=frames,
+        ))
     manifest = CorpusManifest(
         format_version=FORMAT_VERSION,
         videos=videos,
@@ -425,10 +425,8 @@ def read_manifest(path, check_queries=True) -> CorpusManifest:
         provenance=doc.get("provenance"),
         base_dir=base_dir,
     )
-    num_queries = None
-    if check_queries:
-        qpath = manifest.resolve(manifest.queries_file_path)
-        num_queries, _ = read_feature_header(qpath)
+    num_queries, _ = read_feature_header(
+        manifest.resolve(manifest.queries_file_path))
     _validate_manifest(manifest, num_queries)
     return manifest
 

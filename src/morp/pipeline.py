@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 from .consensus import CorrectionParams, run_correction
 from .core import iou
@@ -122,57 +123,39 @@ class SweepResult:
                          for r in rows)
 
 
-def _quality_for(manifest, clean_ratio, adjust_params, correction_params):
-    _, _, corrected, _ = run_pipeline(
-        manifest, CleanParams(ratio=clean_ratio), adjust_params,
-        correction_params)
-    return corpus_quality(manifest, corrected)
+def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
+          clean_ratio=0.4, adjust_params=None,
+          correction_params=None) -> SweepResult:
+    """Seed-averaged corpus quality of the corrected corpus across the
+    values of one knob.
 
-
-def sweep_clean_ratio(spec: SynthSpec, ratios, seeds, work_dir,
-                      adjust_params=None,
-                      correction_params=None) -> SweepResult:
-    """Corpus quality of the corrected corpus across cleaning ratios."""
-    import os
-    from dataclasses import replace
-
+    ``knob`` is ``"clean_ratio"``, whose values are cleaning ratios, or
+    ``"corpus_size"``, whose values are video counts, each cleaned at
+    ``clean_ratio``.  Each seed's corpus of each size is generated once,
+    under ``work_dir``, so a clean-ratio sweep generates one per seed.
+    """
+    if knob not in ("clean_ratio", "corpus_size"):
+        raise ContractViolation("unknown sweep knob", knob=knob)
     adjust_params = adjust_params or AdjustParams()
     correction_params = correction_params or CorrectionParams()
     per_seed = {}
     for seed in seeds:
-        corpus_dir = os.path.join(work_dir, f"sweepR_seed{seed}")
-        manifest = generate_corpus(replace(spec, seed=seed), corpus_dir)
-        per_seed[seed] = [
-            _quality_for(manifest, r, adjust_params,
-                         replace(correction_params, seed=seed))
-            for r in ratios
-        ]
-    metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)
-              for i in range(len(ratios))]
-    return SweepResult(knob="clean_ratio", values=list(ratios), metric=metric,
-                       per_seed=per_seed)
-
-
-def sweep_corpus_size(spec: SynthSpec, sizes, seeds, work_dir, clean_ratio=0.4,
-                      adjust_params=None,
-                      correction_params=None) -> SweepResult:
-    """Corpus quality of the corrected corpus across corpus sizes."""
-    import os
-    from dataclasses import replace
-
-    adjust_params = adjust_params or AdjustParams()
-    correction_params = correction_params or CorrectionParams()
-    per_seed = {}
-    for seed in seeds:
+        corpora = {}  # corpus size -> manifest
         row = []
-        for size in sizes:
-            corpus_dir = os.path.join(work_dir, f"sweepN_seed{seed}_n{size}")
-            manifest = generate_corpus(
-                replace(spec, n_videos=size, seed=seed), corpus_dir)
-            row.append(_quality_for(manifest, clean_ratio, adjust_params,
-                                    replace(correction_params, seed=seed)))
+        for value in values:
+            size, ratio = ((value, clean_ratio) if knob == "corpus_size"
+                           else (spec.n_videos, value))
+            if size not in corpora:
+                corpora[size] = generate_corpus(
+                    replace(spec, n_videos=size, seed=seed),
+                    os.path.join(work_dir, f"sweep_seed{seed}_n{size}"))
+            manifest = corpora[size]
+            _, _, corrected, _ = run_pipeline(
+                manifest, CleanParams(ratio=ratio), adjust_params,
+                replace(correction_params, seed=seed))
+            row.append(corpus_quality(manifest, corrected))
         per_seed[seed] = row
     metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)
-              for i in range(len(sizes))]
-    return SweepResult(knob="corpus_size", values=list(sizes), metric=metric,
+              for i in range(len(values))]
+    return SweepResult(knob=knob, values=list(values), metric=metric,
                        per_seed=per_seed)

@@ -38,25 +38,31 @@ output equals :func:`propose`'s bit for bit; the tests keep
 
 Correction consumes predictions one epoch at a time, as
 :class:`EpochPredictions`: padded (A, U) start/end/confidence arrays over
-all annotations plus a per-row count.  :class:`ProposalBatch` fills them
-directly; :class:`FilePredictor` gathers them from a JSON-lines file it
-parses once, and needs only each annotation's timeline length, never its
-features; :class:`AnnotationBatch` packs the output of any per-annotation
-predictor into them.
+all annotations plus a per-row count.  Every predictor has one method,
+``epoch_source(manifest, ids, seeds, tracks)``, which returns the
+callable ``(U, epoch) -> EpochPredictions`` that correction calls once
+per epoch.  :class:`SlidingWindowPredictor` hands out a
+:class:`ProposalBatch`, which fills the arrays directly;
+:class:`FilePredictor` gathers them from a JSON-lines file it parses
+once, and needs only each annotation's timeline length, never its
+features; a subclass of :class:`AnnotationPredictor` answers one
+annotation at a time, and its lists are checked and packed into them.
 """
 
 from __future__ import annotations
 
 import json
+from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import Boundary, ScoredBoundary
 from .errors import ContractViolation, NoCandidatesError, PredictorError
-from .refine import SimilarityTrack
+from .refine import SimilarityTrack, compute_tracks
 
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
@@ -549,18 +555,26 @@ class ProposalBatch:
         return out
 
 
-class SlidingWindowPredictor:
-    """Predictor-contract adapter around :func:`propose`.
+def _track_rows(manifest, ids, tracks):
+    """The similarity track of each of ``ids``, in order: from ``tracks``
+    when the caller has them, else computed from the feature files."""
+    if tracks is None:
+        tracks = compute_tracks(manifest)
+    return [tracks[i] for i in ids]
 
-    ``run_correction`` recognizes this class and computes its proposals
-    with :class:`ProposalBatch`, which returns the same output.
-    """
+
+class SlidingWindowPredictor:
+    """The default predictor: :func:`propose` with fixed params, computed
+    a whole epoch at a time by a :class:`ProposalBatch`."""
 
     def __init__(self, params: Optional[ProposalParams] = None):
         self.params = params or ProposalParams()
 
-    def __call__(self, track: SimilarityTrack, U: int, epoch: int, seed: int):
-        return propose(track, U, epoch, seed, self.params)
+    def epoch_source(self, manifest, ids, seeds, tracks):
+        """``ProposalBatch.propose`` over the tracks of ``ids``, where
+        ``seeds[i]`` seeds ``ids[i]``'s jitter."""
+        return ProposalBatch(_track_rows(manifest, ids, tracks), seeds,
+                             self.params).propose
 
 
 def _check_scored(preds, U, T, annotation_id, epoch):
@@ -578,37 +592,37 @@ def _check_scored(preds, U, T, annotation_id, epoch):
                                  got=p.boundary.timeline_len, expected=T)
 
 
-class AnnotationBatch:
-    """A per-annotation predictor, asked for a whole epoch at a time.
+class AnnotationPredictor(ABC):
+    """Base of the predictors that answer one annotation at a time.
 
-    The predictor is either an object with ``for_annotation(annotation_id,
-    track, U, epoch)`` or a callable ``(track, U, epoch, seed)``; both
-    return a list of :class:`ScoredBoundary`.  ``propose(U, epoch)`` asks
-    it for every annotation in order, checks each list (1..U entries on
-    the annotation's timeline) and packs the lists into
-    :class:`EpochPredictions`.
+    A subclass defines :meth:`for_annotation`.  Its :meth:`epoch_source`
+    asks it for every annotation in order, checks each list (1..U
+    :class:`ScoredBoundary` entries on the annotation's timeline) and
+    packs the lists into :class:`EpochPredictions`.
     """
 
-    def __init__(self, predictor, annotation_ids, tracks, seeds):
-        self.predictor = predictor
-        self.rows = list(zip(annotation_ids, tracks, seeds))
+    @abstractmethod
+    def for_annotation(self, annotation_id, track: SimilarityTrack, U: int,
+                       epoch: int):
+        """Up to U :class:`ScoredBoundary` proposals for one annotation."""
 
-    def _predict(self, annotation_id, track, U, epoch, seed):
-        if hasattr(self.predictor, "for_annotation"):
-            return self.predictor.for_annotation(annotation_id, track, U, epoch)
-        return self.predictor(track, U, epoch, seed)
+    def epoch_source(self, manifest, ids, seeds, tracks):
+        rows = list(zip(ids, _track_rows(manifest, ids, tracks)))
 
-    def propose(self, U: int, epoch: int) -> EpochPredictions:
-        out = EpochPredictions.empty(len(self.rows), U)
-        for i, (annotation_id, track, seed) in enumerate(self.rows):
-            preds = self._predict(annotation_id, track, U, epoch, seed)
-            _check_scored(preds, U, track.num_frames, annotation_id, epoch)
-            k = len(preds)
-            out.start[i, :k] = [p.boundary.start for p in preds]
-            out.end[i, :k] = [p.boundary.end for p in preds]
-            out.confidence[i, :k] = [p.confidence for p in preds]
-            out.count[i] = k
-        return out
+        def propose(U: int, epoch: int) -> EpochPredictions:
+            out = EpochPredictions.empty(len(rows), U)
+            for i, (annotation_id, track) in enumerate(rows):
+                preds = self.for_annotation(annotation_id, track, U, epoch)
+                _check_scored(preds, U, track.num_frames, annotation_id,
+                              epoch)
+                k = len(preds)
+                out.start[i, :k] = [p.boundary.start for p in preds]
+                out.end[i, :k] = [p.boundary.end for p in preds]
+                out.confidence[i, :k] = [p.confidence for p in preds]
+                out.count[i] = k
+            return out
+
+        return propose
 
 
 class FilePredictor:
@@ -694,6 +708,11 @@ class FilePredictor:
             raise PredictorError("no prediction record for annotation/epoch",
                                  annotation_id=annotation_id, epoch=epoch)
         return row
+
+    def epoch_source(self, manifest, ids, seeds, tracks):
+        """:meth:`replay` of ``ids``; the seeds and tracks go unused, so
+        no feature file is read."""
+        return partial(self.replay, ids)
 
     def replay(self, annotation_ids, U: int, epoch: int) -> EpochPredictions:
         """The first U predictions of each annotation's record for the epoch."""

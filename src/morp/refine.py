@@ -18,9 +18,8 @@ of the same arithmetic, bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -31,7 +30,6 @@ from .featstore import (
     CorpusManifest,
     FrameFeatureMatrix,
     QueryFeature,
-    atomic_write,
     with_updated_boundary,
 )
 
@@ -227,10 +225,6 @@ class RefineReport:
     def to_json_obj(self):
         return {"annotations": [r.to_json_obj() for r in self.records]}
 
-    def write(self, path):
-        with atomic_write(path) as fh:
-            fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
-
 
 def compute_tracks(manifest: CorpusManifest):
     """Similarity track per annotation, keyed by annotation_id.
@@ -336,13 +330,4 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
         ))
     report = RefineReport(records=records)
 
-    refined = CorpusManifest(
-        format_version=manifest.format_version,
-        videos=manifest.videos,
-        queries_file_path=manifest.queries_file_path,
-        annotations=tuple(adjusted),
-        synth=manifest.synth,
-        provenance=manifest.provenance,
-        base_dir=manifest.base_dir,
-    )
-    return refined, report
+    return replace(manifest, annotations=tuple(adjusted)), report

@@ -100,6 +100,9 @@ class SynthSpec:
         if self.annotations_per_video > self.dim:
             raise SpecError("need dim >= annotations_per_video for "
                             "orthonormal queries")
+        if self.seed < 0:  # default_rng takes no negative entropy
+            raise SpecError("seed must be a nonnegative integer",
+                            seed=self.seed)
 
     @property
     def p_clean(self) -> float:

@@ -31,8 +31,7 @@ from morp.pipeline import (
     corpus_quality,
     mean_iou_vs_gt,
     run_pipeline,
-    sweep_clean_ratio,
-    sweep_corpus_size,
+    sweep,
 )
 from morp.refine import (
     AdjustParams,
@@ -220,8 +219,8 @@ def test_criterion_06_clean_ratio_sweep(workspace):
     passes = 0
     peaks = []
     for seed in SEEDS:
-        result = sweep_clean_ratio(spec, ratios, [seed],
-                                   str(workspace / "sweepR"))
+        result = sweep("clean_ratio", spec, ratios, [seed],
+                       str(workspace / "sweepR"))
         q = result.metric
         peak = ratios[int(np.argmax(q))]
         peaks.append(peak)
@@ -237,8 +236,8 @@ def test_criterion_06_clean_ratio_sweep(workspace):
 def test_criterion_07_corpus_size_stability(workspace):
     sizes = [125, 250, 500, 1000]
     spec = SynthSpec(num_frames=128, dim=16)
-    result = sweep_corpus_size(spec, sizes, list(range(5)),
-                               str(workspace / "sweepN"))
+    result = sweep("corpus_size", spec, sizes, list(range(5)),
+                   str(workspace / "sweepN"))
     q = result.metric
     drops = [a - b for a, b in zip(q, q[1:])]
     ok = all(d <= 0.01 for d in drops)

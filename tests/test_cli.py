@@ -150,9 +150,22 @@ class TestPipeline:
         for line in lines:
             assert '"consensus_weight": 1, "refined_weight": 0.0, ' in line
 
+    def test_lone_surrogate_annotation_id(self, tmp_path, capsys):
+        # JSON can escape a lone surrogate, and the id seeds proposals
+        manifest = make_corpus(tmp_path, capsys)
+        doc = json.loads(manifest.read_text())
+        doc["annotations"][0]["annotation_id"] = "lone \ud800"
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "pipeline", "--manifest", str(manifest),
+                           "--out-dir", str(tmp_path / "run"),
+                           "--clean-ratio", "0", "--epochs", "2")
+        assert code == 0, err
+        trace = (tmp_path / "run" / "trace.jsonl").read_text()
+        assert trace.count('"annotation_id": "lone \\ud800"') == 2
+
     def test_tracks_computed_once(self, tmp_path, capsys, monkeypatch):
-        import morp.consensus
         import morp.pipeline
+        import morp.predictor
         import morp.refine
 
         calls = []
@@ -162,7 +175,7 @@ class TestPipeline:
             calls.append(len(manifest.annotations))
             return original(manifest)
 
-        for module in (morp.consensus, morp.pipeline, morp.refine):
+        for module in (morp.pipeline, morp.predictor, morp.refine):
             monkeypatch.setattr(module, "compute_tracks", counted)
         manifest = make_corpus(tmp_path, capsys)
         run_pipeline_dir(tmp_path, capsys, manifest)
@@ -340,6 +353,29 @@ class TestSweep:
         assert obj["values"] == [4, 8]
         assert len(obj["metric"]) == 2
 
+    @pytest.mark.parametrize("knob,values,corpora", [
+        ("clean-ratio", "0.0,0.2,0.4", [(0, 6), (1, 6)]),
+        ("corpus-size", "4,6", [(0, 4), (0, 6), (1, 4), (1, 6)]),
+    ])
+    def test_one_corpus_per_seed_and_size(self, tmp_path, capsys,
+                                          monkeypatch, knob, values, corpora):
+        import morp.pipeline
+
+        calls = []
+        real = morp.pipeline.generate_corpus
+
+        def counting(spec, out_dir):
+            calls.append((spec.seed, spec.n_videos))
+            return real(spec, out_dir)
+
+        monkeypatch.setattr(morp.pipeline, "generate_corpus", counting)
+        code, _, err = run(
+            capsys, "sweep", "--knob", knob, "--values", values,
+            "--seeds", "0,1", "--work-dir", str(tmp_path / "work"),
+            "--videos", "6", "--frames", "64", "--dim", "8", "--epochs", "2")
+        assert code == 0, err
+        assert calls == corpora
+
 
 class TestErrors:
     def test_missing_manifest(self, tmp_path, capsys):
@@ -349,6 +385,70 @@ class TestErrors:
         obj = json.loads(err.strip())
         assert obj["code"] == "missing_file"
         assert "context" in obj
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'{"format_version": 1, "queries_file_path": "\xff"}')
+        code, _, err = run(capsys, "stats", "--manifest", str(path))
+        assert code == 1
+        obj = self.one_error(err)
+        assert obj["code"] == "format_error"
+        assert obj["context"]["path"] == str(path)
+
+    def test_directory_as_manifest(self, tmp_path, capsys):
+        code, _, err = run(capsys, "stats", "--manifest", str(tmp_path))
+        assert code == 1
+        obj = self.one_error(err)
+        assert obj["code"] == "io_error"
+        assert obj["context"] == {"path": str(tmp_path)}
+        assert "Is a directory" in obj["message"]
+
+    def test_directory_as_predictions(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path, capsys)
+        refined = tmp_path / "refined.json"
+        code, _, err = run(capsys, "refine", "--manifest", str(manifest),
+                           "--out-manifest", str(refined))
+        assert code == 0, err
+        code, _, err = run(capsys, "correct", "--manifest", str(refined),
+                           "--out-manifest", str(tmp_path / "c.json"),
+                           "--predictions", str(tmp_path))
+        assert code == 1
+        obj = self.one_error(err)
+        assert obj["code"] == "io_error"
+        assert obj["context"] == {"path": str(tmp_path)}
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("knob,flag,value", [
+        ("clean-ratio", "--values", "a"),
+        ("clean-ratio", "--seeds", "x"),
+        ("corpus-size", "--values", "6.5"),
+        ("clean-ratio", "--seeds", ""),
+        ("clean-ratio", "--values", ""),
+    ])
+    def test_bad_sweep_list(self, tmp_path, capsys, knob, flag, value):
+        argv = {"--values": "0.4", "--seeds": "0", flag: value}
+        code, _, err = run(capsys, "sweep", "--knob", knob,
+                           "--values", argv["--values"],
+                           "--seeds", argv["--seeds"],
+                           "--work-dir", str(tmp_path / "work"),
+                           "--videos", "6", "--frames", "64", "--dim", "8")
+        assert code == 1
+        obj = self.one_error(err)
+        assert obj["code"] == "config_error"
+        assert obj["context"] == {"option": flag[2:], "value": value}
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "c", "--seed", "-1"],
+        ["sweep", "--knob", "clean-ratio", "--values", "0.4", "--seeds", "-1",
+         "--work-dir", "work"],
+    ])
+    def test_negative_synth_seed(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert self.one_error(err)["code"] == "spec_error"
+        assert os.listdir(tmp_path) == []
 
     def test_hostile_feature_header(self, tmp_path, capsys):
         import struct

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from morp.core import Boundary, ScoredBoundary
 from morp.errors import ContractViolation, PredictorError
+from morp.predictor import AnnotationPredictor
 from morp.consensus import (
     CONSENSUS_ROWS,
     CorrectionParams,
@@ -220,7 +221,7 @@ def make_refined_corpus(tmp_path, n_videos=4, seed=0):
     return refined
 
 
-class EchoPredictor:
+class EchoPredictor(AnnotationPredictor):
     """Returns a fixed boundary per annotation with confidence 1."""
 
     def __init__(self, table):
@@ -266,7 +267,7 @@ class TestRunCorrection:
     def test_predictor_error_identifies_annotation_and_epoch(self, tmp_path):
         refined = make_refined_corpus(tmp_path)
 
-        class WrongTimeline:
+        class WrongTimeline(AnnotationPredictor):
             def for_annotation(self, annotation_id, track, U, epoch):
                 return [ScoredBoundary(Boundary(0, 5, 999), 1.0)]
 
@@ -278,7 +279,7 @@ class TestRunCorrection:
     def test_too_many_predictions_rejected(self, tmp_path):
         refined = make_refined_corpus(tmp_path)
 
-        class TooMany:
+        class TooMany(AnnotationPredictor):
             def for_annotation(self, annotation_id, track, U, epoch):
                 tl = track.num_frames
                 return [ScoredBoundary(Boundary(0, 5, tl), 0.5)] * (U + 1)
@@ -313,11 +314,13 @@ class TestRunCorrection:
         params = ProposalParams(stride=3, jitter=4)
         p = CorrectionParams(epochs=4, seed=7, predictions_per_query=6)
 
-        def one_at_a_time(track, U, epoch, seed):
-            return propose(track, U, epoch, seed, params)
+        class OneAtATime(AnnotationPredictor):
+            def for_annotation(self, annotation_id, track, U, epoch):
+                seed = annotation_seed(7, annotation_id)
+                return propose(track, U, epoch, seed, params)
 
         out_b, tr_b = run_correction(refined, SlidingWindowPredictor(params), p)
-        out_l, tr_l = run_correction(refined, one_at_a_time, p)
+        out_l, tr_l = run_correction(refined, OneAtATime(), p)
         assert out_b.annotations == out_l.annotations
         assert tr_b.records == tr_l.records
 

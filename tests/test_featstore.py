@@ -231,6 +231,14 @@ class TestManifest:
         with pytest.raises(RangeError):
             read_manifest(write_fixture_corpus(tmp_path, annotations=anns))
 
+    def test_negative_start_names_annotation(self, tmp_path):
+        anns = [{"annotation_id": "a0", "video_id": "vid0", "query_text": "x",
+                 "query_feature_ref": 0, "boundary_seconds": [-1.0, 2.0],
+                 "status": "raw"}]
+        with pytest.raises(RangeError) as err:
+            read_manifest(write_fixture_corpus(tmp_path, annotations=anns))
+        assert err.value.context["annotation_id"] == "a0"
+
     def test_boundary_past_duration(self, tmp_path):
         anns = [{"annotation_id": "a0", "video_id": "vid0", "query_text": "x",
                  "query_feature_ref": 0, "boundary_seconds": [0.0, 41.0],
@@ -388,7 +396,6 @@ class TestAtomicWrites:
         from morp.consensus import CorrectionTrace
         from morp.metrics import write_json
         from morp.predictor import EpochPredictions
-        from morp.refine import RefineRecord, RefineReport
 
         manifest = read_manifest(write_fixture_corpus(tmp_path))
         trace = CorrectionTrace(["a0"], 0.7, 0.3)
@@ -396,16 +403,13 @@ class TestAtomicWrites:
             trace.add_epoch(epoch, 2, [[0, 1]], [[0, 1]], EpochPredictions(
                 np.array([[0]]), np.array([[1]]), np.array([[1.0]]),
                 np.array([1])))
-        report = RefineReport([RefineRecord("a0", 1.5, "kept", (0, 4),
-                                            (0, 3))])
         return {
             "manifest": lambda p: write_manifest(manifest, p),
             "trace": trace.write,
-            "report": report.write,
             "json": lambda p: write_json({"x": [1, 2, 3]}, p),
         }
 
-    @pytest.mark.parametrize("name", ["manifest", "trace", "report", "json"])
+    @pytest.mark.parametrize("name", ["manifest", "trace", "json"])
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch,
                                              name):
         from contextlib import contextmanager
@@ -413,7 +417,6 @@ class TestAtomicWrites:
         import morp.consensus
         import morp.featstore
         import morp.metrics
-        import morp.refine
 
         write = self.writers(tmp_path)[name]
         out = tmp_path / "out" / "artifact"
@@ -435,8 +438,7 @@ class TestAtomicWrites:
             with real(path) as fh:
                 yield HalfWrite(fh)
 
-        for module in (morp.consensus, morp.featstore, morp.metrics,
-                       morp.refine):
+        for module in (morp.consensus, morp.featstore, morp.metrics):
             monkeypatch.setattr(module, "atomic_write", failing)
         with pytest.raises(OSError):
             write(out)
