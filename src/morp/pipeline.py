@@ -133,25 +133,34 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
     ``"corpus_size"``, whose values are video counts, each cleaned at
     ``clean_ratio``.  Each seed's corpus of each size is generated once,
     under ``work_dir``, so a clean-ratio sweep generates one per seed.
+    Every value's parameters are built, and so checked, before the
+    first corpus is generated.
     """
     if knob not in ("clean_ratio", "corpus_size"):
         raise ContractViolation("unknown sweep knob", knob=knob)
     adjust_params = adjust_params or AdjustParams()
     correction_params = correction_params or CorrectionParams()
+    if knob == "corpus_size":
+        sizes = list(values)
+        cleans = [CleanParams(ratio=clean_ratio)] * len(values)
+    else:
+        sizes = [spec.n_videos] * len(values)
+        cleans = [CleanParams(ratio=value) for value in values]
+    # SynthSpec also rejects the negative seeds CorrectionParams would
+    specs = {(seed, size): replace(spec, n_videos=size, seed=seed)
+             for seed in seeds for size in sizes}
     per_seed = {}
     for seed in seeds:
         corpora = {}  # corpus size -> manifest
         row = []
-        for value in values:
-            size, ratio = ((value, clean_ratio) if knob == "corpus_size"
-                           else (spec.n_videos, value))
+        for size, clean in zip(sizes, cleans):
             if size not in corpora:
                 corpora[size] = generate_corpus(
-                    replace(spec, n_videos=size, seed=seed),
+                    specs[seed, size],
                     os.path.join(work_dir, f"sweep_seed{seed}_n{size}"))
             manifest = corpora[size]
             _, _, corrected, _ = run_pipeline(
-                manifest, CleanParams(ratio=ratio), adjust_params,
+                manifest, clean, adjust_params,
                 replace(correction_params, seed=seed))
             row.append(corpus_quality(manifest, corrected))
         per_seed[seed] = row

@@ -36,6 +36,16 @@ output equals :func:`propose`'s bit for bit; the tests keep
   survivor count n, which sums each row as pairwise as the 1-D sum of
   its n survivors does.
 
+A block's memory is bounded by how many (rows, candidates) arrays are
+alive at once, so the block path computes in place: the contrast margin
+is built up in one scores array with ``out=`` and in-place operators,
+each candidate array is released once its rank-ordered copy exists, and
+each NMS step writes the intersection into the gathered copy of the
+later ranks' ends and builds the union in the gathered copy of their
+lengths.  Each element still goes through :func:`propose`'s
+floating-point operations in :func:`propose`'s order, so the results
+are the same.
+
 Correction consumes predictions one epoch at a time, as
 :class:`EpochPredictions`: padded (A, U) start/end/confidence arrays over
 all annotations plus a per-row count.  Every predictor has one method,
@@ -359,10 +369,11 @@ def _jitter_offsets(seeds, epoch, jitter, F):
 # Rows per ProposalBatch block.  Larger blocks pay the per-rank-position
 # NMS loop overhead fewer times but hold larger (rows, candidates)
 # arrays.  On `morp pipeline` at 500 videos x 128 frames (600 kept
-# tracks) the per-track path peaked at 51.9 MB RSS, 128-row blocks at
-# 52.3 MB and one 600-row block at 60.8 MB, though its proposals took
-# ~30% less time.
-BLOCK_ROWS = 128
+# tracks, 119 candidates each), 128- and 256-row blocks both peaked at
+# 43.0 MB RSS, and 256 rows ran the pipeline 14% faster.  384-row
+# blocks peaked at 43.7 MB and 600-row blocks at 45.3 MB, for at most 4%
+# less wall time than 256 rows (2-CPU x86-64 Linux host, NumPy 2.4).
+BLOCK_ROWS = 256
 
 
 class _Block:
@@ -375,10 +386,15 @@ class _Block:
     Each epoch it takes its rows' jitter offsets, which
     :class:`ProposalBatch` draws for all tracks at once with
     :func:`_jitter_offsets` (``default_rng`` redraws only the rows whose
-    bounded draw was rejected).  After the NMS loop over rank positions,
-    the softmax packs each row's survivors to the left and works on one
-    contiguous array per survivor count, so every row's sum rounds as
-    :func:`propose`'s 1-D sum does.
+    bounded draw was rejected).  It scores the candidates in place in
+    one (rows, candidates) array, gathers starts, ends, the alive mask
+    and the scores into rank order, dropping each unsorted array as soon
+    as its sorted copy exists, and runs the NMS loop over rank
+    positions.  Each step of that loop gathers the later ranks of the
+    rows alive at it once and computes the intersection and union into
+    those copies.  The softmax then packs each row's survivors to the
+    left and works on one contiguous array per survivor count, so every
+    row's sum rounds as :func:`propose`'s 1-D sum does.
     """
 
     def __init__(self, T, rows, tracks, params: ProposalParams):
@@ -436,38 +452,57 @@ class _Block:
         T = self.T
         starts, ends, valid = self._candidates(offsets)
 
-        # _contrast_margin, elementwise over the block.  The prefix sums
-        # are stacked per call: a stack kept for the whole run would
-        # duplicate every track's prefix array.
+        # _contrast_margin, elementwise over the block and in place:
+        # scores holds inside, then inside_mean, then the margin.  The
+        # prefix sums are stacked per call: a stack kept for the whole
+        # run would duplicate every track's prefix array.
         prefix = np.stack(self.prefixes)
-        inside = np.take_along_axis(prefix, ends, axis=1) - \
-            np.take_along_axis(prefix, starts, axis=1)
-        lens = (ends - starts).astype(np.float64)
-        out_lens = T - lens
-        inside_mean = inside / lens
-        outside_mean = np.where(
-            out_lens > 0,
-            (prefix[:, T, None] - inside) / np.maximum(out_lens, 1),
-            inside_mean)
-        scores = inside_mean - outside_mean
+        scores = np.take_along_axis(prefix, ends, axis=1)
+        scores -= np.take_along_axis(prefix, starts, axis=1)
+        outside = np.subtract(prefix[:, T, None], scores)
+        del prefix
+        lens = np.subtract(ends, starts, out=np.empty(scores.shape))
+        scores /= lens
+        out_lens = np.subtract(T, lens, out=lens)
+        has_outside = out_lens > 0
+        outside /= np.maximum(out_lens, 1, out=out_lens)
+        np.copyto(outside, scores, where=~has_outside)
+        scores -= outside
+        del outside, lens, out_lens, has_outside
 
-        # score descending, enumeration index ascending; padding ranks last
-        order = np.argsort(np.where(valid, -scores, np.inf), axis=1,
-                           kind="stable")
-        s = np.take_along_axis(starts, order, axis=1)
-        e = np.take_along_axis(ends, order, axis=1)
+        # score descending, enumeration index ascending; padding ranks last.
+        # Each array is gathered into rank order and its unsorted copy
+        # released before the next is gathered.
+        key = np.negative(scores)
+        key[~valid] = np.inf
+        order = np.argsort(key, axis=1, kind="stable")
+        del key
+        scores = np.take_along_axis(scores, order, axis=1)
         alive = np.take_along_axis(valid, order, axis=1)
+        del valid
+        s = np.take_along_axis(starts, order, axis=1)
+        del starts
+        e = np.take_along_axis(ends, order, axis=1)
+        del ends, order
         length = e - s
+        # hi and lo start as gathered copies of the later ranks' ends and
+        # starts, and hi becomes the intersection; lo is released before
+        # union is gathered and built in place
         for i in range(s.shape[1] - 1):
             rows = np.flatnonzero(alive[:, i])
             if rows.size == 0:
                 continue
-            later_s, later_e = s[rows, i + 1:], e[rows, i + 1:]
-            inter = np.minimum(e[rows, i, None], later_e) - \
-                np.maximum(s[rows, i, None], later_s)
-            inter = np.maximum(inter, 0)
-            union = length[rows, i, None] + length[rows, i + 1:] - inter
+            hi = e[rows, i + 1:]
+            lo = s[rows, i + 1:]
+            np.minimum(hi, e[rows, i, None], out=hi)
+            np.maximum(lo, s[rows, i, None], out=lo)
+            inter = np.maximum(np.subtract(hi, lo, out=hi), 0, out=hi)
+            del lo
+            union = length[rows, i + 1:]
+            union += length[rows, i, None]
+            union -= inter
             alive[rows, i + 1:] &= ~(inter / union > params.nms_iou)
+        del length
 
         # propose's softmax over each row's survivors.  The survivors are
         # packed to the left in rank order, so slot 0 holds the row's
@@ -484,7 +519,7 @@ class _Block:
         slot = np.cumsum(grouped, axis=1)[r, c] - 1
         row = by_count[r]
         packed = np.empty(alive.shape)
-        packed[r, slot] = scores[row, order[row, c]]
+        packed[r, slot] = scores[row, c]
         conf = np.empty((len(self.rows), min(U, alive.shape[1])))
         sizes, first = np.unique(count[by_count], return_index=True)
         for n, lo, hi in zip(sizes.tolist(), first.tolist(),

@@ -438,6 +438,23 @@ class TestErrors:
         assert obj["context"] == {"option": flag[2:], "value": value}
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize("knob,values,code", [
+        ("clean-ratio", "0.4,1.0", "contract_violation"),
+        ("clean-ratio", "nan", "contract_violation"),
+        ("clean-ratio", "inf", "contract_violation"),
+        ("corpus-size", "0", "spec_error"),
+    ])
+    def test_bad_sweep_value(self, tmp_path, capsys, knob, values, code):
+        """Every value is checked before the first corpus is generated."""
+        exit_code, _, err = run(capsys, "sweep", "--knob", knob,
+                                "--values", values,
+                                "--work-dir", str(tmp_path / "work"),
+                                "--videos", "6", "--frames", "64",
+                                "--dim", "8", "--epochs", "2")
+        assert exit_code == 1
+        assert self.one_error(err)["code"] == code
+        assert not (tmp_path / "work").exists()
+
     @pytest.mark.parametrize("argv", [
         ["synth", "--out", "c", "--seed", "-1"],
         ["sweep", "--knob", "clean-ratio", "--values", "0.4", "--seeds", "-1",

@@ -340,6 +340,35 @@ class TestProposalBatch:
         assert ProposalBatch([], []).propose(5, 1).tuples() == []
 
 
+class TestSplitLengthGroup:
+    """A timeline length whose tracks span several blocks, the last one
+    partial, with tracks of another length interleaved among them."""
+
+    def test_matches_propose_at_correction_shape(self):
+        # one plateau per track: one support run plus 118 windows, about
+        # 34 NMS survivors, as on the 500 x 128 synthetic corpus
+        rng = np.random.default_rng(6)
+
+        def plateau(T):
+            mapped = rng.uniform(0.1, 0.2, T)
+            start = int(rng.integers(0, T // 2))
+            mapped[start:start + int(rng.integers(8, T // 2))] += 0.6
+            return track_from_mapped(mapped)
+
+        lengths = [128] * (2 * BLOCK_ROWS + 37)
+        for i in (len(lengths), BLOCK_ROWS + 5, 100, 0):
+            lengths.insert(i, 96)
+        tracks = [plateau(T) for T in lengths]
+        seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
+        batch = ProposalBatch(tracks, seeds)
+        for epoch in (1, 15):
+            got = batch.propose(5, epoch)
+            assert got.tuples() == oracle(tracks, seeds, 5, epoch,
+                                          ProposalParams())[0]
+        survivors = batch.propose(200, 1).count[np.array(lengths) == 128]
+        assert 30 <= np.median(survivors) <= 38
+
+
 class TestFilePredictor:
     def test_replays_records(self, tmp_path):
         import json
