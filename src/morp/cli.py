@@ -96,13 +96,20 @@ def _add_opts(parser, opts):
                             help=help_text)
 
 
+def _is_number(x, kinds=(int, float)):
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _parse(typ, raw, name, source):
     """An option's value from an environment or config-file entry."""
     if not isinstance(raw, str):
-        # JSON config values arrive typed; numbers must fit the option
-        numeric = {int: (int,), float: (int, float)}.get(typ)
-        if numeric and raw is not None and (isinstance(raw, bool) or
-                                            not isinstance(raw, numeric)):
+        # JSON config values arrive typed: null leaves the option unset,
+        # a number must fit it, and a list option takes a list of numbers
+        if typ is _float_list:
+            fits = isinstance(raw, list) and all(map(_is_number, raw))
+        else:
+            fits = _is_number(raw, (int,) if typ is int else (int, float))
+        if raw is not None and not fits:
             raise ConfigError(f"bad {source} value for {name}", option=name,
                               value=raw, source=source)
         return raw

@@ -50,9 +50,6 @@ def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
     tracks = compute_tracks(manifest)
     refined, report = refine_corpus(manifest, clean_params, adjust_params,
                                     tracks=tracks)
-    # correction needs only the kept annotations' tracks
-    tracks = {a.annotation_id: tracks[a.annotation_id]
-              for a in refined.annotations}
     predictor = SlidingWindowPredictor(proposal_params or ProposalParams(
         stride=adjust_params.delta, jitter=adjust_params.delta))
     corrected, trace = run_correction(refined, predictor, correction_params,

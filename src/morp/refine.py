@@ -4,15 +4,16 @@ corpus cleaning and iterative boundary adjustment.
 The per-frame relevance of a query to a video is the cosine similarity
 between the query embedding and each frame embedding, affinely mapped to
 [0, 1] (``(s + 1) / 2``) so that the contrastive ratio below stays
-sign-stable.  The moment contrastive score of a boundary is the mapped
-mass inside the boundary divided by the mass outside it; prefix sums make
+sign-stable.  A track holds only these mapped values and their prefix
+sums.  The moment contrastive score of a boundary is the mapped mass
+inside the boundary divided by the mass outside it; prefix sums make
 each evaluation O(1).
 
 :func:`compute_tracks` builds the tracks of a whole corpus a video at a
 time: each feature file is read once and its frame norms are taken once,
 and the tracks of all annotations whose video has T frames are rows of
-one (annotations, T) block, so the clip, the map and the prefix sums run
-over whole blocks.  :func:`frame_similarities` is the single-query form
+one (annotations, T) block, clipped and mapped in place, so no raw
+cosines are kept.  :func:`frame_similarities` is the single-query form
 of the same arithmetic, bit for bit.
 """
 
@@ -39,24 +40,24 @@ GAMMA_CAP = 1e6
 
 @dataclass(frozen=True)
 class SimilarityTrack:
-    """Per-frame query relevance: raw cosines, [0,1]-mapped values, prefix sums."""
+    """Per-frame query relevance: [0,1]-mapped cosines and their prefix sums."""
 
-    raw: np.ndarray
     mapped: np.ndarray
     prefix: np.ndarray
 
     @classmethod
     def from_raw(cls, raw) -> "SimilarityTrack":
+        """The track of a vector of cosines in [-1, 1]."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 1 or raw.size < 1:
             raise ContractViolation("similarity track must be a 1-D vector")
         mapped = (raw + 1.0) / 2.0
         prefix = np.concatenate(([0.0], np.cumsum(mapped)))
-        return cls(raw=raw, mapped=mapped, prefix=prefix)
+        return cls(mapped=mapped, prefix=prefix)
 
     @property
     def num_frames(self) -> int:
-        return self.raw.shape[0]
+        return self.mapped.shape[0]
 
     def mass(self, start: int, end: int) -> float:
         """Sum of mapped values over [start, end)."""
@@ -136,20 +137,17 @@ def clean_corpus(scored_annotations, params: CleanParams):
 
     Input is a list of (annotation, gamma) pairs.  Ranking is by gamma
     descending with ties broken by annotation_id ascending, so results
-    are stable across runs and platforms.  Returns (kept, dropped) lists
-    of annotations with statuses set to ``kept`` / ``dropped``.
+    are stable across runs and platforms.  Returns (kept, dropped): the
+    input annotation objects themselves, unchanged, in rank order.
     """
-    from dataclasses import replace
-
     items = list(scored_annotations)
     for _, g in items:
         if not math.isfinite(g):
             raise ContractViolation("non-finite gamma in cleaning input")
-    order = sorted(items, key=lambda ag: (-ag[1], ag[0].annotation_id))
-    n_drop = math.floor(len(order) * params.ratio)
-    kept = [replace(a, status="kept") for a, _ in order[: len(order) - n_drop]]
-    dropped = [replace(a, status="dropped") for a, _ in order[len(order) - n_drop:]]
-    return kept, dropped
+    order = [a for a, _ in sorted(items,
+                                  key=lambda ag: (-ag[1], ag[0].annotation_id))]
+    n_keep = len(order) - math.floor(len(order) * params.ratio)
+    return order[:n_keep], order[n_keep:]
 
 
 def adjust_boundary(track: SimilarityTrack, b: Boundary,
@@ -234,11 +232,11 @@ def compute_tracks(manifest: CorpusManifest):
     are visited in sorted order and each feature file is read once: the
     float64 cast and the frame norms are computed once per
     video, then one matrix-vector product per annotation fills a row of
-    the preallocated (annotations, T) ``raw`` block of its timeline
-    length T.  Clipping, the ``(raw + 1) / 2`` map and the prefix sums
-    then run over whole blocks, and every returned track holds row views
-    into them; each track equals ``frame_similarities`` for its query bit
-    for bit.
+    the preallocated (annotations, T) block of its timeline length T.
+    Each block is then clipped and mapped by ``(s + 1) / 2`` in place,
+    its prefix sums go to one more block, and every returned track holds
+    row views into these two; each track equals ``frame_similarities``
+    for its query bit for bit.
     """
     queries = manifest.load_query_features()
     by_video = {}
@@ -250,7 +248,7 @@ def compute_tracks(manifest: CorpusManifest):
         # manifest cannot ask for more than the feature files hold
         T = manifest.video_frames(video_id)
         counts[T] = counts.get(T, 0) + len(by_video[video_id])
-    raw = {T: np.empty((n, T)) for T, n in counts.items()}
+    mapped = {T: np.empty((n, T)) for T, n in counts.items()}
     rows = {}  # annotation_id -> (T, row)
     filled = dict.fromkeys(counts, 0)
 
@@ -263,7 +261,7 @@ def compute_tracks(manifest: CorpusManifest):
         v = frames.data.astype(np.float64)
         v_norm = np.linalg.norm(v, axis=1)
         T = frames.num_frames
-        block = raw[T]
+        block = mapped[T]
         for ann in by_video[video_id]:
             q = queries.data[ann.query_feature_ref].astype(np.float64)
             row = filled[T]
@@ -271,18 +269,17 @@ def compute_tracks(manifest: CorpusManifest):
             rows[ann.annotation_id] = (T, row)
             filled[T] = row + 1
 
-    mapped, prefix = {}, {}
-    for T, block in raw.items():
+    prefix = {}
+    for T, block in mapped.items():
         # in place, so that no block-sized temporary raises peak memory
         np.clip(block, -1.0, 1.0, out=block)
-        mapped[T] = m = block + 1.0
-        m /= 2.0
+        block += 1.0
+        block /= 2.0
         prefix[T] = p = np.empty((block.shape[0], T + 1))
         p[:, 0] = 0.0
-        np.cumsum(m, axis=1, out=p[:, 1:])
+        np.cumsum(block, axis=1, out=p[:, 1:])
     return {
-        aid: SimilarityTrack(raw=raw[T][row], mapped=mapped[T][row],
-                             prefix=prefix[T][row])
+        aid: SimilarityTrack(mapped=mapped[T][row], prefix=prefix[T][row])
         for aid, (T, row) in rows.items()
     }
 
@@ -293,41 +290,36 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
     """Score, clean, then adjust a raw corpus.
 
     Returns (refined_manifest, report).  The refined manifest keeps only
-    surviving annotations, each with status ``adjusted`` and its boundary
-    replaced by the adjusted one; the report records gamma, the keep/drop
-    decision and the boundary delta for every input annotation.
-    ``tracks`` holds the similarity tracks of ``compute_tracks(manifest)``
-    when the caller has them already.
+    surviving annotations, by id, each built once with status ``adjusted``
+    and the adjusted boundary; the report records gamma, the keep/drop
+    decision and the boundary delta for every input annotation, in
+    manifest order.  ``tracks`` holds the similarity tracks of
+    ``compute_tracks(manifest)`` when the caller has them already.
     """
     if tracks is None:
         tracks = compute_tracks(manifest)
-    scored = [
-        (ann, moment_contrast(tracks[ann.annotation_id], ann.boundary_frames))
-        for ann in manifest.annotations
-    ]
-    gamma_by_id = {ann.annotation_id: g for ann, g in scored}
-    kept, dropped = clean_corpus(scored, clean_params)
+    gammas = [moment_contrast(tracks[ann.annotation_id], ann.boundary_frames)
+              for ann in manifest.annotations]
+    kept, _ = clean_corpus(zip(manifest.annotations, gammas), clean_params)
+    kept_ids = {ann.annotation_id for ann in kept}
 
-    adjusted = []
-    for ann in kept:
-        new_b = adjust_boundary(tracks[ann.annotation_id], ann.boundary_frames,
-                                adjust_params)
-        video = manifest.video_by_id(ann.video_id)
-        adjusted.append(with_updated_boundary(ann, new_b, video,
-                                              status="adjusted"))
-
-    adjusted.sort(key=lambda a: a.annotation_id)
-    records = []
-    after = {a.annotation_id: a for a in adjusted}
-    for ann in manifest.annotations:
-        out = after.get(ann.annotation_id)
+    adjusted, records = [], []
+    for ann, gamma in zip(manifest.annotations, gammas):
+        after = None
+        if ann.annotation_id in kept_ids:
+            after = adjust_boundary(tracks[ann.annotation_id],
+                                    ann.boundary_frames, adjust_params)
+            adjusted.append(with_updated_boundary(
+                ann, after, manifest.video_by_id(ann.video_id),
+                status="adjusted"))
         records.append(RefineRecord(
             annotation_id=ann.annotation_id,
-            gamma=gamma_by_id[ann.annotation_id],
-            decision="kept" if out is not None else "dropped",
+            gamma=gamma,
+            decision="dropped" if after is None else "kept",
             boundary_before_frames=ann.boundary_frames.as_tuple(),
-            boundary_after_frames=out.boundary_frames.as_tuple() if out else None,
+            boundary_after_frames=None if after is None else after.as_tuple(),
         ))
-    report = RefineReport(records=records)
 
-    return replace(manifest, annotations=tuple(adjusted)), report
+    adjusted.sort(key=lambda a: a.annotation_id)
+    return (replace(manifest, annotations=tuple(adjusted)),
+            RefineReport(records=records))

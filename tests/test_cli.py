@@ -625,6 +625,20 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["code"] == "config_error"
 
+    @pytest.mark.parametrize("thresholds", [[0.5, "a"], 5, "0.5,a", [0.5, True],
+                                            [[0.5]], {"m": 0.5}])
+    def test_bad_config_thresholds(self, tmp_path, capsys, thresholds):
+        manifest = make_corpus(tmp_path, capsys)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"thresholds": thresholds}))
+        code, _, err = run(capsys, "--config", str(path), "evaluate",
+                           "--manifest", str(manifest))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        obj = json.loads(err)
+        assert obj["code"] == "config_error"
+        assert obj["context"]["option"] == "thresholds"
+
     def test_output_parent_dirs_created(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)
         refined = tmp_path / "new" / "refined.json"

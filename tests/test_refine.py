@@ -1,6 +1,9 @@
 """Similarity tracks, contrastive scoring, cleaning, boundary adjustment."""
 
+import copy
+import math
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from morp.refine import (
     compute_tracks,
     frame_similarities,
     moment_contrast,
+    refine_corpus,
 )
 
 
@@ -62,21 +66,21 @@ class TestFrameSimilarities:
         v = np.tile(np.array([1.0, 2.0], np.float32), (4, 1))
         t = frame_similarities(QueryFeature(np.array([1.0, 2.0], np.float32)),
                                FrameFeatureMatrix(v))
-        np.testing.assert_allclose(t.raw, 1.0)
+        np.testing.assert_allclose(2.0 * t.mapped - 1.0, 1.0)
         np.testing.assert_allclose(t.mapped, 1.0)
 
     def test_orthogonal(self):
         v = np.tile(np.array([0.0, 1.0], np.float32), (3, 1))
         t = frame_similarities(QueryFeature(np.array([1.0, 0.0], np.float32)),
                                FrameFeatureMatrix(v))
-        np.testing.assert_allclose(t.raw, 0.0)
+        np.testing.assert_allclose(2.0 * t.mapped - 1.0, 0.0)
         np.testing.assert_allclose(t.mapped, 0.5)
 
     def test_hand_computed(self):
         rows = np.array([[1, 0], [0, 1], [-1, 0]], np.float32)
         t = frame_similarities(QueryFeature(np.array([1.0, 0.0], np.float32)),
                                FrameFeatureMatrix(rows))
-        np.testing.assert_allclose(t.raw, [1.0, 0.0, -1.0])
+        np.testing.assert_allclose(2.0 * t.mapped - 1.0, [1.0, 0.0, -1.0])
         np.testing.assert_allclose(t.mapped, [1.0, 0.5, 0.0])
 
     def test_dim_mismatch(self):
@@ -153,7 +157,6 @@ class TestComputeTracks:
             want = frame_similarities(QueryFeature(queries[ref]),
                                       FrameFeatureMatrix(videos[vid]))
             got = tracks[aid]
-            assert np.array_equal(got.raw, want.raw)
             assert np.array_equal(got.mapped, want.mapped)
             assert np.array_equal(got.prefix, want.prefix)
 
@@ -236,49 +239,32 @@ class TestMomentContrast:
 
 
 class FakeAnn:
-    """Minimal stand-in carrying the fields cleaning uses."""
+    """Minimal stand-in carrying the one field cleaning reads; instances
+    compare by identity."""
 
     def __init__(self, annotation_id):
         self.annotation_id = annotation_id
-        self.status = "raw"
-
-    def __eq__(self, other):
-        return self.annotation_id == other.annotation_id
-
-    def __hash__(self):
-        return hash(self.annotation_id)
-
-
-def fake(aid):
-    import dataclasses
-
-    # clean_corpus uses dataclasses.replace, so build a tiny dataclass.
-    @dataclasses.dataclass
-    class A:
-        annotation_id: str
-        status: str = "raw"
-
-    return A(aid)
 
 
 class TestCleanCorpus:
     def test_bottom_one_dropped(self):
-        items = [(fake("a"), 0.9), (fake("b"), 0.5), (fake("c"), 0.1)]
-        kept, dropped = clean_corpus(items, CleanParams(0.34))
-        assert [a.annotation_id for a in dropped] == ["c"]
-        assert {a.annotation_id for a in kept} == {"a", "b"}
-        assert all(a.status == "kept" for a in kept)
-        assert all(a.status == "dropped" for a in dropped)
+        a, b, c = FakeAnn("a"), FakeAnn("b"), FakeAnn("c")
+        kept, dropped = clean_corpus([(b, 0.5), (c, 0.1), (a, 0.9)],
+                                     CleanParams(0.34))
+        # the input objects themselves, in rank order
+        assert kept == [a, b]
+        assert dropped == [c]
 
     def test_zero_ratio(self):
-        items = [(fake("a"), 0.9), (fake("b"), 0.5)]
+        items = [(FakeAnn("a"), 0.9), (FakeAnn("b"), 0.5)]
         kept, dropped = clean_corpus(items, CleanParams(0.0))
-        assert dropped == [] and len(kept) == 2
+        assert dropped == [] and kept == [ann for ann, _ in items]
 
     def test_tie_breaks_by_id(self):
-        items = [(fake("a"), 0.5), (fake("b"), 0.5)]
-        kept, dropped = clean_corpus(items, CleanParams(0.5))
-        assert [a.annotation_id for a in dropped] == ["b"]
+        a, b = FakeAnn("a"), FakeAnn("b")
+        kept, dropped = clean_corpus([(b, 0.5), (a, 0.5)], CleanParams(0.5))
+        assert kept == [a]
+        assert dropped == [b]
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ContractViolation):
@@ -286,16 +272,15 @@ class TestCleanCorpus:
 
     def test_non_finite_gamma_rejected(self):
         with pytest.raises(ContractViolation):
-            clean_corpus([(fake("a"), float("nan"))], CleanParams(0.0))
+            clean_corpus([(FakeAnn("a"), float("nan"))], CleanParams(0.0))
 
     @settings(deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0, 0.99))
     def test_drop_count_and_separation(self, seed, ratio):
-        import math
-
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
-        items = [(fake(f"a{i:02d}"), float(rng.uniform(0, 2))) for i in range(n)]
+        items = [(FakeAnn(f"a{i:02d}"), float(rng.uniform(0, 2)))
+                 for i in range(n)]
         kept, dropped = clean_corpus(items, CleanParams(ratio))
         assert len(dropped) == math.floor(n * ratio)
         assert len(kept) + len(dropped) == n
@@ -303,6 +288,8 @@ class TestCleanCorpus:
         if kept and dropped:
             assert min(scores[a.annotation_id] for a in kept) >= \
                 max(scores[a.annotation_id] for a in dropped)
+        ranked = sorted(items, key=lambda ag: (-ag[1], ag[0].annotation_id))
+        assert kept + dropped == [a for a, _ in ranked]
 
 
 class TestAdjustBoundary:
@@ -367,3 +354,77 @@ class TestAdjustBoundary:
             AdjustParams(alpha1=0.9, alpha2=0.2)
         with pytest.raises(ContractViolation):
             AdjustParams(delta=5, min_len=3)
+
+
+class TestRefineCorpus:
+    """refine_corpus against a per-annotation reference built from
+    frame_similarities, moment_contrast, the rank cut and adjust_boundary."""
+
+    def test_matches_per_annotation_reference(self, tmp_path):
+        rng = np.random.default_rng(11)
+        queries = features(rng, 3, 6)
+        lengths = [40, 25, 40, 25, 40]
+        videos = {f"v{k}": features(rng, t, 6)
+                  for k, t in enumerate(lengths)}
+        # manifest order is not id order
+        anns = [(f"a{i:02d}", f"v{i % 5}", i % 3)
+                for i in rng.permutation(15).tolist()]
+        manifest = write_corpus(str(tmp_path), queries, videos, anns)
+        annotations = []
+        for k, ann in enumerate(manifest.annotations):
+            T = len(videos[ann.video_id])
+            s = int(rng.integers(0, T - 12))
+            e = int(rng.integers(s + 6, T + 1))
+            annotations.append(replace(
+                ann, query_text=f"query {k}",
+                boundary_seconds=(float(s), float(e)),
+                boundary_frames=Boundary(s, e, T),
+                gt_boundary_seconds=(0.0, float(e)),
+                error_tag=("clean", "imprecise", None)[k % 3]))
+        manifest = replace(manifest, annotations=tuple(annotations))
+        before = copy.deepcopy(manifest.annotations)
+        clean, adjust = CleanParams(0.4), AdjustParams(delta=3)
+
+        tracks, gammas = {}, {}
+        for ann in manifest.annotations:
+            aid = ann.annotation_id
+            tracks[aid] = frame_similarities(
+                QueryFeature(queries[ann.query_feature_ref]),
+                FrameFeatureMatrix(videos[ann.video_id]))
+            gammas[aid] = moment_contrast(tracks[aid], ann.boundary_frames)
+        ranked = sorted(manifest.annotations,
+                        key=lambda a: (-gammas[a.annotation_id],
+                                       a.annotation_id))
+        n_keep = len(ranked) - math.floor(len(ranked) * clean.ratio)
+        want = {a.annotation_id: adjust_boundary(tracks[a.annotation_id],
+                                                 a.boundary_frames, adjust)
+                for a in ranked[:n_keep]}
+        by_id = {a.annotation_id: a for a in manifest.annotations}
+        assert any(b != by_id[aid].boundary_frames for aid, b in want.items())
+
+        refined, report = refine_corpus(manifest, clean, adjust)
+
+        assert manifest.annotations == before
+        assert [a.annotation_id for a in refined.annotations] == sorted(want)
+        assert (refined.videos, refined.queries_file_path, refined.base_dir) \
+            == (manifest.videos, manifest.queries_file_path, manifest.base_dir)
+        for out in refined.annotations:
+            src = by_id[out.annotation_id]
+            b = want[out.annotation_id]
+            assert out.status == "adjusted"
+            assert out.boundary_frames == b
+            # duration equals T here, so seconds equal frame indices
+            assert out.boundary_seconds == (float(b.start), float(b.end))
+            assert replace(out, status=src.status,
+                           boundary_frames=src.boundary_frames,
+                           boundary_seconds=src.boundary_seconds) == src
+
+        assert [r.annotation_id for r in report.records] == \
+            [a.annotation_id for a in manifest.annotations]
+        for r, ann in zip(report.records, manifest.annotations):
+            kept = want.get(ann.annotation_id)
+            assert r.gamma == gammas[ann.annotation_id]
+            assert r.decision == ("dropped" if kept is None else "kept")
+            assert r.boundary_before_frames == ann.boundary_frames.as_tuple()
+            assert r.boundary_after_frames == (
+                None if kept is None else kept.as_tuple())
