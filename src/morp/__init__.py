@@ -7,6 +7,6 @@ results, and generates seeded synthetic corpora for experiments.
 
 __version__ = "0.1.0"
 
-from .core import Boundary, ScoredBoundary, clamp, iou
+from .core import Boundary, ScoredBoundary, iou
 
-__all__ = ["Boundary", "ScoredBoundary", "clamp", "iou", "__version__"]
+__all__ = ["Boundary", "ScoredBoundary", "iou", "__version__"]

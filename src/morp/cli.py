@@ -28,10 +28,6 @@ from .refine import AdjustParams, CleanParams, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
 
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
 def _list_option(text, typ, name):
     """A comma-separated list option; an empty list or an entry that
     does not parse as ``typ`` is a ConfigError naming the option."""
@@ -44,7 +40,8 @@ def _list_option(text, typ, name):
     return values
 
 
-# name, type, default, help
+# name, type, default, help; a ``list`` option takes comma-separated
+# floats
 COMMON_OPTS = [
     ("seed", int, 0, "base random seed (default: 0)"),
     ("threads", int, 1, "accepted for compatibility; the value changes "
@@ -84,7 +81,7 @@ CORRECT_OPTS = [
     ("u", int, 5, "predictions per query per epoch (default: 5)"),
 ]
 EVAL_OPTS = [
-    ("thresholds", _float_list, [0.3, 0.5, 0.7],
+    ("thresholds", list, [0.3, 0.5, 0.7],
      "IoU thresholds for R@m (default: 0.3,0.5,0.7)"),
 ]
 
@@ -92,8 +89,9 @@ EVAL_OPTS = [
 def _add_opts(parser, opts):
     for name, typ, default, help_text in opts:
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=typ, default=None,
-                            help=help_text)
+        # a list flag's text is parsed by _resolve, inside main's try
+        parser.add_argument(flag, dest=name, type=None if typ is list else typ,
+                            default=None, help=help_text)
 
 
 def _is_number(x, kinds=(int, float)):
@@ -104,15 +102,18 @@ def _parse(typ, raw, name, source):
     """An option's value from an environment or config-file entry."""
     if not isinstance(raw, str):
         # JSON config values arrive typed: null leaves the option unset,
-        # a number must fit it, and a list option takes a list of numbers
-        if typ is _float_list:
-            fits = isinstance(raw, list) and all(map(_is_number, raw))
+        # a number must fit it, and a list option takes a nonempty list
+        # of numbers
+        if typ is list:
+            fits = isinstance(raw, list) and raw and all(map(_is_number, raw))
         else:
             fits = _is_number(raw, (int,) if typ is int else (int, float))
         if raw is not None and not fits:
             raise ConfigError(f"bad {source} value for {name}", option=name,
                               value=raw, source=source)
         return raw
+    if typ is list:
+        return _list_option(raw, float, name)
     try:
         return typ(raw)
     except ValueError:
@@ -125,6 +126,8 @@ def _resolve(args, opts, config):
     out = {}
     for name, typ, default, _ in opts:
         value = getattr(args, name, None)
+        if value is not None and typ is list:
+            value = _list_option(value, float, name)
         if value is None:
             env_name = "MORP_" + name.upper()
             env = os.environ.get(env_name)

@@ -134,33 +134,6 @@ def select_insert(preds) -> ScoredBoundary:
 
 
 @dataclass(frozen=True)
-class TargetBlend:
-    """The two weighted targets a downstream trainer consumes.
-
-    The targets are Boundaries for one annotation, or (A, 2) arrays of
-    [start, end) rows when :func:`run_correction` hands a trainer a
-    whole epoch.
-    """
-
-    consensus_target: Boundary
-    refined_target: Boundary
-    consensus_weight: float
-    refined_weight: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.consensus_weight <= 1.0):
-            raise ContractViolation("blend weight out of range")
-
-
-def compose_targets(consensus, refined, lam: float) -> TargetBlend:
-    """Weight the consensus pick by lambda and the refined seed by 1 - lambda."""
-    if not (0.0 <= lam <= 1.0):
-        raise ContractViolation("lambda must lie in [0, 1]", value=lam)
-    return TargetBlend(consensus_target=consensus, refined_target=refined,
-                       consensus_weight=lam, refined_weight=1.0 - lam)
-
-
-@dataclass(frozen=True)
 class CorrectionParams:
     epochs: int = 15
     lam: float = 0.7
@@ -235,11 +208,10 @@ class CorrectionTrace:
 
     def add_epoch(self, epoch: int, bank_size: int, inserted, consensus,
                   predictions: EpochPredictions) -> None:
-        """Append one epoch's columns, as copies, so that later changes
-        to the caller's arrays do not reach the trace."""
+        """Append one epoch's columns; the arrays are stored, not copied."""
         self.epochs.append(_TraceEpoch(
-            epoch, bank_size, np.array(inserted), np.array(consensus),
-            EpochPredictions(*(np.array(a) for a in predictions))))
+            epoch, bank_size, np.asarray(inserted), np.asarray(consensus),
+            EpochPredictions(*map(np.asarray, predictions))))
 
     @property
     def records(self):
@@ -321,8 +293,7 @@ def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
 
 
 def run_correction(manifest: CorpusManifest, predictor,
-                   params: CorrectionParams, trainer=None,
-                   tracks: Optional[dict] = None):
+                   params: CorrectionParams, tracks: Optional[dict] = None):
     """Run the epoch loop over a refined corpus.
 
     Every annotation must arrive with status ``adjusted``.  For each
@@ -343,12 +314,6 @@ def run_correction(manifest: CorpusManifest, predictor,
     for this corpus (by refinement, say); a predictor that needs tracks
     computes them from the feature files when it is None, and one that
     replays a file reads no feature file.
-
-    ``trainer``, when given, stands in for a model trained on the
-    corrected targets.  Its ``update(epoch, ids, blend, predictions)``
-    is called once per epoch with the epoch's :class:`TargetBlend`,
-    whose targets are (A, 2) arrays of (consensus pick, adjusted seed)
-    rows, and the epoch's predictions; row i belongs to ``ids[i]``.
     """
     for ann in manifest.annotations:
         if ann.status != "adjusted":
@@ -364,13 +329,12 @@ def run_correction(manifest: CorpusManifest, predictor,
 
     A = len(anns)
     T = np.array([a.boundary_frames.timeline_len for a in anns], dtype=np.int64)
-    refined = np.array([a.boundary_frames.as_tuple() for a in anns],
-                       dtype=np.int64).reshape(A, 2)
     # the bank never holds more than the seed and one insert per epoch
     width = min(params.capacity, params.epochs + 1)
     bank_start = np.zeros((A, width), dtype=np.int64)
     bank_end = np.zeros((A, width), dtype=np.int64)
-    bank_start[:, 0], bank_end[:, 0] = refined.T
+    bank_start[:, 0] = [a.boundary_frames.start for a in anns]
+    bank_end[:, 0] = [a.boundary_frames.end for a in anns]
     n = 1
     all_rows = np.arange(A)
 
@@ -393,10 +357,6 @@ def run_correction(manifest: CorpusManifest, predictor,
         pick = consensus_picks(bank_start[:, :n], bank_end[:, :n])
         consensus = np.stack([bank_start[all_rows, pick],
                               bank_end[all_rows, pick]], axis=1)
-        if trainer is not None:
-            trainer.update(epoch, ids,
-                           compose_targets(consensus, refined, params.lam),
-                           preds)
         trace.add_epoch(epoch, n, inserted, consensus, preds)
 
     corrected = tuple(

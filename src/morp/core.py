@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContractViolation, DegenerateIntervalError
+from .errors import ContractViolation
 
 
 @dataclass(frozen=True, order=True)
@@ -80,23 +80,3 @@ def iou(a: Boundary, b: Boundary) -> float:
     union = a.length + b.length - inter
     return inter / union
 
-
-def clamp(start: int, end: int, timeline_len: int) -> Boundary:
-    """Clamp a proposed interval to [0, timeline_len) and return a Boundary.
-
-    Raises DegenerateIntervalError when the interval lies fully outside
-    the timeline or collapses to zero length after clamping.
-    """
-    if timeline_len < 1:
-        raise ContractViolation("timeline must hold at least one frame",
-                                timeline_len=timeline_len)
-    s = max(int(start), 0)
-    e = min(int(end), timeline_len)
-    if e <= s:
-        raise DegenerateIntervalError(
-            "interval does not overlap the timeline",
-            start=start,
-            end=end,
-            timeline_len=timeline_len,
-        )
-    return Boundary(s, e, timeline_len)

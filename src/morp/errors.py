@@ -27,12 +27,6 @@ class ContractViolation(MorpError):
     code = "contract_violation"
 
 
-class DegenerateIntervalError(MorpError):
-    """An interval collapsed to zero length or lies fully out of range."""
-
-    code = "degenerate_interval"
-
-
 class FormatError(MorpError):
     """Bad magic bytes or otherwise unparseable binary input."""
 

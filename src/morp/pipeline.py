@@ -41,8 +41,7 @@ def evaluate_manifest(manifest: CorpusManifest,
 
 
 def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
-                 adjust_params: AdjustParams, correction_params: CorrectionParams,
-                 proposal_params: ProposalParams = None):
+                 adjust_params: AdjustParams, correction_params: CorrectionParams):
     """refine + correct; returns (refined, refine_report, corrected, trace).
 
     The similarity tracks are computed once and shared by both stages.
@@ -50,7 +49,7 @@ def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
     tracks = compute_tracks(manifest)
     refined, report = refine_corpus(manifest, clean_params, adjust_params,
                                     tracks=tracks)
-    predictor = SlidingWindowPredictor(proposal_params or ProposalParams(
+    predictor = SlidingWindowPredictor(ProposalParams(
         stride=adjust_params.delta, jitter=adjust_params.delta))
     corrected, trace = run_correction(refined, predictor, correction_params,
                                       tracks=tracks)

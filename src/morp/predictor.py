@@ -55,14 +55,12 @@ per epoch.  :class:`SlidingWindowPredictor` hands out a
 :class:`ProposalBatch`, which fills the arrays directly;
 :class:`FilePredictor` gathers them from a JSON-lines file it parses
 once, and needs only each annotation's timeline length, never its
-features; a subclass of :class:`AnnotationPredictor` answers one
-annotation at a time, and its lists are checked and packed into them.
+features.
 """
 
 from __future__ import annotations
 
 import json
-from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -590,14 +588,6 @@ class ProposalBatch:
         return out
 
 
-def _track_rows(manifest, ids, tracks):
-    """The similarity track of each of ``ids``, in order: from ``tracks``
-    when the caller has them, else computed from the feature files."""
-    if tracks is None:
-        tracks = compute_tracks(manifest)
-    return [tracks[i] for i in ids]
-
-
 class SlidingWindowPredictor:
     """The default predictor: :func:`propose` with fixed params, computed
     a whole epoch at a time by a :class:`ProposalBatch`."""
@@ -608,56 +598,10 @@ class SlidingWindowPredictor:
     def epoch_source(self, manifest, ids, seeds, tracks):
         """``ProposalBatch.propose`` over the tracks of ``ids``, where
         ``seeds[i]`` seeds ``ids[i]``'s jitter."""
-        return ProposalBatch(_track_rows(manifest, ids, tracks), seeds,
+        if tracks is None:
+            tracks = compute_tracks(manifest)
+        return ProposalBatch([tracks[i] for i in ids], seeds,
                              self.params).propose
-
-
-def _check_scored(preds, U, T, annotation_id, epoch):
-    if not preds or len(preds) > U:
-        raise PredictorError("predictor returned a bad prediction count",
-                             annotation_id=annotation_id, epoch=epoch,
-                             count=len(preds) if preds else 0, U=U)
-    for p in preds:
-        if not isinstance(p, ScoredBoundary):
-            raise PredictorError("predictor returned a non-ScoredBoundary",
-                                 annotation_id=annotation_id, epoch=epoch)
-        if p.boundary.timeline_len != T:
-            raise PredictorError("prediction on the wrong timeline",
-                                 annotation_id=annotation_id, epoch=epoch,
-                                 got=p.boundary.timeline_len, expected=T)
-
-
-class AnnotationPredictor(ABC):
-    """Base of the predictors that answer one annotation at a time.
-
-    A subclass defines :meth:`for_annotation`.  Its :meth:`epoch_source`
-    asks it for every annotation in order, checks each list (1..U
-    :class:`ScoredBoundary` entries on the annotation's timeline) and
-    packs the lists into :class:`EpochPredictions`.
-    """
-
-    @abstractmethod
-    def for_annotation(self, annotation_id, track: SimilarityTrack, U: int,
-                       epoch: int):
-        """Up to U :class:`ScoredBoundary` proposals for one annotation."""
-
-    def epoch_source(self, manifest, ids, seeds, tracks):
-        rows = list(zip(ids, _track_rows(manifest, ids, tracks)))
-
-        def propose(U: int, epoch: int) -> EpochPredictions:
-            out = EpochPredictions.empty(len(rows), U)
-            for i, (annotation_id, track) in enumerate(rows):
-                preds = self.for_annotation(annotation_id, track, U, epoch)
-                _check_scored(preds, U, track.num_frames, annotation_id,
-                              epoch)
-                k = len(preds)
-                out.start[i, :k] = [p.boundary.start for p in preds]
-                out.end[i, :k] = [p.boundary.end for p in preds]
-                out.confidence[i, :k] = [p.confidence for p in preds]
-                out.count[i] = k
-            return out
-
-        return propose
 
 
 class FilePredictor:

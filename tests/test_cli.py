@@ -626,7 +626,7 @@ class TestErrors:
         assert json.loads(err)["code"] == "config_error"
 
     @pytest.mark.parametrize("thresholds", [[0.5, "a"], 5, "0.5,a", [0.5, True],
-                                            [[0.5]], {"m": 0.5}])
+                                            [[0.5]], {"m": 0.5}, []])
     def test_bad_config_thresholds(self, tmp_path, capsys, thresholds):
         manifest = make_corpus(tmp_path, capsys)
         path = tmp_path / "cfg.json"
@@ -638,6 +638,28 @@ class TestErrors:
         obj = json.loads(err)
         assert obj["code"] == "config_error"
         assert obj["context"]["option"] == "thresholds"
+
+    @pytest.mark.parametrize("source,thresholds", [("flag", ","),
+                                                   ("flag", "a"),
+                                                   ("env", ",")])
+    def test_bad_thresholds(self, tmp_path, capsys, monkeypatch, source,
+                            thresholds):
+        """A threshold list from a flag or MORP_THRESHOLDS that is empty
+        or does not parse is one config_error line, like --values."""
+        manifest = make_corpus(tmp_path, capsys)
+        argv = ["evaluate", "--manifest", str(manifest)]
+        if source == "flag":
+            argv += ["--thresholds", thresholds]
+        else:
+            monkeypatch.setenv("MORP_THRESHOLDS", thresholds)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        obj = json.loads(err)
+        assert obj["code"] == "config_error"
+        assert obj["context"] == {"option": "thresholds",
+                                  "value": thresholds}
 
     def test_output_parent_dirs_created(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)

@@ -8,14 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from morp.core import Boundary, ScoredBoundary
 from morp.errors import ContractViolation, PredictorError
-from morp.predictor import AnnotationPredictor
+from morp.predictor import EpochPredictions
 from morp.consensus import (
     CONSENSUS_ROWS,
     CorrectionParams,
     MemoryBank,
     TraceRecord,
     annotation_seed,
-    compose_targets,
     consensus_picks,
     consensus_scores,
     run_correction,
@@ -134,24 +133,6 @@ class TestMemoryBank:
             MemoryBank("x", [])
 
 
-class TestComposeTargets:
-    def test_weights(self):
-        blend = compose_targets(b(0, 10), b(2, 8), 0.7)
-        assert blend.consensus_target == b(0, 10)
-        assert blend.refined_target == b(2, 8)
-        assert blend.consensus_weight == pytest.approx(0.7)
-        assert blend.refined_weight == pytest.approx(0.3)
-
-    @pytest.mark.parametrize("lam", [0.0, 1.0])
-    def test_extremes(self, lam):
-        blend = compose_targets(b(0, 10), b(2, 8), lam)
-        assert blend.consensus_weight + blend.refined_weight == pytest.approx(1.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            compose_targets(b(0, 10), b(2, 8), 1.5)
-
-
 class TestConsensusOracle:
     @settings(max_examples=300)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -221,14 +202,25 @@ def make_refined_corpus(tmp_path, n_videos=4, seed=0):
     return refined
 
 
-class EchoPredictor(AnnotationPredictor):
-    """Returns a fixed boundary per annotation with confidence 1."""
+class EchoPredictor:
+    """Predicts a fixed boundary per annotation, with confidence 1, every
+    epoch."""
 
     def __init__(self, table):
         self.table = table
 
-    def for_annotation(self, annotation_id, track, U, epoch):
-        return [ScoredBoundary(self.table[annotation_id], 1.0)]
+    def epoch_source(self, manifest, ids, seeds, tracks):
+        start = [self.table[i].start for i in ids]
+        end = [self.table[i].end for i in ids]
+
+        def predict(U, epoch):
+            out = EpochPredictions.empty(len(ids), U)
+            out.start[:, 0], out.end[:, 0] = start, end
+            out.confidence[:, 0] = 1.0
+            out.count[:] = 1
+            return out
+
+        return predict
 
 
 class TestRunCorrection:
@@ -264,28 +256,26 @@ class TestRunCorrection:
         with pytest.raises(ContractViolation):
             run_correction(raw, EchoPredictor({}), CorrectionParams(epochs=1))
 
-    def test_predictor_error_identifies_annotation_and_epoch(self, tmp_path):
-        refined = make_refined_corpus(tmp_path)
-
-        class WrongTimeline(AnnotationPredictor):
-            def for_annotation(self, annotation_id, track, U, epoch):
-                return [ScoredBoundary(Boundary(0, 5, 999), 1.0)]
-
-        with pytest.raises(PredictorError) as err:
-            run_correction(refined, WrongTimeline(), CorrectionParams(epochs=1))
-        assert "annotation_id" in err.value.context
-        assert err.value.context["epoch"] == 1
-
     def test_too_many_predictions_rejected(self, tmp_path):
         refined = make_refined_corpus(tmp_path)
 
-        class TooMany(AnnotationPredictor):
-            def for_annotation(self, annotation_id, track, U, epoch):
-                tl = track.num_frames
-                return [ScoredBoundary(Boundary(0, 5, tl), 0.5)] * (U + 1)
+        class TooMany:
+            def epoch_source(self, manifest, ids, seeds, tracks):
+                def predict(U, epoch):
+                    out = EpochPredictions.empty(len(ids), U)
+                    out.end[:] = 5
+                    out.confidence[:] = 0.5
+                    out.count[:] = U + 1
+                    return out
 
-        with pytest.raises(PredictorError):
-            run_correction(refined, TooMany(), CorrectionParams(epochs=1))
+                return predict
+
+        with pytest.raises(PredictorError) as err:
+            run_correction(refined, TooMany(),
+                           CorrectionParams(epochs=1, predictions_per_query=3))
+        assert "bad prediction count" in err.value.message
+        assert err.value.context["count"] == 4
+        assert err.value.context["U"] == 3
 
     def test_schedule_independence(self, tmp_path):
         """Reversing the manifest's annotation order changes nothing."""
@@ -309,20 +299,23 @@ class TestRunCorrection:
     def test_batched_proposals_match_per_annotation_loop(self, tmp_path):
         from morp.predictor import (ProposalParams, SlidingWindowPredictor,
                                     propose)
+        from morp.refine import compute_tracks
 
         refined = make_refined_corpus(tmp_path, n_videos=6, seed=2)
         params = ProposalParams(stride=3, jitter=4)
         p = CorrectionParams(epochs=4, seed=7, predictions_per_query=6)
+        tracks = compute_tracks(refined)
 
-        class OneAtATime(AnnotationPredictor):
+        class OneAtATime:
             def for_annotation(self, annotation_id, track, U, epoch):
                 seed = annotation_seed(7, annotation_id)
-                return propose(track, U, epoch, seed, params)
+                return propose(tracks[annotation_id], U, epoch, seed, params)
 
-        out_b, tr_b = run_correction(refined, SlidingWindowPredictor(params), p)
-        out_l, tr_l = run_correction(refined, OneAtATime(), p)
-        assert out_b.annotations == out_l.annotations
-        assert tr_b.records == tr_l.records
+        out, trace = run_correction(refined, SlidingWindowPredictor(params), p)
+        final, records = reference_correction(refined, OneAtATime(), p)
+        assert {a.annotation_id: a.boundary_frames
+                for a in out.annotations} == final
+        assert trace.records == records
 
     def test_trace_is_jsonl(self, tmp_path):
         import json
@@ -390,8 +383,8 @@ def write_predictions(path, manifest, epochs, rng, max_count=6,
 
 def reference_correction(manifest, predictor, params):
     """The per-annotation loop: one MemoryBank per annotation, and
-    select_insert, select_consensus and compose_targets per (epoch,
-    annotation).  Returns ({annotation_id: final Boundary}, records)."""
+    select_insert and select_consensus per (epoch, annotation).  Returns
+    ({annotation_id: final Boundary}, records)."""
     from types import SimpleNamespace
 
     anns = sorted(manifest.annotations, key=lambda a: a.annotation_id)
@@ -409,14 +402,13 @@ def reference_correction(manifest, predictor, params):
             pick = select_insert(preds)
             bank.insert(pick.boundary)
             consensus = select_consensus(bank)
-            blend = compose_targets(consensus, ann.boundary_frames, params.lam)
             records.append(TraceRecord(
                 epoch=epoch, annotation_id=ann.annotation_id,
                 inserted=pick.boundary.as_tuple(),
                 consensus=consensus.as_tuple(),
                 bank_size=len(bank.instances),
-                consensus_weight=blend.consensus_weight,
-                refined_weight=blend.refined_weight,
+                consensus_weight=params.lam,
+                refined_weight=1.0 - params.lam,
                 predictions=tuple((p.boundary.start, p.boundary.end,
                                    p.confidence) for p in preds)))
     final = {aid: select_consensus(bank) for aid, bank in banks.items()}
@@ -453,30 +445,6 @@ class TestBatchedCorrection:
                 for a in out.annotations} == final
         assert all(a.status == "corrected" for a in out.annotations)
 
-    def test_trainer_called_once_per_epoch(self, tmp_path):
-        refined = make_refined_corpus(tmp_path)
-        table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
-                 for a in refined.annotations}
-
-        class Recorder:
-            calls = []
-
-            def update(self, epoch, annotation_ids, blend, predictions):
-                self.calls.append((epoch, list(annotation_ids),
-                                   blend.consensus_target.tolist(),
-                                   predictions.count.tolist()))
-
-        trainer = Recorder()
-        _, trace = run_correction(refined, EchoPredictor(table),
-                                  CorrectionParams(epochs=3), trainer=trainer)
-        ids = sorted(table)
-        assert [c[0] for c in trainer.calls] == [1, 2, 3]
-        for epoch, got_ids, consensus, count in trainer.calls:
-            assert got_ids == ids
-            assert count == [1] * len(ids)
-            assert consensus == [list(r.consensus) for r in trace.records
-                                 if r.epoch == epoch]
-
     def test_out_of_range_prediction_names_annotation_and_epoch(self,
                                                                 tmp_path):
         import json
@@ -503,6 +471,31 @@ class TestBatchedCorrection:
         assert err.value.context["epoch"] == 2
         assert err.value.context["confidence"] == 1.5
 
+    def test_empty_prediction_list_names_annotation_and_epoch(self,
+                                                              tmp_path):
+        import json
+
+        from morp.predictor import FilePredictor
+
+        refined = make_refined_corpus(tmp_path)
+        anns = sorted(refined.annotations, key=lambda a: a.annotation_id)
+        lines = []
+        for epoch in (1, 2):
+            for i, ann in enumerate(anns):
+                preds = [] if epoch == 2 and i == 2 else \
+                    [{"start": 0, "end": 1, "confidence": 0.5}]
+                lines.append(json.dumps({
+                    "epoch": epoch, "annotation_id": ann.annotation_id,
+                    "predictions": preds}))
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n".join(lines))
+        with pytest.raises(PredictorError) as err:
+            run_correction(refined, FilePredictor(path),
+                           CorrectionParams(epochs=2))
+        assert "bad prediction count" in err.value.message
+        assert err.value.context["annotation_id"] == anns[2].annotation_id
+        assert err.value.context["epoch"] == 2
+        assert err.value.context["count"] == 0
 
     def test_each_annotation_checked_against_its_own_timeline(self, tmp_path):
         import json
@@ -591,24 +584,3 @@ class TestTraceFormat:
         assert type(records[0].consensus_weight) is type(lam)
         expected = "".join(json.dumps(r.to_json_obj()) + "\n" for r in records)
         assert written == expected.encode("ascii")
-
-    def test_records_are_snapshots(self, tmp_path):
-        """A trainer that changes the arrays it was handed, after its
-        update call returned, changes nothing in the trace."""
-        refined = make_refined_corpus(tmp_path)
-        table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
-                 for a in refined.annotations}
-
-        class Scribbler:
-            held = []
-
-            def update(self, epoch, annotation_ids, blend, predictions):
-                for arr in self.held:
-                    arr[...] = 0
-                self.held = [blend.consensus_target, *predictions]
-
-        params = CorrectionParams(epochs=3)
-        _, clean = run_correction(refined, EchoPredictor(table), params)
-        _, scribbled = run_correction(refined, EchoPredictor(table), params,
-                                      trainer=Scribbler())
-        assert scribbled.records == clean.records

@@ -1,10 +1,10 @@
-"""Interval arithmetic: Boundary, iou, clamp."""
+"""Interval arithmetic: Boundary and iou."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from morp.core import Boundary, ScoredBoundary, clamp, iou
-from morp.errors import ContractViolation, DegenerateIntervalError
+from morp.core import Boundary, ScoredBoundary, iou
+from morp.errors import ContractViolation
 
 
 def bounds(timeline=50):
@@ -69,27 +69,3 @@ class TestIou:
         disjoint = a.end <= b.start or b.end <= a.start
         assert (iou(a, b) == 0.0) == disjoint
 
-
-class TestClamp:
-    def test_lower(self):
-        assert clamp(-3, 5, 10) == Boundary(0, 5, 10)
-
-    def test_upper(self):
-        assert clamp(2, 99, 10) == Boundary(2, 10, 10)
-
-    def test_fully_outside(self):
-        with pytest.raises(DegenerateIntervalError):
-            clamp(12, 15, 10)
-
-    def test_collapses_to_zero(self):
-        with pytest.raises(DegenerateIntervalError):
-            clamp(-5, 0, 10)
-
-    @given(st.integers(-30, 60), st.integers(-30, 60))
-    def test_idempotent(self, s, e):
-        try:
-            first = clamp(s, e, 40)
-        except DegenerateIntervalError:
-            return
-        again = clamp(first.start, first.end, 40)
-        assert again == first
