@@ -313,6 +313,28 @@ class TestEvaluateAndStats:
         assert 0.0 <= obj["mean_iou"] <= 100.0
         assert "mIoU" in out
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_thresholds_from_each_source(self, tmp_path, capsys, monkeypatch,
+                                         source):
+        """A flag and MORP_THRESHOLDS take comma-separated text, a
+        config file a JSON list; each sets the thresholds reported."""
+        manifest = make_corpus(tmp_path, capsys)
+        json_out = tmp_path / "metrics.json"
+        argv = ["evaluate", "--manifest", str(manifest),
+                "--json", str(json_out)]
+        if source == "flag":
+            argv += ["--thresholds", " 0.25, 0.6"]
+        elif source == "env":
+            monkeypatch.setenv("MORP_THRESHOLDS", "0.25,0.6,")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"thresholds": [0.25, 0.6]}))
+            argv = ["--config", str(cfg)] + argv
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        obj = json.loads(json_out.read_text())
+        assert set(obj["recall_at"]) == {"0.25", "0.6"}
+
     def test_stats(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)
         json_out = tmp_path / "stats.json"

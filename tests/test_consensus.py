@@ -256,6 +256,57 @@ class TestRunCorrection:
         with pytest.raises(ContractViolation):
             run_correction(raw, EchoPredictor({}), CorrectionParams(epochs=1))
 
+    def test_predictor_error_identifies_annotation_and_epoch(self, tmp_path):
+        refined = make_refined_corpus(tmp_path)
+        ids = sorted(a.annotation_id for a in refined.annotations)
+
+        class WrongTimeline:
+            """Ends one annotation's prediction past its timeline."""
+
+            def epoch_source(self, manifest, ids, seeds, tracks):
+                def predict(U, epoch):
+                    out = EpochPredictions.empty(len(ids), U)
+                    out.end[:, 0] = [5, 999] + [5] * (len(ids) - 2)
+                    out.confidence[:, 0] = 1.0
+                    out.count[:] = 1
+                    return out
+
+                return predict
+
+        with pytest.raises(PredictorError) as err:
+            run_correction(refined, WrongTimeline(), CorrectionParams(epochs=1))
+        assert err.value.context["annotation_id"] == ids[1]
+        assert err.value.context["epoch"] == 1
+        assert err.value.context["end"] == 999
+
+    def test_epoch_source_built_once_and_called_per_epoch(self, tmp_path):
+        """run_correction asks for one source, over the sorted ids and
+        their annotation seeds, and calls it once per epoch with U."""
+        refined = make_refined_corpus(tmp_path)
+        table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
+                 for a in refined.annotations}
+        echo = EchoPredictor(table)
+        builds, calls = [], []
+
+        class Recorder:
+            def epoch_source(self, manifest, ids, seeds, tracks):
+                builds.append((list(ids), list(seeds), tracks))
+                predict = echo.epoch_source(manifest, ids, seeds, tracks)
+
+                def recorded(U, epoch):
+                    calls.append((U, epoch))
+                    return predict(U, epoch)
+
+                return recorded
+
+        params = CorrectionParams(epochs=3, seed=11, predictions_per_query=4)
+        _, trace = run_correction(refined, Recorder(), params)
+        ids = sorted(table)
+        assert builds == [(ids, [annotation_seed(11, i) for i in ids], None)]
+        assert calls == [(4, 1), (4, 2), (4, 3)]
+        assert [r.epoch for r in trace.records] == \
+            [e for e in (1, 2, 3) for _ in ids]
+
     def test_too_many_predictions_rejected(self, tmp_path):
         refined = make_refined_corpus(tmp_path)
 
@@ -497,6 +548,26 @@ class TestBatchedCorrection:
         assert err.value.context["epoch"] == 2
         assert err.value.context["count"] == 0
 
+    @pytest.mark.parametrize("kind", ["sliding_window", "file"])
+    def test_epoch_source_returns_fresh_arrays(self, tmp_path, kind):
+        """The trace stores the arrays a source returns, so no epoch's
+        arrays may be the memory of another's."""
+        from morp.predictor import FilePredictor, SlidingWindowPredictor
+
+        refined = make_refined_corpus(tmp_path)
+        if kind == "file":
+            path = write_predictions(tmp_path / "p.jsonl", refined, 2,
+                                     np.random.default_rng(0))
+            predictor = FilePredictor(path)
+        else:
+            predictor = SlidingWindowPredictor()
+        ids = sorted(a.annotation_id for a in refined.annotations)
+        seeds = [annotation_seed(0, i) for i in ids]
+        predict = predictor.epoch_source(refined, ids, seeds, None)
+        first, second = predict(5, 1), predict(5, 2)
+        for a, b_ in zip(first, second):
+            assert not np.shares_memory(a, b_)
+
     def test_each_annotation_checked_against_its_own_timeline(self, tmp_path):
         import json
 
@@ -548,6 +619,18 @@ ODD_CONFIDENCES = [5e-324, 1e-05, 0.1 + 0.2, 0.0, -0.0, 1.0]
 
 class TestTraceFormat:
     """CorrectionTrace.write is byte-equal to json.dumps of every record."""
+
+    def test_add_epoch_takes_lists(self):
+        from morp.consensus import CorrectionTrace
+
+        trace = CorrectionTrace(["a", "b"], 0.7, 0.3)
+        trace.add_epoch(1, 2, [[0, 4], [1, 3]], [[0, 5], [1, 3]],
+                        EpochPredictions([[0, 9], [1, 9]], [[4, 9], [3, 9]],
+                                         [[0.5, 0.0], [1.0, 0.0]], [1, 1]))
+        assert trace.records == [
+            TraceRecord(1, "a", (0, 4), (0, 5), 2, 0.7, 0.3, ((0, 4, 0.5),)),
+            TraceRecord(1, "b", (1, 3), (1, 3), 2, 0.7, 0.3, ((1, 3, 1.0),)),
+        ]
 
     @settings(max_examples=80, deadline=None)
     @given(ids=st.lists(st.sampled_from(ODD_IDS) | st.text(max_size=5),
