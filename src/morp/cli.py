@@ -86,12 +86,17 @@ EVAL_OPTS = [
 ]
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _add_opts(parser, opts):
-    for name, typ, default, help_text in opts:
-        flag = "--" + name.replace("_", "-")
-        # a list flag's text is parsed by _resolve, inside main's try
-        parser.add_argument(flag, dest=name, type=None if typ is list else typ,
-                            default=None, help=help_text)
+    """Register each option as a text flag; ``_resolve`` parses the text
+    as it parses MORP_* and config values.  The list is kept on the
+    subparser, so it is the one place a command's options are named."""
+    parser.set_defaults(opts=opts)
+    for name, _, _, help_text in opts:
+        parser.add_argument(_flag(name), dest=name, help=help_text)
 
 
 def _is_number(x, kinds=(int, float)):
@@ -99,16 +104,15 @@ def _is_number(x, kinds=(int, float)):
 
 
 def _parse(typ, raw, name, source):
-    """An option's value from an environment or config-file entry."""
+    """An option's value from a flag, environment or config-file entry."""
     if not isinstance(raw, str):
-        # JSON config values arrive typed: null leaves the option unset,
-        # a number must fit it, and a list option takes a nonempty list
-        # of numbers
+        # JSON config values arrive typed: a number must fit the option,
+        # and a list option takes a nonempty list of numbers
         if typ is list:
             fits = isinstance(raw, list) and raw and all(map(_is_number, raw))
         else:
             fits = _is_number(raw, (int,) if typ is int else (int, float))
-        if raw is not None and not fits:
+        if not fits:
             raise ConfigError(f"bad {source} value for {name}", option=name,
                               value=raw, source=source)
         return raw
@@ -121,24 +125,21 @@ def _parse(typ, raw, name, source):
                           option=name, value=raw, source=source) from None
 
 
-def _resolve(args, opts, config):
-    """flags > MORP_* environment > config file > built-in default."""
-    out = {}
-    for name, typ, default, _ in opts:
-        value = getattr(args, name, None)
-        if value is not None and typ is list:
-            value = _list_option(value, float, name)
-        if value is None:
-            env_name = "MORP_" + name.upper()
-            env = os.environ.get(env_name)
-            if env is not None:
-                value = _parse(typ, env, name, env_name)
-        if value is None and name in config:
-            value = _parse(typ, config[name], name, "config file")
-        if value is None:
-            value = default
-        out[name] = value
-    return out
+def _resolve(args, config):
+    """The command's options, each from the first source that sets it:
+    flag > MORP_* environment > config file (null leaves it unset) >
+    built-in default."""
+    cfg = {}
+    for name, typ, default, _ in args.opts:
+        env = "MORP_" + name.upper()
+        cfg[name] = default
+        for raw, source in ((getattr(args, name), _flag(name)),
+                            (os.environ.get(env), env),
+                            (config.get(name), "config file")):
+            if raw is not None:
+                cfg[name] = _parse(typ, raw, name, source)
+                break
+    return cfg
 
 
 def _parent_dirs(*paths):
@@ -248,8 +249,7 @@ def _synth_spec(cfg) -> SynthSpec:
     )
 
 
-def _cmd_synth(args, config):
-    cfg = _resolve(args, SYNTH_OPTS + COMMON_OPTS, config)
+def _cmd_synth(args, cfg):
     spec = _synth_spec(cfg)
     manifest = generate_corpus(spec, args.out)
     manifest = replace(manifest, provenance=_provenance(cfg))
@@ -259,8 +259,7 @@ def _cmd_synth(args, config):
     return 0
 
 
-def _cmd_refine(args, config):
-    cfg = _resolve(args, REFINE_OPTS + COMMON_OPTS, config)
+def _cmd_refine(args, cfg):
     manifest = read_manifest(args.manifest)
     refined, report = refine_corpus(manifest, CleanParams(cfg["clean_ratio"]),
                                     _adjust_params(cfg))
@@ -277,8 +276,7 @@ def _cmd_refine(args, config):
     return 0
 
 
-def _cmd_correct(args, config):
-    cfg = _resolve(args, CORRECT_OPTS + REFINE_OPTS + COMMON_OPTS, config)
+def _cmd_correct(args, cfg):
     manifest = read_manifest(args.manifest)
     if args.predictions:
         predictor = FilePredictor(args.predictions)
@@ -297,8 +295,7 @@ def _cmd_correct(args, config):
     return 0
 
 
-def _cmd_pipeline(args, config):
-    cfg = _resolve(args, REFINE_OPTS + CORRECT_OPTS + COMMON_OPTS, config)
+def _cmd_pipeline(args, cfg):
     manifest = read_manifest(args.manifest)
     os.makedirs(args.out_dir, exist_ok=True)
     refined, report, corrected, trace = run_pipeline(
@@ -317,10 +314,9 @@ def _cmd_pipeline(args, config):
     return 0
 
 
-def _cmd_evaluate(args, config):
-    cfg = _resolve(args, EVAL_OPTS + COMMON_OPTS, config)
-    manifest = read_manifest(args.manifest)
-    report = evaluate_manifest(manifest, tuple(cfg["thresholds"]))
+def _print_report(report, args, cfg):
+    """The report's JSON with provenance, a blank line and its text
+    table on stdout; the JSON also goes to --json when given."""
     obj = report.to_json_obj()
     obj["provenance"] = _provenance(cfg)
     print(json.dumps(obj, indent=2))
@@ -331,23 +327,17 @@ def _cmd_evaluate(args, config):
     return 0
 
 
-def _cmd_stats(args, config):
-    cfg = _resolve(args, COMMON_OPTS, config)
+def _cmd_evaluate(args, cfg):
     manifest = read_manifest(args.manifest)
-    stats = corpus_stats(manifest)
-    obj = stats.to_json_obj()
-    obj["provenance"] = _provenance(cfg)
-    print(json.dumps(obj, indent=2))
-    print()
-    print(stats.to_text_table())
-    if args.json_out:
-        write_json(obj, args.json_out)
-    return 0
+    return _print_report(evaluate_manifest(manifest, tuple(cfg["thresholds"])),
+                         args, cfg)
 
 
-def _cmd_sweep(args, config):
-    cfg = _resolve(args, SYNTH_OPTS + REFINE_OPTS + CORRECT_OPTS + COMMON_OPTS,
-                   config)
+def _cmd_stats(args, cfg):
+    return _print_report(corpus_stats(read_manifest(args.manifest)), args, cfg)
+
+
+def _cmd_sweep(args, cfg):
     knob = args.knob.replace("-", "_")
     values = _list_option(args.values, float if knob == "clean_ratio"
                           else int, "values")
@@ -356,14 +346,7 @@ def _cmd_sweep(args, config):
                    clean_ratio=cfg["clean_ratio"],
                    adjust_params=_adjust_params(cfg),
                    correction_params=_correction_params(cfg))
-    obj = result.to_json_obj()
-    obj["provenance"] = _provenance(cfg)
-    print(json.dumps(obj, indent=2))
-    print()
-    print(result.to_text_table())
-    if args.json_out:
-        write_json(obj, args.json_out)
-    return 0
+    return _print_report(result, args, cfg)
 
 
 COMMANDS = {
@@ -407,11 +390,10 @@ def _print_error(obj) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[args.command](args, _resolve(args, config))
     except MorpError as exc:
         return _print_error(exc.to_json_obj())
     except FileNotFoundError as exc:

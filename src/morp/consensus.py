@@ -248,7 +248,7 @@ def _format_epoch(ep: _TraceEpoch, ids, weights) -> str:
     head = f'{{"epoch": {ep.epoch}, "annotation_id": '
     tail = f', "bank_size": {ep.bank_size}, {weights}"predictions": [['
     preds = ep.predictions
-    U = preds.start.shape[1]
+    width = preds.start.shape[1]
     triples = list(map("{}, {}, {!r}".format, preds.start.ravel().tolist(),
                        preds.end.ravel().tolist(),
                        preds.confidence.ravel().tolist()))
@@ -257,7 +257,7 @@ def _format_epoch(ep: _TraceEpoch, ids, weights) -> str:
         f'{tail}{"], [".join(triples[lo:lo + k])}]]}}\n'
         for aid, (i0, i1), (c0, c1), lo, k in zip(
             ids, ep.inserted.tolist(), ep.consensus.tolist(),
-            range(0, len(triples), U), preds.count.tolist())
+            range(0, len(triples), width), preds.count.tolist())
     ])
 
 

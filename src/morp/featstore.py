@@ -187,8 +187,9 @@ class PseudoAnnotation:
     """One (query, temporal boundary) training record.
 
     ``boundary_frames`` is derived from ``boundary_seconds`` at load time
-    and is authoritative inside the pipeline; ``boundary_seconds`` is
-    refreshed from it when the record is serialized.
+    and is authoritative inside the pipeline.  Serialization writes
+    ``boundary_seconds`` as stored, so a boundary changes only through
+    :func:`with_updated_boundary`, which sets the two together.
     """
 
     annotation_id: str

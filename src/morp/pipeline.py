@@ -9,7 +9,7 @@ from .consensus import CorrectionParams, run_correction
 from .core import iou
 from .errors import ContractViolation
 from .featstore import CorpusManifest, derive_boundary_frames
-from .metrics import MetricReport, metric_report
+from .metrics import MetricReport, _align, metric_report
 from .predictor import ProposalParams, SlidingWindowPredictor
 from .refine import AdjustParams, CleanParams, compute_tracks, refine_corpus
 from .synth import SynthSpec, generate_corpus
@@ -114,9 +114,7 @@ class SweepResult:
     def to_text_table(self) -> str:
         rows = [(self.knob, "quality")]
         rows += [(f"{v:g}", f"{m:.4f}") for v, m in zip(self.values, self.metric)]
-        widths = [max(len(r[i]) for r in rows) for i in range(2)]
-        return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-                         for r in rows)
+        return _align(rows)
 
 
 def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,

@@ -47,12 +47,12 @@ floating-point operations in :func:`propose`'s order, so the results
 are the same.
 
 Correction consumes predictions one epoch at a time, as
-:class:`EpochPredictions`: padded (A, U) start/end/confidence arrays over
-all annotations plus a per-row count.  Every predictor has one method,
-``epoch_source(manifest, ids, seeds, tracks)``, which returns the
-callable ``(U, epoch) -> EpochPredictions`` that correction calls once
-per epoch.  :class:`SlidingWindowPredictor` hands out a
-:class:`ProposalBatch`, which fills the arrays directly;
+:class:`EpochPredictions`: padded start/end/confidence arrays over all
+annotations, at most U columns wide, plus a per-row count.  Every
+predictor has one method, ``epoch_source(manifest, ids, seeds,
+tracks)``, which returns the callable ``(U, epoch) -> EpochPredictions``
+that correction calls once per epoch.  :class:`SlidingWindowPredictor`
+hands out a :class:`ProposalBatch`, which fills the arrays directly;
 :class:`FilePredictor` gathers them from a JSON-lines file it parses
 once, and needs only each annotation's timeline length, never its
 features.
@@ -103,9 +103,11 @@ class EpochPredictions(NamedTuple):
     """One epoch of predictions for A annotations, as padded arrays.
 
     Row i holds ``count[i]`` predictions, best first, in columns
-    ``[0, count[i])`` of the (A, U) ``start``/``end`` (int64 frames) and
+    ``[0, count[i])`` of the (A, W) ``start``/``end`` (int64 frames) and
     ``confidence`` (float64) arrays; the columns past ``count[i]`` are
-    padding and carry no meaning.
+    padding and carry no meaning.  The width W is at least 1 and at
+    least every count; a predictor makes it no wider than U or than the
+    most predictions a row can hold, so memory follows the output, not U.
     """
 
     start: np.ndarray
@@ -114,14 +116,14 @@ class EpochPredictions(NamedTuple):
     count: np.ndarray
 
     @classmethod
-    def empty(cls, A: int, U: int) -> "EpochPredictions":
-        return cls(np.zeros((A, U), dtype=np.int64),
-                   np.zeros((A, U), dtype=np.int64),
-                   np.zeros((A, U), dtype=np.float64),
+    def empty(cls, A: int, W: int) -> "EpochPredictions":
+        return cls(np.zeros((A, W), dtype=np.int64),
+                   np.zeros((A, W), dtype=np.int64),
+                   np.zeros((A, W), dtype=np.float64),
                    np.zeros(A, dtype=np.int64))
 
     def valid(self) -> np.ndarray:
-        """(A, U) mask of the slots that hold a prediction."""
+        """(A, W) mask of the slots that hold a prediction."""
         return np.arange(self.start.shape[1]) < self.count[:, None]
 
     def tuples(self):
@@ -421,6 +423,8 @@ class _Block:
         self.win_frac = np.repeat(np.arange(len(lengths)), counts)
         self.win_len = np.repeat(np.asarray(lengths, dtype=np.int64), counts)
         self.win_first = np.cumsum([0] + counts)[:-1]
+        # the most candidates, and so survivors, a row can have
+        self.n_candidates = width + len(self.win_base)
         # tracks with neither a support run nor a usable window fraction
         self.empty = [] if lengths else \
             [i for i, runs in zip(rows, support) if not runs]
@@ -565,6 +569,7 @@ class ProposalBatch:
         ]
         self._seeds = seeds
         self._fractions = max((b.n_fractions for b in self._blocks), default=0)
+        self._widest = max((b.n_candidates for b in self._blocks), default=0)
         empty = [i for block in self._blocks for i in block.empty]
         self._empty_T = tracks[min(empty)].num_frames if empty else None
 
@@ -581,7 +586,7 @@ class ProposalBatch:
             offsets = _jitter_offsets(self._seeds, epoch, jitter, F)
         else:
             offsets = np.zeros((self._size, F), dtype=np.int64)
-        out = EpochPredictions.empty(self._size, U)
+        out = EpochPredictions.empty(self._size, max(1, min(U, self._widest)))
         for block in self._blocks:
             block.propose(U, offsets[block.rows, :block.n_fractions],
                           self.params, out)
@@ -648,6 +653,7 @@ class FilePredictor:
         self._start = self._int64(starts + [0], offsets, lines)
         self._end = self._int64(ends + [0], offsets, lines)
         self._confidence = np.asarray(confs + [0.0], dtype=np.float64)
+        self._widest = int(np.diff(self._offsets).max(initial=0))
 
     def _parse(self, line, lineno):
         """((epoch, annotation_id), starts, ends, confidences) of one line."""
@@ -699,7 +705,7 @@ class FilePredictor:
                           dtype=np.int64)
         first = self._offsets[rows]
         count = np.minimum(self._offsets[rows + 1] - first, U)
-        cols = np.arange(U)
+        cols = np.arange(max(1, min(U, self._widest)))
         idx = np.where(cols < count[:, None], first[:, None] + cols, -1)
         return EpochPredictions(self._start[idx], self._end[idx],
                                 self._confidence[idx], count)

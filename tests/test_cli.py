@@ -71,6 +71,36 @@ class TestSynth:
         assert filecmp.cmp(tmp_path / "flag_wins" / "manifest.json", ref3,
                            shallow=False)
 
+    def test_float_option_same_from_each_source(self, tmp_path, capsys,
+                                                monkeypatch):
+        """--clean-ratio text, MORP_CLEAN_RATIO text and a config-file
+        number resolve to the same float, so refined.json and its
+        config_hash are byte-identical."""
+        manifest = make_corpus(tmp_path, capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"clean_ratio": 0.3}))
+        outs = []
+        for source in ("flag", "env", "config"):
+            out = tmp_path / source / "refined.json"
+            argv = ["refine", "--manifest", str(manifest),
+                    "--out-manifest", str(out)]
+            if source == "flag":
+                argv += ["--clean-ratio", "0.3"]
+            elif source == "env":
+                monkeypatch.setenv("MORP_CLEAN_RATIO", "0.3")
+            else:
+                monkeypatch.delenv("MORP_CLEAN_RATIO")
+                argv = ["--config", str(cfg)] + argv
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            outs.append(out)
+        assert all(filecmp.cmp(outs[0], o, shallow=False) for o in outs[1:])
+        default = tmp_path / "default.json"
+        code, _, err = run(capsys, "refine", "--manifest", str(manifest),
+                           "--out-manifest", str(default))
+        assert code == 0, err
+        assert not filecmp.cmp(outs[0], default, shallow=False)
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -624,18 +654,41 @@ class TestErrors:
         obj = json.loads(err.strip())
         assert {"code", "message", "context"} <= set(obj)
 
-    @pytest.mark.parametrize("name,value", [("MORP_THREADS", "abc"),
-                                             ("MORP_CLEAN_RATIO", "0.4x")])
-    def test_bad_env_value(self, tmp_path, capsys, monkeypatch, name, value):
+    @pytest.mark.parametrize("command,name,value", [
+        ("refine", "MORP_THREADS", "abc"),
+        ("refine", "MORP_CLEAN_RATIO", "0.4x"),
+        ("stats", "--seed", "abc"),
+        ("pipeline", "--epochs", "x"),
+        ("refine", "--clean-ratio", "0.4x"),
+        ("synth", "--videos", "1.5"),
+    ])
+    def test_bad_env_value(self, tmp_path, capsys, monkeypatch, command,
+                           name, value):
+        """A value from MORP_* or a flag that does not parse as the
+        option's int or float is one config_error line naming its source."""
         manifest = make_corpus(tmp_path, capsys)
-        monkeypatch.setenv(name, value)
-        code, _, err = run(capsys, "refine", "--manifest", str(manifest),
-                           "--out-manifest", str(tmp_path / "r.json"))
+        argv = [command] + {
+            "synth": ["--out", str(tmp_path / "x")],
+            "refine": ["--manifest", str(manifest),
+                       "--out-manifest", str(tmp_path / "r.json")],
+            "pipeline": ["--manifest", str(manifest),
+                         "--out-dir", str(tmp_path / "p")],
+            "stats": ["--manifest", str(manifest)],
+        }[command]
+        if name.startswith("--"):
+            argv += [name, value]
+            option = name[2:].replace("-", "_")
+        else:
+            monkeypatch.setenv(name, value)
+            option = name[len("MORP_"):].lower()
+        code, out, err = run(capsys, *argv)
         assert code == 1
+        assert out == ""
         assert len(err.strip().splitlines()) == 1
         obj = json.loads(err)
         assert obj["code"] == "config_error"
-        assert obj["context"]["source"] == name
+        assert obj["context"] == {"option": option, "value": value,
+                                  "source": name}
 
     @pytest.mark.parametrize("cfg", [{"seed": "abc"}, {"frames": 64.5},
                                      {"videos": [3]}, [1, 2]])

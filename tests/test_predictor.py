@@ -11,8 +11,10 @@ from morp.predictor import (
     FilePredictor,
     ProposalBatch,
     ProposalParams,
+    _enumerate_windows,
     _jitter_offsets,
     _replica_draws,
+    _support_candidates,
     propose,
 )
 from morp.refine import SimilarityTrack
@@ -331,6 +333,22 @@ class TestProposalBatch:
             ProposalBatch(tracks, [0, 1, 2], p).propose(2, 1)
         assert got.value.to_json_obj() == err.to_json_obj()
 
+    def test_huge_u_is_no_wider_than_the_candidates(self):
+        """The arrays are as wide as the most candidates a row can have,
+        not U, so a huge U costs no memory."""
+        rng = np.random.default_rng(5)
+        tracks = [track_from_mapped(rng.uniform(0, 1, T))
+                  for T in (64, 64, 40)]
+        got = ProposalBatch(tracks, [1, 2, 3]).propose(10 ** 6, 1)
+        assert got.tuples() == oracle(tracks, [1, 2, 3], 10 ** 6, 1,
+                                      ProposalParams())[0]
+        # a flat track has no support run, so its candidates are the
+        # windows alone
+        windows = len(_enumerate_windows(track_from_mapped(np.zeros(64)), 1, 0,
+                                         ProposalParams(jitter=0))[0])
+        support = max(len(_support_candidates(t)) for t in tracks)
+        assert got.count.max() <= got.start.shape[1] <= windows + support
+
     def test_u_must_be_positive(self):
         batch = ProposalBatch([track_from_mapped(np.full(10, 0.5))], [0])
         with pytest.raises(ContractViolation):
@@ -418,6 +436,10 @@ class TestFilePredictor:
             fp.replay(["a0", "a1"], 2, 2)
         assert err.value.context == {"annotation_id": "a1", "epoch": 2}
         assert fp.replay([], 3, 1).start.shape == (0, 3)
+        # a huge U: as wide as the longest record, not U
+        huge = fp.replay(["a1", "a0"], 10 ** 6, 1)
+        assert huge.start.shape == (2, 3)
+        assert huge.tuples() == fp.replay(["a1", "a0"], 3, 1).tuples()
 
     @pytest.mark.parametrize("line", [
         '{"epoch": 1, "annotation_id": "a0", "predictions": [',  # bad JSON
