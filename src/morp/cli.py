@@ -28,15 +28,17 @@ from .refine import AdjustParams, CleanParams, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
 
-def _list_option(text, typ, name):
+def _list_option(text, typ, name, source):
     """A comma-separated list option; an empty list or an entry that
-    does not parse as ``typ`` is a ConfigError naming the option."""
+    does not parse as ``typ`` is a ConfigError naming the option and
+    where its text came from."""
     try:
         values = [typ(x) for x in text.split(",") if x.strip()]
     except ValueError:
         values = []
     if not values:
-        raise ConfigError(f"cannot parse --{name}", option=name, value=text)
+        raise ConfigError(f"cannot parse {source} value for {name}",
+                          option=name, value=text, source=source)
     return values
 
 
@@ -117,7 +119,7 @@ def _parse(typ, raw, name, source):
                               value=raw, source=source)
         return raw
     if typ is list:
-        return _list_option(raw, float, name)
+        return _list_option(raw, float, name, source)
     try:
         return typ(raw)
     except ValueError:
@@ -250,10 +252,8 @@ def _synth_spec(cfg) -> SynthSpec:
 
 
 def _cmd_synth(args, cfg):
-    spec = _synth_spec(cfg)
-    manifest = generate_corpus(spec, args.out)
-    manifest = replace(manifest, provenance=_provenance(cfg))
-    write_manifest(manifest, os.path.join(args.out, "manifest.json"))
+    manifest = generate_corpus(_synth_spec(cfg), args.out,
+                               provenance=_provenance(cfg))
     print(f"wrote corpus with {len(manifest.videos)} videos and "
           f"{len(manifest.annotations)} annotations to {args.out}")
     return 0
@@ -267,11 +267,8 @@ def _cmd_refine(args, cfg):
     report_path = args.report or args.out_manifest + ".report.json"
     _parent_dirs(args.out_manifest, report_path)
     write_manifest(replace(refined, provenance=prov), args.out_manifest)
-    obj = report.to_json_obj()
-    obj["provenance"] = prov
-    write_json(obj, report_path)
-    kept = sum(1 for r in report.records if r.decision == "kept")
-    print(f"kept {kept} / {len(report.records)} annotations; "
+    report.write(report_path, provenance=prov)
+    print(f"kept {len(refined.annotations)} / {len(report.ids)} annotations; "
           f"report at {report_path}")
     return 0
 
@@ -304,9 +301,8 @@ def _cmd_pipeline(args, cfg):
     prov = _provenance(cfg)
     write_manifest(replace(refined, provenance=prov),
                    os.path.join(args.out_dir, "refined.json"))
-    obj = report.to_json_obj()
-    obj["provenance"] = prov
-    write_json(obj, os.path.join(args.out_dir, "refine_report.json"))
+    report.write(os.path.join(args.out_dir, "refine_report.json"),
+                 provenance=prov)
     write_manifest(replace(corrected, provenance=prov),
                    os.path.join(args.out_dir, "corrected.json"))
     trace.write(os.path.join(args.out_dir, "trace.jsonl"))
@@ -340,8 +336,8 @@ def _cmd_stats(args, cfg):
 def _cmd_sweep(args, cfg):
     knob = args.knob.replace("-", "_")
     values = _list_option(args.values, float if knob == "clean_ratio"
-                          else int, "values")
-    seeds = _list_option(args.seeds, int, "seeds")
+                          else int, "values", "--values")
+    seeds = _list_option(args.seeds, int, "seeds", "--seeds")
     result = sweep(knob, _synth_spec(cfg), values, seeds, args.work_dir,
                    clean_ratio=cfg["clean_ratio"],
                    adjust_params=_adjust_params(cfg),

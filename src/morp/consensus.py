@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import Boundary, ScoredBoundary
 from .errors import ContractViolation, PredictorError
-from .featstore import CorpusManifest, atomic_write, with_updated_boundary
+from .featstore import CorpusManifest, atomic_write
 from .predictor import EpochPredictions
 
 
@@ -315,26 +315,27 @@ def run_correction(manifest: CorpusManifest, predictor,
     computes them from the feature files when it is None, and one that
     replays a file reads no feature file.
     """
-    for ann in manifest.annotations:
-        if ann.status != "adjusted":
-            raise ContractViolation(
-                "run_correction expects adjusted annotations",
-                annotation_id=ann.annotation_id, status=ann.status,
-            )
-    anns = sorted(manifest.annotations, key=lambda a: a.annotation_id)
-    ids = [a.annotation_id for a in anns]
+    table = manifest.annotations
+    if not set(table.status) <= {"adjusted"}:
+        i = next(i for i, s in enumerate(table.status) if s != "adjusted")
+        raise ContractViolation(
+            "run_correction expects adjusted annotations",
+            annotation_id=table.ids[i], status=table.status[i],
+        )
+    order = sorted(range(len(table)), key=table.ids.__getitem__)
+    ids = [table.ids[i] for i in order]
     U = params.predictions_per_query
     seeds = [annotation_seed(params.seed, i) for i in ids]
     predict = predictor.epoch_source(manifest, ids, seeds, tracks)
 
-    A = len(anns)
-    T = np.array([a.boundary_frames.timeline_len for a in anns], dtype=np.int64)
+    A = len(order)
+    T = table.timeline[order]
     # the bank never holds more than the seed and one insert per epoch
     width = min(params.capacity, params.epochs + 1)
     bank_start = np.zeros((A, width), dtype=np.int64)
     bank_end = np.zeros((A, width), dtype=np.int64)
-    bank_start[:, 0] = [a.boundary_frames.start for a in anns]
-    bank_end[:, 0] = [a.boundary_frames.end for a in anns]
+    bank_start[:, 0] = table.start_f[order]
+    bank_end[:, 0] = table.end_f[order]
     n = 1
     all_rows = np.arange(A)
 
@@ -359,9 +360,6 @@ def run_correction(manifest: CorpusManifest, predictor,
                               bank_end[all_rows, pick]], axis=1)
         trace.add_epoch(epoch, n, inserted, consensus, preds)
 
-    corrected = tuple(
-        with_updated_boundary(ann, Boundary(s, e, t),
-                              manifest.video_by_id(ann.video_id),
-                              status="corrected")
-        for ann, (s, e), t in zip(anns, consensus.tolist(), T.tolist()))
-    return replace(manifest, annotations=corrected), trace
+    corrected = manifest.with_boundaries(order, consensus[:, 0],
+                                         consensus[:, 1], "corrected")
+    return corrected, trace

@@ -16,6 +16,13 @@ using each video's frame count.  Relative paths resolve against the
 manifest's directory.  Text artifacts are written through
 :func:`atomic_write`, so a reader sees either the old file or the whole
 new one.
+
+In memory, a manifest's annotations are an :class:`AnnotationTable`:
+one list or int64 array per field, checked a column at a time on read
+and formatted a column at a time on write, where
+``json.dumps(manifest_to_json_obj(m), indent=2)`` is the reference
+text.  :class:`PseudoAnnotation` records are a view of the table's rows,
+built only when something iterates over it.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ import json
 import math
 import os
 import struct
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -182,14 +192,30 @@ class VideoEntry:
     feature_file_path: str
 
 
+def _check_annotation(annotation_id, boundary_seconds, status, error_tag):
+    """The checks an annotation's own fields must pass."""
+    if status not in STATUSES:
+        raise ContractViolation("unknown status", status=status)
+    if error_tag is not None and error_tag not in ERROR_TAGS:
+        raise ContractViolation("unknown error tag", tag=error_tag)
+    s, e = boundary_seconds
+    if not (0 <= s < e):
+        raise RangeError(
+            "boundary seconds must satisfy 0 <= start < end",
+            annotation_id=annotation_id, start_s=s, end_s=e,
+        )
+
+
 @dataclass(frozen=True)
 class PseudoAnnotation:
-    """One (query, temporal boundary) training record.
+    """One (query, temporal boundary) training record: a read-only view
+    of one row of an :class:`AnnotationTable`.
 
     ``boundary_frames`` is derived from ``boundary_seconds`` at load time
-    and is authoritative inside the pipeline.  Serialization writes
-    ``boundary_seconds`` as stored, so a boundary changes only through
-    :func:`with_updated_boundary`, which sets the two together.
+    and is authoritative inside the pipeline.  The pipeline works on the
+    table's columns and builds no records; they serve tests, metrics and
+    statistics, and a manifest built from records converts them to a
+    table.
     """
 
     annotation_id: str
@@ -203,27 +229,162 @@ class PseudoAnnotation:
     boundary_frames: Optional[Boundary] = None
 
     def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ContractViolation("unknown status", status=self.status)
-        if self.error_tag is not None and self.error_tag not in ERROR_TAGS:
-            raise ContractViolation("unknown error tag", tag=self.error_tag)
-        s, e = self.boundary_seconds
-        if not (0 <= s < e):
-            raise RangeError(
-                "boundary seconds must satisfy 0 <= start < end",
-                annotation_id=self.annotation_id, start_s=s, end_s=e,
-            )
+        _check_annotation(self.annotation_id, self.boundary_seconds,
+                          self.status, self.error_tag)
+
+
+def _plain(x):
+    """A float subclass (such as numpy's float64) as a float, so that it
+    is written as json.dumps writes it."""
+    return float(x) if isinstance(x, float) else x
+
+
+@dataclass(frozen=True, eq=False)
+class AnnotationTable(Sequence):
+    """The annotations of a corpus as columns; row i is annotation i.
+
+    ``video``, ``start_f``, ``end_f`` and ``timeline`` are int64 arrays:
+    the row of the annotation's video in the manifest, and its frame
+    boundary ``[start_f, end_f)`` on a timeline of that many frames.
+    The other columns are lists: ``ids``, ``video_id``, ``query_text``,
+    ``query_ref``, ``start_s`` and ``end_s`` (the numbers as parsed, so
+    an int stays an int), ``status``, ``error_tag`` (or None) and ``gt``
+    (a ``[start, end]`` seconds pair, or None).
+
+    As a sequence, the table is the tuple of its rows as
+    :class:`PseudoAnnotation` records, built on first use.
+    """
+
+    ids: list
+    video_id: list
+    video: np.ndarray
+    query_text: list
+    query_ref: list
+    start_s: list
+    end_s: list
+    start_f: np.ndarray
+    end_f: np.ndarray
+    timeline: np.ndarray
+    status: list
+    error_tag: list
+    gt: list
+
+    @classmethod
+    def from_rows(cls, rows) -> "AnnotationTable":
+        """The table of row tuples, each holding one value per column in
+        the order the columns are declared."""
+        names = [f.name for f in fields(cls)]
+        cols = list(zip(*rows)) or [()] * len(names)
+        return cls(**{
+            name: np.array(col, dtype=np.int64) if name in _ARRAY_COLUMNS
+            else list(col) for name, col in zip(names, cols)})
+
+    @classmethod
+    def from_records(cls, records, videos) -> "AnnotationTable":
+        """The table of PseudoAnnotation records; a record without
+        frames gets them from its seconds and its video."""
+        index = {v.video_id: r for r, v in enumerate(videos)}
+        rows = []
+        for a in records:
+            row = index.get(a.video_id)
+            if row is None:
+                raise ReferentialError("annotation references absent video",
+                                       annotation_id=a.annotation_id,
+                                       video_id=a.video_id)
+            s, e = map(_plain, a.boundary_seconds)
+            b = a.boundary_frames or derive_boundary_frames(
+                s, e, videos[row].duration_seconds, videos[row].num_frames)
+            rows.append((a.annotation_id, a.video_id, row, a.query_text,
+                         a.query_feature_ref, s, e, b.start, b.end,
+                         b.timeline_len, a.status, a.error_tag,
+                         a.gt_boundary_seconds))
+        return cls.from_rows(rows)
+
+    def take(self, rows, **columns) -> "AnnotationTable":
+        """The given rows, in that order; a column given by name replaces
+        the gathered one and is already in that order."""
+        idx = np.asarray(rows, dtype=np.int64)
+        rows = idx.tolist()
+        for f in fields(self):
+            if f.name not in columns:
+                col = getattr(self, f.name)
+                columns[f.name] = col[idx] if f.name in _ARRAY_COLUMNS \
+                    else [col[i] for i in rows]
+        return AnnotationTable(**columns)
+
+    def _records(self) -> tuple:
+        records = self.__dict__.get("_records_cache")
+        if records is None:
+            records = tuple(
+                PseudoAnnotation(
+                    annotation_id=aid, video_id=vid, query_text=text,
+                    query_feature_ref=ref, boundary_seconds=(s, e),
+                    status=status,
+                    gt_boundary_seconds=None if gt is None else tuple(gt),
+                    error_tag=tag, boundary_frames=Boundary(fs, fe, T))
+                for aid, vid, text, ref, s, e, status, gt, tag, fs, fe, T
+                in zip(self.ids, self.video_id, self.query_text,
+                       self.query_ref, self.start_s, self.end_s,
+                       self.status, self.gt, self.error_tag,
+                       self.start_f.tolist(), self.end_f.tolist(),
+                       self.timeline.tolist()))
+            object.__setattr__(self, "_records_cache", records)
+        return records
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self):
+        return iter(self._records())
+
+    def __eq__(self, other):
+        if isinstance(other, AnnotationTable):
+            other = other._records()
+        return self._records() == other
+
+    __hash__ = None
+
+
+_ARRAY_COLUMNS = ("video", "start_f", "end_f", "timeline")
+
+
+def _video_columns(videos):
+    """(duration float64, num_frames int64) arrays of the videos."""
+    duration = np.array([v.duration_seconds for v in videos],
+                        dtype=np.float64)
+    try:
+        frames = np.array([v.num_frames for v in videos], dtype=np.int64)
+    except OverflowError:
+        v = next(v for v in videos
+                 if not -2 ** 63 <= v.num_frames < 2 ** 63)
+        raise RangeError("num_frames out of range", video_id=v.video_id,
+                         num_frames=v.num_frames) from None
+    return duration, frames
 
 
 @dataclass(frozen=True)
 class CorpusManifest:
+    """A corpus: its videos, its query feature file and its annotations.
+
+    ``annotations`` is an :class:`AnnotationTable`; a sequence of
+    :class:`PseudoAnnotation` records given in its place is converted.
+    """
+
     format_version: int
     videos: tuple
     queries_file_path: str
-    annotations: tuple
+    annotations: AnnotationTable
     synth: Optional[dict] = None
     provenance: Optional[dict] = None
     base_dir: str = "."
+
+    def __post_init__(self):
+        if not isinstance(self.annotations, AnnotationTable):
+            object.__setattr__(self, "annotations", AnnotationTable.from_records(
+                self.annotations, self.videos))
 
     def video_by_id(self, video_id: str) -> VideoEntry:
         return self._video_index()[video_id]
@@ -232,6 +393,29 @@ class CorpusManifest:
         if not hasattr(self, "_vidx"):
             object.__setattr__(self, "_vidx", {v.video_id: v for v in self.videos})
         return self._vidx
+
+    def _video_columns(self):
+        if not hasattr(self, "_vcols"):
+            object.__setattr__(self, "_vcols", _video_columns(self.videos))
+        return self._vcols
+
+    def with_boundaries(self, rows, start_f, end_f,
+                        status: str) -> "CorpusManifest":
+        """The manifest with the annotations at ``rows`` only, in that
+        order, moved to the frame boundaries ``[start_f, end_f)`` and
+        given ``status``.
+
+        Their seconds are :func:`frames_to_seconds` of the new frames,
+        computed in float64 over the columns.
+        """
+        table = self.annotations
+        duration, frames = self._video_columns()
+        video = table.video[rows]
+        d, n = duration[video], frames[video]
+        return replace(self, annotations=table.take(
+            rows, start_f=start_f, end_f=end_f,
+            start_s=(start_f * d / n).tolist(),
+            end_s=(end_f * d / n).tolist(), status=[status] * len(video)))
 
     def resolve(self, path: str) -> str:
         if os.path.isabs(path):
@@ -274,82 +458,115 @@ def derive_boundary_frames(start_s, end_s, duration, num_frames) -> Boundary:
     return Boundary(fs, fe, num_frames)
 
 
-def _validate_manifest(manifest: CorpusManifest, num_queries: Optional[int]):
-    ids = set()
-    for a in manifest.annotations:
-        if a.annotation_id in ids:
-            raise ReferentialError("duplicate annotation_id",
-                                   annotation_id=a.annotation_id)
-        ids.add(a.annotation_id)
+def _check_ids(ids, videos):
+    """Annotation and video ids are unique, and each video has a
+    positive duration and frame count."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for aid in ids:
+            if aid in seen:
+                raise ReferentialError("duplicate annotation_id",
+                                       annotation_id=aid)
+            seen.add(aid)
     seen = set()
-    for v in manifest.videos:
+    for v in videos:
         if v.video_id in seen:
             raise ReferentialError("duplicate video_id", video_id=v.video_id)
         seen.add(v.video_id)
         if v.duration_seconds <= 0 or v.num_frames < 1:
             raise RangeError("video must have positive duration and frames",
                              video_id=v.video_id)
-    for a in manifest.annotations:
-        if a.video_id not in seen:
-            raise ReferentialError("annotation references absent video",
-                                   annotation_id=a.annotation_id,
-                                   video_id=a.video_id)
-        video = manifest.video_by_id(a.video_id)
-        s, e = a.boundary_seconds
-        if e > video.duration_seconds + 1e-9:
-            raise RangeError("boundary exceeds video duration",
-                             annotation_id=a.annotation_id,
-                             end_s=e, duration=video.duration_seconds)
-        if num_queries is not None and not (0 <= a.query_feature_ref < num_queries):
-            raise ReferentialError("query_feature_ref out of range",
-                                   annotation_id=a.annotation_id,
-                                   ref=a.query_feature_ref,
-                                   num_queries=num_queries)
 
 
-def _boundary_pair(a: dict, key: str) -> tuple:
-    """An annotation's [start, end] seconds field as a tuple of two numbers."""
-    pair = a.get(key)
-    if not (isinstance(pair, list) and len(pair) == 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in pair)):
-        raise FormatError(f"{key} must be a list of two numbers",
-                          annotation_id=a.get("annotation_id"), field=key)
-    return tuple(pair)
+def _validate_manifest(manifest: CorpusManifest, num_queries: Optional[int]):
+    table = manifest.annotations
+    _check_ids(table.ids, manifest.videos)
+    duration, _ = manifest._video_columns()
+    limit = duration[table.video]
+    past = np.flatnonzero(np.array(table.end_s, dtype=np.float64)
+                          > limit + 1e-9)
+    if past.size:
+        i = past[0]
+        raise RangeError("boundary exceeds video duration",
+                         annotation_id=table.ids[i], end_s=table.end_s[i],
+                         duration=float(limit[i]))
+    refs = table.query_ref
+    if num_queries is not None and refs and \
+            not (min(refs) >= 0 and max(refs) < num_queries):
+        i = next(i for i, r in enumerate(refs) if not 0 <= r < num_queries)
+        raise ReferentialError("query_feature_ref out of range",
+                               annotation_id=table.ids[i], ref=refs[i],
+                               num_queries=num_queries)
 
 
-# Typed fields of each video and annotation object.  An int field also
-# rejects bool, which JSON true/false parse to and which subclasses int.
+# Typed fields of each video and annotation object.  JSON parses
+# true/false to bool, which is a type apart from int here.
 _VIDEO_FIELDS = (("video_id", str), ("num_frames", int),
                  ("feature_file_path", str))
 _ANNOTATION_FIELDS = (("annotation_id", str), ("video_id", str),
                       ("query_text", str), ("query_feature_ref", int))
 _TYPE_NAMES = {str: "a string", int: "an integer"}
+_NUMBER = frozenset((int, float))
 
 
-def _objects(doc: dict, key: str, fields, id_key: str) -> list:
-    """doc[key] (default []), checked to be a list of objects whose
-    fields have their types; a violation is a FormatError naming the
-    object's id_key and the field."""
+def _entries(doc: dict, key: str) -> list:
+    """doc[key] (default []), checked to be a list of objects."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise FormatError(f"{key} must be a list of objects", field=key)
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{key} must be a list of objects",
-                              field=key, index=index)
-        for name, kind in fields:
-            value = entry.get(name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise FormatError(f"{name} must be {_TYPE_NAMES[kind]}",
-                                  **{id_key: entry.get(id_key)}, field=name)
+    if not set(map(type, entries)) <= {dict}:
+        index = next(i for i, e in enumerate(entries)
+                     if not isinstance(e, dict))
+        raise FormatError(f"{key} must be a list of objects",
+                          field=key, index=index)
     return entries
+
+
+def _column(entries, name, kind, id_key) -> list:
+    """Field ``name`` of every entry, checked to be of type ``kind``; a
+    violation is a FormatError naming the entry's id_key and the field."""
+    col = [e.get(name) for e in entries]
+    if not set(map(type, col)) <= {kind}:
+        i = next(i for i, x in enumerate(col) if type(x) is not kind)
+        raise FormatError(f"{name} must be {_TYPE_NAMES[kind]}",
+                          **{id_key: entries[i].get(id_key)}, field=name)
+    return col
+
+
+def _is_pair(p) -> bool:
+    return type(p) is list and len(p) == 2 and \
+        type(p[0]) in _NUMBER and type(p[1]) in _NUMBER
+
+
+def _check_pairs(ids, pairs, key, optional=False):
+    """Every one of ``pairs`` must be a list of two numbers (or None,
+    when optional); the first that is not is a FormatError naming its
+    annotation and the field."""
+    present = [p for p in pairs if p is not None] if optional else pairs
+    if set(map(type, present)) <= {list} and \
+            set(map(len, present)) <= {2} and \
+            set(map(type, chain.from_iterable(present))) <= _NUMBER:
+        return
+    i = next(i for i, p in enumerate(pairs)
+             if not (optional and p is None or _is_pair(p)))
+    raise FormatError(f"{key} must be a list of two numbers",
+                      annotation_id=ids[i], field=key)
+
+
+def _members(values, allowed) -> np.ndarray:
+    """Whether each value is one of ``allowed`` (unhashable ones are not)."""
+    try:
+        if set(values) <= set(allowed):
+            return np.ones(len(values), dtype=bool)
+    except TypeError:
+        pass
+    return np.array([v in allowed for v in values], dtype=bool)
 
 
 def _duration(v: dict) -> float:
     """A video's duration_seconds: a finite number (an int or a float)."""
     d = v.get("duration_seconds")
-    if not isinstance(d, (int, float)) or isinstance(d, bool):
+    if type(d) not in _NUMBER:
         raise FormatError("duration_seconds must be a number",
                           video_id=v["video_id"], field="duration_seconds")
     try:
@@ -360,6 +577,70 @@ def _duration(v: dict) -> float:
         raise RangeError("video duration must be finite",
                          video_id=v["video_id"], duration=d)
     return d
+
+
+def _read_annotations(entries, videos) -> AnnotationTable:
+    """The annotation table of a manifest's annotation objects.
+
+    Each column is checked in turn.  Boundary frames are derived for all
+    rows at once with :func:`derive_boundary_frames`' arithmetic; an
+    annotation that fails its checks gets the error that
+    :func:`derive_boundary_frames` and the record's own checks raise for
+    it, so the first faulty annotation is reported as a lone one is.
+    """
+    ids, video_id, query_text, query_ref = (
+        _column(entries, name, kind, "annotation_id")
+        for name, kind in _ANNOTATION_FIELDS)
+    pairs = [e.get("boundary_seconds") for e in entries]
+    _check_pairs(ids, pairs, "boundary_seconds")
+    gt = [e.get("gt_boundary_seconds") for e in entries]
+    _check_pairs(ids, gt, "gt_boundary_seconds", optional=True)
+    start_s = [p[0] for p in pairs]
+    end_s = [p[1] for p in pairs]
+    status = [e.get("status", "raw") for e in entries]
+    error_tag = [e.get("error_tag") for e in entries]
+
+    index = {v.video_id: r for r, v in enumerate(videos)}
+    video = np.array([index.get(v, -1) for v in video_id], dtype=np.int64)
+    duration, frames = _video_columns(videos)
+    d = np.append(duration, 1.0)[video]  # an absent video reads row -1
+    T = np.append(frames, 1)[video]
+    try:
+        s = np.array(start_s, dtype=np.float64)
+        e = np.array(end_s, dtype=np.float64)
+    except OverflowError:  # an integer past the float range is a fault
+        suspect = range(len(ids))
+    else:
+        ordered = (0 <= s) & (s < e)
+        bad_frames = (video >= 0) & ordered & (
+            (d <= 0) | (s > d) | (e > d) | (T < 1))
+        suspect = np.flatnonzero(
+            ~ordered | bad_frames | ~_members(status, STATUSES)
+            | ~_members(error_tag, ERROR_TAGS + (None,))).tolist()
+    for i in suspect:
+        pair = (start_s[i], end_s[i])
+        if video[i] >= 0 and 0 <= pair[0] < pair[1]:
+            v = videos[video[i]]
+            derive_boundary_frames(*pair, v.duration_seconds, v.num_frames)
+        _check_annotation(ids[i], pair, status[i], error_tag[i])
+    absent = np.flatnonzero(video < 0)
+    if absent.size:
+        # validation reports duplicate ids and empty videos first
+        _check_ids(ids, videos)
+        i = absent[0]
+        raise ReferentialError("annotation references absent video",
+                               annotation_id=ids[i], video_id=video_id[i])
+
+    # derive_boundary_frames, elementwise: every seconds value lies in
+    # [0, duration], so the floors lie in [0, T]
+    start_f = np.floor(s / d * T).astype(np.int64)
+    end_f = np.floor(e / d * T).astype(np.int64)
+    np.minimum(start_f, T - 1, out=start_f)
+    np.maximum(end_f, start_f + 1, out=end_f)
+    return AnnotationTable(
+        ids=ids, video_id=video_id, video=video, query_text=query_text,
+        query_ref=query_ref, start_s=start_s, end_s=end_s, start_f=start_f,
+        end_f=end_f, timeline=T, status=status, error_tag=error_tag, gt=gt)
 
 
 def read_manifest(path) -> CorpusManifest:
@@ -384,47 +665,19 @@ def read_manifest(path) -> CorpusManifest:
     if not isinstance(doc.get("queries_file_path"), str):
         raise FormatError("queries_file_path must be a string",
                           field="queries_file_path")
-    base_dir = os.path.dirname(os.path.abspath(path))
-    videos = tuple(
-        VideoEntry(
-            video_id=v["video_id"],
-            duration_seconds=_duration(v),
-            num_frames=v["num_frames"],
-            feature_file_path=v["feature_file_path"],
-        )
-        for v in _objects(doc, "videos", _VIDEO_FIELDS, "video_id")
-    )
-    vid_index = {v.video_id: v for v in videos}
-    annotations = []
-    for a in _objects(doc, "annotations", _ANNOTATION_FIELDS, "annotation_id"):
-        s, e = seconds = _boundary_pair(a, "boundary_seconds")
-        gt = (_boundary_pair(a, "gt_boundary_seconds")
-              if a.get("gt_boundary_seconds") is not None else None)
-        video = vid_index.get(a["video_id"])
-        frames = None
-        # a pair that is not 0 <= s < e is PseudoAnnotation's to reject
-        if video is not None and 0 <= s < e:
-            frames = derive_boundary_frames(s, e, video.duration_seconds,
-                                            video.num_frames)
-        annotations.append(PseudoAnnotation(
-            annotation_id=a["annotation_id"],
-            video_id=a["video_id"],
-            query_text=a["query_text"],
-            query_feature_ref=a["query_feature_ref"],
-            boundary_seconds=seconds,
-            status=a.get("status", "raw"),
-            gt_boundary_seconds=gt,
-            error_tag=a.get("error_tag"),
-            boundary_frames=frames,
-        ))
+    entries = _entries(doc, "videos")
+    ids, frames, paths = (_column(entries, name, kind, "video_id")
+                          for name, kind in _VIDEO_FIELDS)
+    videos = tuple(map(VideoEntry, ids, [_duration(v) for v in entries],
+                       frames, paths))
     manifest = CorpusManifest(
         format_version=FORMAT_VERSION,
         videos=videos,
         queries_file_path=doc["queries_file_path"],
-        annotations=tuple(annotations),
+        annotations=_read_annotations(_entries(doc, "annotations"), videos),
         synth=doc.get("synth"),
         provenance=doc.get("provenance"),
-        base_dir=base_dir,
+        base_dir=os.path.dirname(os.path.abspath(path)),
     )
     num_queries, _ = read_feature_header(
         manifest.resolve(manifest.queries_file_path))
@@ -433,6 +686,9 @@ def read_manifest(path) -> CorpusManifest:
 
 
 def manifest_to_json_obj(manifest: CorpusManifest) -> dict:
+    """The manifest as a JSON document, built from its records:
+    ``json.dumps(obj, indent=2) + "\\n"`` is the text that
+    :func:`write_manifest` formats from the columns."""
     doc = {"format_version": manifest.format_version}
     if manifest.provenance is not None:
         doc["provenance"] = manifest.provenance
@@ -465,6 +721,69 @@ def manifest_to_json_obj(manifest: CorpusManifest) -> dict:
         anns.append(rec)
     doc["annotations"] = anns
     return doc
+
+
+def _json_number(x) -> str:
+    """An int or float as ``json.dumps`` writes it."""
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    return int.__repr__(x)
+
+
+def json_text(doc: dict, lists: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for a dict ``doc`` whose
+    members named in ``lists`` are lists of objects, given there as the
+    texts of their elements, each already formatted at the indent of a
+    list element (four spaces)."""
+    members = []
+    for key, value in doc.items():
+        if key in lists:
+            items = lists[key]
+            body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+            members.append(f"  {encode_basestring_ascii(key)}: {body}")
+        else:
+            members.append(json.dumps({key: value}, indent=2)[2:-2])
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
+def _manifest_text(manifest: CorpusManifest) -> str:
+    """``json.dumps(manifest_to_json_obj(manifest), indent=2) + "\\n"``,
+    formatted from the annotation columns."""
+    enc = encode_basestring_ascii
+    doc = {"format_version": manifest.format_version}
+    if manifest.provenance is not None:
+        doc["provenance"] = manifest.provenance
+    if manifest.synth is not None:
+        doc["synth"] = manifest.synth
+    doc["videos"] = None
+    doc["queries_file_path"] = manifest.queries_file_path
+    doc["annotations"] = None
+    videos = [
+        f'    {{\n      "video_id": {enc(v.video_id)},\n'
+        f'      "duration_seconds": {_json_number(v.duration_seconds)},\n'
+        f'      "num_frames": {_json_number(v.num_frames)},\n'
+        f'      "feature_file_path": {enc(v.feature_file_path)}\n    }}'
+        for v in manifest.videos]
+    t = manifest.annotations
+    status = {s: enc(s) for s in STATUSES}
+    tags = {tag: f',\n      "error_tag": {enc(tag)}' for tag in ERROR_TAGS}
+    tags[None] = ""
+    gts = ["" if g is None else
+           f',\n      "gt_boundary_seconds": [\n        {_json_number(g[0])},'
+           f'\n        {_json_number(g[1])}\n      ]' for g in t.gt]
+    annotations = [
+        f'    {{\n      "annotation_id": {aid},\n      "video_id": {vid},\n'
+        f'      "query_text": {text},\n      "query_feature_ref": {ref!r},\n'
+        f'      "boundary_seconds": [\n        {s!r},\n        {e!r}\n'
+        f'      ],\n      "status": {status[st]}{gt}{tags[tag]}\n    }}'
+        for aid, vid, text, ref, s, e, st, gt, tag in zip(
+            map(enc, t.ids), map(enc, t.video_id), map(enc, t.query_text),
+            t.query_ref, t.start_s, t.end_s, t.status, gts, t.error_tag)]
+    return json_text(doc, {"videos": videos, "annotations": annotations})
 
 
 def rebase_manifest(manifest: CorpusManifest, new_dir: str) -> CorpusManifest:
@@ -509,23 +828,14 @@ def write_manifest(manifest: CorpusManifest, path) -> None:
     """Serialize a manifest with a stable field order (byte-deterministic).
 
     Relative feature paths are rewritten so they still resolve from the
-    manifest's new location.
+    manifest's new location.  The text is formatted from the annotation
+    columns and equals ``json.dumps(manifest_to_json_obj(manifest),
+    indent=2) + "\\n"``.
     """
     _validate_manifest(manifest, None)
     out_dir = os.path.dirname(os.path.abspath(path))
     if out_dir != os.path.abspath(manifest.base_dir):
         manifest = rebase_manifest(manifest, out_dir)
-    text = json.dumps(manifest_to_json_obj(manifest), indent=2) + "\n"
+    text = _manifest_text(manifest)
     with atomic_write(path) as fh:
         fh.write(text)
-
-
-def with_updated_boundary(ann: PseudoAnnotation, frames: Boundary,
-                          video: VideoEntry, status: str) -> PseudoAnnotation:
-    """Return a copy of the annotation with new frame boundary and status."""
-    secs = (
-        frames_to_seconds(frames.start, video.duration_seconds, video.num_frames),
-        frames_to_seconds(frames.end, video.duration_seconds, video.num_frames),
-    )
-    return replace(ann, boundary_frames=frames, boundary_seconds=secs,
-                   status=status)

@@ -15,12 +15,21 @@ and the tracks of all annotations whose video has T frames are rows of
 one (annotations, T) block, clipped and mapped in place, so no raw
 cosines are kept.  :func:`frame_similarities` is the single-query form
 of the same arithmetic, bit for bit.
+
+:func:`refine_corpus` scores and adjusts the annotation columns of a
+manifest against these blocks: :func:`block_contrast` and
+:func:`block_adjust` gather prefix sums by (row, position) index and do
+the arithmetic of :func:`moment_contrast` and :func:`adjust_boundary`,
+which stay the per-boundary reference, over all boundaries of a block
+at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -31,7 +40,8 @@ from .featstore import (
     CorpusManifest,
     FrameFeatureMatrix,
     QueryFeature,
-    with_updated_boundary,
+    atomic_write,
+    json_text,
 )
 
 EPS_DENOM = 1e-8
@@ -132,20 +142,20 @@ class AdjustParams:
                                     min_len=self.min_len, delta=self.delta)
 
 
-def clean_corpus(scored_annotations, params: CleanParams):
-    """Drop the floor(N * ratio) lowest-scored annotations.
+def clean_corpus(annotation_ids, gammas, params: CleanParams):
+    """Split off the floor(N * ratio) lowest-scored annotations.
 
-    Input is a list of (annotation, gamma) pairs.  Ranking is by gamma
-    descending with ties broken by annotation_id ascending, so results
-    are stable across runs and platforms.  Returns (kept, dropped): the
-    input annotation objects themselves, unchanged, in rank order.
+    ``gammas[i]`` scores ``annotation_ids[i]``.  Ranking is by gamma
+    descending with ties broken by annotation_id ascending, in a Python
+    sort, so results are stable across runs and platforms.  Returns
+    (kept, dropped): row indices into the inputs, in rank order.
     """
-    items = list(scored_annotations)
-    for _, g in items:
-        if not math.isfinite(g):
-            raise ContractViolation("non-finite gamma in cleaning input")
-    order = [a for a, _ in sorted(items,
-                                  key=lambda ag: (-ag[1], ag[0].annotation_id))]
+    gammas = np.asarray(gammas, dtype=np.float64)
+    if not np.all(np.isfinite(gammas)):
+        raise ContractViolation("non-finite gamma in cleaning input")
+    # the row index decides only between equal ids, as a stable sort does
+    order = [i for _, _, i in sorted(zip(
+        (-gammas).tolist(), annotation_ids, range(len(gammas))))]
     n_keep = len(order) - math.floor(len(order) * params.ratio)
     return order[:n_keep], order[n_keep:]
 
@@ -197,6 +207,63 @@ def adjust_boundary(track: SimilarityTrack, b: Boundary,
     return Boundary(s, e, T)
 
 
+def block_contrast(prefix: np.ndarray, rows, start, end) -> np.ndarray:
+    """:func:`moment_contrast` of each boundary ``[start[k], end[k])`` on
+    track row ``rows[k]`` of an (n, T + 1) block of prefix sums."""
+    T = prefix.shape[1] - 1
+    inside = prefix[rows, end] - prefix[rows, start]
+    outside = (prefix[rows, T] - prefix[rows, 0]) - inside
+    gamma = np.full(len(inside), GAMMA_CAP)
+    np.divide(inside, outside, out=gamma, where=~(outside < EPS_DENOM))
+    return gamma
+
+
+def block_adjust(prefix: np.ndarray, rows, start, end,
+                 params: AdjustParams):
+    """:func:`adjust_boundary` of each boundary ``[start[k], end[k])`` on
+    track row ``rows[k]`` of an (n, T + 1) block of prefix sums.
+
+    Each round updates every boundary still moving with the scalar
+    climb's arithmetic, in its order; a boundary leaves once a round
+    moves neither side.  Window ends that the scalar climb would not
+    evaluate are clipped to the timeline, and their results unused.
+    Returns the new (start, end) int64 arrays.
+    """
+    T = prefix.shape[1] - 1
+    d, a1, a2 = params.delta, params.alpha1, params.alpha2
+    min_span = params.min_len + d
+    start = np.array(start, dtype=np.int64)
+    end = np.array(end, dtype=np.int64)
+    rows = np.asarray(rows)
+    live = np.arange(len(start))
+    for _ in range(params.max_iters):
+        if not live.size:
+            break
+        r, s, e = rows[live], start[live], end[live]
+
+        mu = (prefix[r, e] - prefix[r, s]) / (e - s)
+        lo = np.maximum(s - d, 0)
+        grow = (lo < s) & ((prefix[r, s] - prefix[r, lo])
+                           / np.maximum(s - lo, 1) >= a2 * mu)
+        shrink = ~grow & (e - s > min_span) & (
+            (prefix[r, np.minimum(s + d, T)] - prefix[r, s]) / d < a1 * mu)
+        s = np.where(grow, lo, np.where(shrink, s + d, s))
+        moved = grow | shrink
+
+        mu = (prefix[r, e] - prefix[r, s]) / (e - s)
+        hi = np.minimum(e + d, T)
+        grow = (hi > e) & ((prefix[r, hi] - prefix[r, e])
+                           / np.maximum(hi - e, 1) >= a2 * mu)
+        shrink = ~grow & (e - s > min_span) & (
+            (prefix[r, e] - prefix[r, np.maximum(e - d, 0)]) / d < a1 * mu)
+        e = np.where(grow, hi, np.where(shrink, e - d, e))
+        moved |= grow | shrink
+
+        start[live], end[live] = s, e
+        live = live[moved]
+    return start, end
+
+
 @dataclass(frozen=True)
 class RefineRecord:
     annotation_id: str
@@ -218,14 +285,95 @@ class RefineRecord:
 
 @dataclass
 class RefineReport:
-    records: list = field(default_factory=list)
+    """Per input annotation, in manifest order, as columns: its gamma,
+    whether cleaning kept it, and its frame boundary before and after
+    adjustment (the after arrays hold the before boundary where it was
+    dropped).  :attr:`records` builds the :class:`RefineRecord` view."""
+
+    ids: list
+    gamma: np.ndarray
+    kept: np.ndarray
+    before_start: np.ndarray
+    before_end: np.ndarray
+    after_start: np.ndarray
+    after_end: np.ndarray
+
+    @property
+    def records(self):
+        return [
+            RefineRecord(aid, g, "kept" if k else "dropped", (bs, be),
+                         (as_, ae) if k else None)
+            for aid, g, k, bs, be, as_, ae in zip(
+                self.ids, self.gamma.tolist(), self.kept.tolist(),
+                self.before_start.tolist(), self.before_end.tolist(),
+                self.after_start.tolist(), self.after_end.tolist())
+        ]
 
     def to_json_obj(self):
         return {"annotations": [r.to_json_obj() for r in self.records]}
 
+    def write(self, path, provenance: Optional[dict] = None) -> None:
+        """Write :meth:`to_json_obj`, with ``provenance`` appended when
+        given, as ``json.dumps(obj, indent=2) + "\\n"``, formatted from
+        the columns."""
+        items = [
+            f'    {{\n      "annotation_id": {aid},\n      "gamma": {g!r},\n'
+            f'      "decision": "{"kept" if k else "dropped"}",\n'
+            f'      "boundary_before_frames": [\n        {bs},\n        {be}\n'
+            f'      ],\n      "boundary_after_frames": '
+            + (f'[\n        {as_},\n        {ae}\n      ]' if k else "null")
+            + "\n    }"
+            for aid, g, k, bs, be, as_, ae in zip(
+                map(encode_basestring_ascii, self.ids), self.gamma.tolist(),
+                self.kept.tolist(), self.before_start.tolist(),
+                self.before_end.tolist(), self.after_start.tolist(),
+                self.after_end.tolist())
+        ]
+        doc = {"annotations": None}
+        if provenance is not None:
+            doc["provenance"] = provenance
+        text = json_text(doc, {"annotations": items})
+        with atomic_write(path) as fh:
+            fh.write(text)
 
-def compute_tracks(manifest: CorpusManifest):
-    """Similarity track per annotation, keyed by annotation_id.
+
+class CorpusTracks(Mapping):
+    """The similarity tracks of a corpus, by annotation id.
+
+    The tracks of all annotations on timelines of T frames are the rows
+    of ``mapped[T]``, an (n, T) block of mapped values, and of
+    ``prefix[T]``, an (n, T + 1) block of their prefix sums.  Row i of
+    the manifest the tracks were computed for, annotation ``ids[i]``, is
+    row ``row[i]`` of the blocks of ``frames[i]`` frames.  Looking up an
+    id returns a :class:`SimilarityTrack` of row views.  Ids iterate in
+    the order their rows were filled.
+    """
+
+    def __init__(self, ids, mapped, prefix, frames, row, filled):
+        self.mapped, self.prefix = mapped, prefix
+        self.frames, self.row = frames, row
+        self._position = {ids[i]: i for i in filled}
+
+    def positions(self, ids) -> np.ndarray:
+        """The manifest rows of the given ids."""
+        return np.fromiter(map(self._position.__getitem__, ids),
+                           dtype=np.int64, count=len(ids))
+
+    def __getitem__(self, annotation_id) -> SimilarityTrack:
+        i = self._position[annotation_id]
+        T, r = int(self.frames[i]), self.row[i]
+        return SimilarityTrack(mapped=self.mapped[T][r],
+                               prefix=self.prefix[T][r])
+
+    def __iter__(self):
+        return iter(self._position)
+
+    def __len__(self):
+        return len(self._position)
+
+
+def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
+    """The similarity tracks of every annotation of a manifest.
 
     Each video's frame count in the manifest is first checked against
     its feature file's header, before any block is allocated.  Videos
@@ -234,40 +382,46 @@ def compute_tracks(manifest: CorpusManifest):
     video, then one matrix-vector product per annotation fills a row of
     the preallocated (annotations, T) block of its timeline length T.
     Each block is then clipped and mapped by ``(s + 1) / 2`` in place,
-    its prefix sums go to one more block, and every returned track holds
-    row views into these two; each track equals ``frame_similarities``
-    for its query bit for bit.
+    its prefix sums go to one more block, and every track is a row of
+    these two; each track equals ``frame_similarities`` for its query
+    bit for bit.
     """
     queries = manifest.load_query_features()
+    table = manifest.annotations
     by_video = {}
-    for ann in manifest.annotations:
-        by_video.setdefault(ann.video_id, []).append(ann)
+    for i, v in enumerate(table.video.tolist()):
+        by_video.setdefault(v, []).append(i)
+    order = sorted(by_video, key=lambda v: manifest.videos[v].video_id)
     counts = {}
-    for video_id in sorted(by_video):
+    for v in order:
         # the blocks are sized from the headers' frame counts, so a
         # manifest cannot ask for more than the feature files hold
-        T = manifest.video_frames(video_id)
-        counts[T] = counts.get(T, 0) + len(by_video[video_id])
+        T = manifest.video_frames(manifest.videos[v].video_id)
+        counts[T] = counts.get(T, 0) + len(by_video[v])
     mapped = {T: np.empty((n, T)) for T, n in counts.items()}
-    rows = {}  # annotation_id -> (T, row)
+    frames = np.zeros(len(table), dtype=np.int64)
+    rows = np.zeros(len(table), dtype=np.int64)
     filled = dict.fromkeys(counts, 0)
+    refs = table.query_ref
 
-    for video_id in sorted(by_video):
-        frames = manifest.load_video_features(video_id)
-        if queries.dim != frames.dim:
+    for v in order:
+        video = manifest.load_video_features(manifest.videos[v].video_id)
+        if queries.dim != video.dim:
             raise ContractViolation("query and frame dimensions differ",
                                     query_dim=queries.dim,
-                                    frame_dim=frames.dim)
-        v = frames.data.astype(np.float64)
-        v_norm = np.linalg.norm(v, axis=1)
-        T = frames.num_frames
+                                    frame_dim=video.dim)
+        x = video.data.astype(np.float64)
+        x_norm = np.linalg.norm(x, axis=1)
+        T = video.num_frames
         block = mapped[T]
-        for ann in by_video[video_id]:
-            q = queries.data[ann.query_feature_ref].astype(np.float64)
+        members = by_video[v]
+        for i in members:
+            q = queries.data[refs[i]].astype(np.float64)
             row = filled[T]
-            np.divide(v @ q, v_norm * np.linalg.norm(q), out=block[row])
-            rows[ann.annotation_id] = (T, row)
+            np.divide(x @ q, x_norm * np.linalg.norm(q), out=block[row])
             filled[T] = row + 1
+        frames[members] = T
+        rows[members] = np.arange(filled[T] - len(members), filled[T])
 
     prefix = {}
     for T, block in mapped.items():
@@ -278,48 +432,58 @@ def compute_tracks(manifest: CorpusManifest):
         prefix[T] = p = np.empty((block.shape[0], T + 1))
         p[:, 0] = 0.0
         np.cumsum(block, axis=1, out=p[:, 1:])
-    return {
-        aid: SimilarityTrack(mapped=mapped[T][row], prefix=prefix[T][row])
-        for aid, (T, row) in rows.items()
-    }
+    return CorpusTracks(table.ids, mapped, prefix, frames, rows,
+                        [i for v in order for i in by_video[v]])
 
 
 def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
                   adjust_params: AdjustParams,
-                  tracks: Optional[dict] = None):
+                  tracks: Optional[CorpusTracks] = None):
     """Score, clean, then adjust a raw corpus.
 
     Returns (refined_manifest, report).  The refined manifest keeps only
-    surviving annotations, by id, each built once with status ``adjusted``
-    and the adjusted boundary; the report records gamma, the keep/drop
-    decision and the boundary delta for every input annotation, in
-    manifest order.  ``tracks`` holds the similarity tracks of
-    ``compute_tracks(manifest)`` when the caller has them already.
+    surviving annotations, by id, with status ``adjusted`` and the
+    adjusted boundary; the report records gamma, the keep/drop decision
+    and the boundary delta for every input annotation, in manifest
+    order.  ``tracks`` holds ``compute_tracks(manifest)`` when the
+    caller has it already.
+
+    The work is on the annotation columns and the track blocks, a block
+    of T frames at a time: :func:`block_contrast` scores every
+    annotation, :func:`clean_corpus` ranks them, and
+    :func:`block_adjust` moves the kept ones.
     """
     if tracks is None:
         tracks = compute_tracks(manifest)
-    gammas = [moment_contrast(tracks[ann.annotation_id], ann.boundary_frames)
-              for ann in manifest.annotations]
-    kept, _ = clean_corpus(zip(manifest.annotations, gammas), clean_params)
-    kept_ids = {ann.annotation_id for ann in kept}
+    table = manifest.annotations
+    where = tracks.positions(table.ids)
+    T, rows = tracks.frames[where], tracks.row[where]
+    mismatch = np.flatnonzero(T != table.timeline)
+    if mismatch.size:
+        i = mismatch[0]
+        raise ContractViolation("boundary timeline does not match track",
+                                annotation_id=table.ids[i],
+                                boundary=(int(table.start_f[i]),
+                                          int(table.end_f[i])),
+                                track_len=int(T[i]))
+    start, end = table.start_f, table.end_f
+    gamma = np.empty(len(table))
+    blocks = [(t, np.flatnonzero(T == t)) for t in sorted(set(T.tolist()))]
+    for t, sel in blocks:
+        gamma[sel] = block_contrast(tracks.prefix[t], rows[sel], start[sel],
+                                    end[sel])
+    kept_rows, _ = clean_corpus(table.ids, gamma, clean_params)
 
-    adjusted, records = [], []
-    for ann, gamma in zip(manifest.annotations, gammas):
-        after = None
-        if ann.annotation_id in kept_ids:
-            after = adjust_boundary(tracks[ann.annotation_id],
-                                    ann.boundary_frames, adjust_params)
-            adjusted.append(with_updated_boundary(
-                ann, after, manifest.video_by_id(ann.video_id),
-                status="adjusted"))
-        records.append(RefineRecord(
-            annotation_id=ann.annotation_id,
-            gamma=gamma,
-            decision="dropped" if after is None else "kept",
-            boundary_before_frames=ann.boundary_frames.as_tuple(),
-            boundary_after_frames=None if after is None else after.as_tuple(),
-        ))
+    kept = np.zeros(len(table), dtype=bool)
+    kept[kept_rows] = True
+    after_start, after_end = start.copy(), end.copy()
+    for t, sel in blocks:
+        sel = sel[kept[sel]]
+        after_start[sel], after_end[sel] = block_adjust(
+            tracks.prefix[t], rows[sel], start[sel], end[sel], adjust_params)
 
-    adjusted.sort(key=lambda a: a.annotation_id)
-    return (replace(manifest, annotations=tuple(adjusted)),
-            RefineReport(records=records))
+    order = sorted(kept_rows, key=table.ids.__getitem__)
+    refined = manifest.with_boundaries(order, after_start[order],
+                                       after_end[order], "adjusted")
+    return refined, RefineReport(table.ids, gamma, kept, start, end,
+                                 after_start, after_end)

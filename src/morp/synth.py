@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -59,9 +60,9 @@ from .core import Boundary
 from .errors import SpecError
 from .featstore import (
     FORMAT_VERSION,
+    AnnotationTable,
     CorpusManifest,
     FrameFeatureMatrix,
-    PseudoAnnotation,
     VideoEntry,
     derive_boundary_frames,
     write_feature_file,
@@ -69,6 +70,11 @@ from .featstore import (
 )
 
 TAGS = ("clean", "imprecise", "unmatched", "idle")
+
+# Bounds on one video's T x D frame matrix, checked before anything is
+# drawn: its float64 draws take 8 * T * D bytes each, 128 MiB at most.
+MAX_FRAMES = 2 ** 20
+MAX_FRAME_VALUES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,13 @@ class SynthSpec:
         if self.num_frames < 16:
             raise SpecError("timeline too short for nondegenerate boundaries",
                             num_frames=self.num_frames)
+        if self.num_frames > MAX_FRAMES:
+            raise SpecError("timeline too long", num_frames=self.num_frames,
+                            max_frames=MAX_FRAMES)
+        if self.num_frames * self.dim > MAX_FRAME_VALUES:
+            raise SpecError("frame matrix too large",
+                            num_frames=self.num_frames, dim=self.dim,
+                            max_values=MAX_FRAME_VALUES)
         if self.annotations_per_video > self.dim:
             raise SpecError("need dim >= annotations_per_video for "
                             "orthonormal queries")
@@ -209,8 +222,10 @@ def _draw_video(spec: SynthSpec, v: int):
     return records, queries, frames.astype(np.float32)
 
 
-def generate_corpus(spec: SynthSpec, out_dir) -> CorpusManifest:
-    """Emit feature files plus a manifest under ``out_dir``.
+def generate_corpus(spec: SynthSpec, out_dir,
+                    provenance: Optional[dict] = None) -> CorpusManifest:
+    """Emit feature files plus a manifest under ``out_dir``; the
+    manifest carries ``provenance`` when it is given.
 
     Deterministic: the same spec writes byte-identical files.
     """
@@ -222,7 +237,7 @@ def generate_corpus(spec: SynthSpec, out_dir) -> CorpusManifest:
     # interleaving draws and writes
     drawn = [_draw_video(spec, v) for v in range(spec.n_videos)]
 
-    videos, annotations, all_queries = [], [], []
+    videos, rows, all_queries = [], [], []
     for v, (records, queries, frames) in enumerate(drawn):
         video_id = f"v{v:05d}"
         rel_path = os.path.join("features", f"{video_id}.vmrp")
@@ -233,22 +248,17 @@ def generate_corpus(spec: SynthSpec, out_dir) -> CorpusManifest:
                                  num_frames=T, feature_file_path=rel_path))
         for a, (tag, pseudo, gt) in enumerate(records):
             ann_id = f"{video_id}-a{a}"
-            secs = (pseudo.start * duration / T, pseudo.end * duration / T)
+            s, e = pseudo.start * duration / T, pseudo.end * duration / T
             gt_secs = None
             if gt is not None:
                 gt_secs = (gt.start * duration / T, gt.end * duration / T)
-            annotations.append(PseudoAnnotation(
-                annotation_id=ann_id,
-                video_id=video_id,
-                query_text=f"synthetic {tag} activity shown in clip {ann_id}",
-                query_feature_ref=len(all_queries) + a,
-                boundary_seconds=secs,
-                status="raw",
-                gt_boundary_seconds=gt_secs,
-                error_tag=tag,
-                boundary_frames=derive_boundary_frames(secs[0], secs[1],
-                                                       duration, T),
-            ))
+            b = derive_boundary_frames(s, e, duration, T)
+            # one value per AnnotationTable column
+            rows.append((
+                ann_id, video_id, v,
+                f"synthetic {tag} activity shown in clip {ann_id}",
+                len(all_queries) + a, s, e, b.start, b.end, T, "raw", tag,
+                gt_secs))
         all_queries.extend(queries)
 
     queries_rel = "queries.vmrp"
@@ -259,8 +269,9 @@ def generate_corpus(spec: SynthSpec, out_dir) -> CorpusManifest:
         format_version=FORMAT_VERSION,
         videos=tuple(videos),
         queries_file_path=queries_rel,
-        annotations=tuple(annotations),
+        annotations=AnnotationTable.from_rows(rows),
         synth={"spec": asdict(spec), "seed": spec.seed},
+        provenance=provenance,
         base_dir=os.path.abspath(out_dir),
     )
     write_manifest(manifest, os.path.join(out_dir, "manifest.json"))

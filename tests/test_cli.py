@@ -329,6 +329,39 @@ class TestCorrectReplay:
         assert obj["context"]["line"] == 3
 
 
+class TestColumnarPath:
+    def test_no_annotation_records_built(self, tmp_path, capsys,
+                                         monkeypatch):
+        """refine, correct and pipeline read, work on and write the
+        annotation columns; none of them builds a PseudoAnnotation or a
+        Boundary."""
+        from morp.core import Boundary
+        from morp.featstore import PseudoAnnotation
+
+        refined = refine_corpus_file(tmp_path, capsys)
+        manifest = tmp_path / "corpus" / "manifest.json"
+        preds = tmp_path / "preds.jsonl"
+        write_replay(preds, refined, epochs=3)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        monkeypatch.setattr(PseudoAnnotation, "__init__", refuse)
+        monkeypatch.setattr(Boundary, "__init__", refuse)
+        for argv in (
+                ["refine", "--manifest", str(manifest), "--out-manifest",
+                 str(tmp_path / "r2" / "refined.json")],
+                ["correct", "--manifest", str(refined), "--out-manifest",
+                 str(tmp_path / "c" / "corrected.json"), "--predictions",
+                 str(preds), "--epochs", "3"],
+                ["pipeline", "--manifest", str(manifest), "--out-dir",
+                 str(tmp_path / "p"), "--epochs", "3"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        assert filecmp.cmp(tmp_path / "r2" / "refined.json", refined,
+                           shallow=False)
+
+
 class TestEvaluateAndStats:
     def test_evaluate_pipeline_output(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)
@@ -487,7 +520,8 @@ class TestErrors:
         assert code == 1
         obj = self.one_error(err)
         assert obj["code"] == "config_error"
-        assert obj["context"] == {"option": flag[2:], "value": value}
+        assert obj["context"] == {"option": flag[2:], "value": value,
+                                  "source": flag}
         assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize("knob,values,code", [
@@ -720,7 +754,8 @@ class TestErrors:
     def test_bad_thresholds(self, tmp_path, capsys, monkeypatch, source,
                             thresholds):
         """A threshold list from a flag or MORP_THRESHOLDS that is empty
-        or does not parse is one config_error line, like --values."""
+        or does not parse is one config_error line, like --values, that
+        names where the text came from."""
         manifest = make_corpus(tmp_path, capsys)
         argv = ["evaluate", "--manifest", str(manifest)]
         if source == "flag":
@@ -733,8 +768,10 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         obj = json.loads(err)
         assert obj["code"] == "config_error"
-        assert obj["context"] == {"option": "thresholds",
-                                  "value": thresholds}
+        assert obj["context"] == {
+            "option": "thresholds", "value": thresholds,
+            "source": "--thresholds" if source == "flag"
+            else "MORP_THRESHOLDS"}
 
     def test_output_parent_dirs_created(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, capsys)

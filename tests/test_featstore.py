@@ -1,30 +1,44 @@
 """Binary feature files, manifest I/O, and seconds/frame conversion."""
 
 import json
+import os
 import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from morp.core import Boundary
 from morp.errors import (
     ContractViolation,
     DataQualityError,
     FormatError,
+    MorpError,
     RangeError,
     ReferentialError,
     TruncationError,
     VersionError,
 )
 from morp.featstore import (
+    ERROR_TAGS,
+    STATUSES,
+    CorpusManifest,
     FrameFeatureMatrix,
+    PseudoAnnotation,
     QueryFeature,
+    VideoEntry,
+    frames_to_seconds,
+    manifest_to_json_obj,
     read_feature_file,
     read_manifest,
     seconds_to_frames,
     write_feature_file,
     write_manifest,
 )
+from morp.refine import RefineReport
 
 
 def pack_file(version, t, d, payload):
@@ -270,6 +284,33 @@ class TestManifest:
             read_manifest(path)
         assert err.value.context == {"annotation_id": "a0"}
 
+    def test_with_boundaries(self):
+        videos = (VideoEntry("v0", 37.3, 17, "v0.vmrp"),
+                  VideoEntry("v1", 10, 3, "v1.vmrp"))
+        records = tuple(PseudoAnnotation(f"a{i}", f"v{i % 2}", "q", 0,
+                                         (0, 1), gt_boundary_seconds=(0, i))
+                        for i in range(5))
+        m = CorpusManifest(1, videos, "q.vmrp", records)
+        rows = [4, 1, 2]
+        start = np.array([3, 0, 16])
+        end = np.array([17, 2, 17])
+        moved = m.with_boundaries(rows, start, end, "corrected")
+        assert [a.annotation_id for a in moved.annotations] == \
+            ["a4", "a1", "a2"]
+        for a, r, s, e in zip(moved.annotations, rows, start, end):
+            v = videos[r % 2]
+            assert a.status == "corrected"
+            assert a.boundary_frames == Boundary(int(s), int(e), v.num_frames)
+            assert a.boundary_seconds == tuple(
+                frames_to_seconds(int(f), v.duration_seconds, v.num_frames)
+                for f in (s, e))
+            assert replace(a, status="raw", boundary_frames=None,
+                           boundary_seconds=(0, 1)) == \
+                replace(records[r], boundary_frames=None)
+        # the source manifest is unchanged
+        assert [replace(a, boundary_frames=None) for a in m.annotations] == \
+            list(records)
+
 
 class TestFieldTypes:
     """A manifest field of the wrong type is an error, never a cast."""
@@ -333,6 +374,85 @@ class TestFieldTypes:
     def test_document_shape(self, tmp_path, edit):
         with pytest.raises(FormatError):
             self.load(tmp_path, edit)
+
+
+class TestSingleFaults:
+    """Each single fault gets the code, message and context a reader
+    that checks annotation by annotation gives it, although the reader
+    checks the manifest a column at a time."""
+
+    @staticmethod
+    def load(tmp_path, edit):
+        path = write_fixture_corpus(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc["videos"][0], doc["annotations"][1])
+        path.write_text(json.dumps(doc))
+        return read_manifest(path)
+
+    @pytest.mark.parametrize("edit,code,message,context", [
+        (lambda v, a: a.update(status="bogus"), "contract_violation",
+         "unknown status", {"status": "bogus"}),
+        (lambda v, a: a.update(error_tag="bogus"), "contract_violation",
+         "unknown error tag", {"tag": "bogus"}),
+        (lambda v, a: a.update(boundary_seconds=[10.0, 41.0]), "range_error",
+         "timestamp outside [0, duration]", {"t": 41.0, "duration": 40.0}),
+        (lambda v, a: a.update(boundary_seconds=[0, 10 ** 400]),
+         "range_error", "timestamp outside [0, duration]",
+         {"t": 10 ** 400, "duration": 40.0}),
+        (lambda v, a: a.update(boundary_seconds=[5, 5]), "range_error",
+         "boundary seconds must satisfy 0 <= start < end",
+         {"annotation_id": "a1", "start_s": 5, "end_s": 5}),
+        (lambda v, a: v.update(num_frames=0), "contract_violation",
+         "boundary must satisfy 0 <= start < end <= timeline_len",
+         {"start": -1, "end": 0, "timeline_len": 0}),
+        (lambda v, a: v.update(duration_seconds=-1.0), "range_error",
+         "duration must be positive", {"duration": -1.0}),
+        (lambda v, a: v.update(num_frames=2 ** 63), "range_error",
+         "num_frames out of range",
+         {"video_id": "vid0", "num_frames": 2 ** 63}),
+        (lambda v, a: a.update(video_id="nope"), "referential_error",
+         "annotation references absent video",
+         {"annotation_id": "a1", "video_id": "nope"}),
+        (lambda v, a: a.update(query_feature_ref=2), "referential_error",
+         "query_feature_ref out of range",
+         {"annotation_id": "a1", "ref": 2, "num_queries": 2}),
+        (lambda v, a: a.update(annotation_id="a0"), "referential_error",
+         "duplicate annotation_id", {"annotation_id": "a0"}),
+    ])
+    def test_error(self, tmp_path, edit, code, message, context):
+        with pytest.raises(MorpError) as err:
+            self.load(tmp_path, edit)
+        assert (err.value.code, err.value.message, err.value.context) == \
+            (code, message, context)
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(
+               ["video_id", "duration_seconds", "num_frames",
+                "annotation_id", "query_feature_ref", "boundary_seconds",
+                "gt_boundary_seconds", "status", "error_tag"]),
+           value=st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+           | st.floats() | st.text(max_size=3) | st.lists(
+               st.integers(-5, 50) | st.floats(), max_size=3))
+    def test_any_value_reads_or_is_a_morp_error(self, field, value):
+        """One field of one video or annotation set to any JSON value:
+        the manifest reads and writes back unchanged, or the reader
+        raises a MorpError, never another exception."""
+        def edit(v, a):
+            (v if field in ("duration_seconds", "num_frames") else a)[
+                field] = value
+
+        with tempfile.TemporaryDirectory() as base:
+            try:
+                manifest = self.load(Path(base), edit)
+            except MorpError:
+                return
+            out = os.path.join(base, "out.json")
+            write_manifest(manifest, out)
+            again = os.path.join(base, "again.json")
+            write_manifest(read_manifest(out), again)
+            with open(out, encoding="utf-8") as f1, \
+                    open(again, encoding="utf-8") as f2:
+                assert f1.read() == f2.read()
 
 
 class TestBoundaryPairs:
@@ -449,3 +569,96 @@ class TestAtomicWrites:
         write(out)
         assert out.read_text() != "earlier\n"
         assert sorted(p.name for p in out.parent.iterdir()) == ["artifact"]
+
+
+# text with lone surrogates, non-ASCII letters, control characters,
+# quotes and backslashes
+TEXT = st.text(st.characters(categories=["Cs", "Lu", "Ll", "Nd", "Zs", "Cc",
+                                         "Po"]), max_size=6)
+SPECIAL = st.sampled_from([1e-07, 1e16, -0.0, 0.0, 12, 12.0])
+SECONDS = st.one_of(st.integers(0, 10 ** 16), st.floats(0, 1e16), SPECIAL)
+NUMBER = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.floats(), SPECIAL)
+
+
+@st.composite
+def annotation_records(draw, video_ids):
+    ids = draw(st.lists(TEXT, max_size=6, unique=True))
+    records = []
+    for aid in ids:
+        # two distinct seconds, ints next to floats
+        s, e = sorted(draw(st.lists(SECONDS, min_size=2, max_size=2,
+                                    unique_by=float)))
+        records.append(PseudoAnnotation(
+            annotation_id=aid, video_id=draw(st.sampled_from(video_ids)),
+            query_text=draw(TEXT), query_feature_ref=draw(st.integers(0, 1)),
+            boundary_seconds=(s, e), status=draw(st.sampled_from(STATUSES)),
+            gt_boundary_seconds=draw(st.none() | st.tuples(NUMBER, NUMBER)),
+            error_tag=draw(st.none() | st.sampled_from(ERROR_TAGS))))
+    return records
+
+
+class TestColumnarWriters:
+    """The manifest and refine-report writers format from columns, and
+    write exactly ``json.dumps(obj, indent=2) + "\\n"`` of the records."""
+
+    VIDEOS = (VideoEntry("v0", 1e17, 8, "features/v0.vmrp"),
+              VideoEntry("v\u00e9 \ud800", 2.5e16, 3, "f\u00e9/v1.vmrp"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(records=annotation_records([v.video_id for v in VIDEOS]),
+           provenance=st.none() | st.just({"tool_version": "0.1.0",
+                                            "note": "\u00e9"}),
+           synth=st.none() | st.just({"spec": {"x": 1.5},
+                                      "annotations": []}))
+    @example(records=[
+        PseudoAnnotation("a", "v0", "q", 0, (12, 1e16),
+                         gt_boundary_seconds=(float("nan"), float("-inf"))),
+        PseudoAnnotation("\ud800\u00e9", "v\u00e9 \ud800", "\u00e9\"\\", 1,
+                         (1e-07, 0.5), status="adjusted",
+                         gt_boundary_seconds=(-0.0, 10 ** 20),
+                         error_tag="clean")],
+             provenance=None, synth=None)
+    def test_manifest_text_is_json_dumps(self, records, provenance, synth):
+        with tempfile.TemporaryDirectory() as base:
+            write_feature_file(FrameFeatureMatrix(np.ones((2, 4), np.float32)),
+                               os.path.join(base, "queries.vmrp"))
+            manifest = CorpusManifest(1, self.VIDEOS, "queries.vmrp",
+                                      tuple(records), synth=synth,
+                                      provenance=provenance, base_dir=base)
+            path = os.path.join(base, "m.json")
+            write_manifest(manifest, path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            assert text == json.dumps(manifest_to_json_obj(manifest),
+                                      indent=2) + "\n"
+            # read back, every number keeps its type and bits
+            again = os.path.join(base, "again.json")
+            write_manifest(read_manifest(path), again)
+            with open(again, encoding="utf-8") as fh:
+                assert fh.read() == text
+
+    @settings(max_examples=80, deadline=None)
+    @given(ids=st.lists(TEXT, max_size=6, unique=True), data=st.data(),
+           provenance=st.none() | st.just({"seed": 3, "note": "\ud800"}))
+    @example(ids=[], data=None, provenance=None)
+    def test_report_text_is_json_dumps(self, ids, data, provenance):
+        n = len(ids)
+        gammas = data.draw(st.lists(st.floats(allow_nan=False,
+                                              allow_infinity=False) | SPECIAL,
+                                    min_size=n, max_size=n)) if n else []
+        frames = (data.draw(st.lists(st.integers(0, 2 ** 40), min_size=n,
+                                     max_size=n)) if n else []
+                  for _ in range(4))
+        kept = data.draw(st.lists(st.booleans(), min_size=n,
+                                  max_size=n)) if n else []
+        report = RefineReport(
+            ids, np.array(gammas, dtype=np.float64), np.array(kept, bool),
+            *(np.array(f, dtype=np.int64) for f in frames))
+        obj = report.to_json_obj()
+        if provenance is not None:
+            obj["provenance"] = provenance
+        with tempfile.TemporaryDirectory() as base:
+            path = os.path.join(base, "report.json")
+            report.write(path, provenance=provenance)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == json.dumps(obj, indent=2) + "\n"

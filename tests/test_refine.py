@@ -25,6 +25,8 @@ from morp.refine import (
     CleanParams,
     SimilarityTrack,
     adjust_boundary,
+    block_adjust,
+    block_contrast,
     clean_corpus,
     compute_tracks,
     frame_similarities,
@@ -238,33 +240,28 @@ class TestMomentContrast:
         assert moment_contrast(track_from_mapped(up_out), Boundary(s, e, T)) <= base
 
 
-class FakeAnn:
-    """Minimal stand-in carrying the one field cleaning reads; instances
-    compare by identity."""
-
-    def __init__(self, annotation_id):
-        self.annotation_id = annotation_id
-
-
 class TestCleanCorpus:
     def test_bottom_one_dropped(self):
-        a, b, c = FakeAnn("a"), FakeAnn("b"), FakeAnn("c")
-        kept, dropped = clean_corpus([(b, 0.5), (c, 0.1), (a, 0.9)],
+        kept, dropped = clean_corpus(["b", "c", "a"], [0.5, 0.1, 0.9],
                                      CleanParams(0.34))
-        # the input objects themselves, in rank order
-        assert kept == [a, b]
-        assert dropped == [c]
+        # rows of the input, in rank order
+        assert kept == [2, 0]
+        assert dropped == [1]
 
     def test_zero_ratio(self):
-        items = [(FakeAnn("a"), 0.9), (FakeAnn("b"), 0.5)]
-        kept, dropped = clean_corpus(items, CleanParams(0.0))
-        assert dropped == [] and kept == [ann for ann, _ in items]
+        kept, dropped = clean_corpus(["a", "b"], [0.9, 0.5], CleanParams(0.0))
+        assert dropped == [] and kept == [0, 1]
 
     def test_tie_breaks_by_id(self):
-        a, b = FakeAnn("a"), FakeAnn("b")
-        kept, dropped = clean_corpus([(b, 0.5), (a, 0.5)], CleanParams(0.5))
-        assert kept == [a]
-        assert dropped == [b]
+        kept, dropped = clean_corpus(["b", "a"], [0.5, 0.5], CleanParams(0.5))
+        assert kept == [1]
+        assert dropped == [0]
+
+    def test_ids_compare_by_code_point(self):
+        # a trailing NUL and a lone surrogate are ids like any other
+        ids = ["a\x00", "a", "\ud800", "\uffff"]
+        kept, dropped = clean_corpus(ids, [0.5] * 4, CleanParams(0.0))
+        assert [ids[i] for i in kept] == sorted(ids)
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ContractViolation):
@@ -272,24 +269,24 @@ class TestCleanCorpus:
 
     def test_non_finite_gamma_rejected(self):
         with pytest.raises(ContractViolation):
-            clean_corpus([(FakeAnn("a"), float("nan"))], CleanParams(0.0))
+            clean_corpus(["a"], [float("nan")], CleanParams(0.0))
 
     @settings(deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0, 0.99))
     def test_drop_count_and_separation(self, seed, ratio):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
-        items = [(FakeAnn(f"a{i:02d}"), float(rng.uniform(0, 2)))
-                 for i in range(n)]
-        kept, dropped = clean_corpus(items, CleanParams(ratio))
+        ids = [f"a{i:02d}" for i in range(n)]
+        # few distinct values, so that ties occur
+        gammas = rng.choice([0.0, 0.5, 1.0, 1.5], n).tolist()
+        kept, dropped = clean_corpus(ids, gammas, CleanParams(ratio))
         assert len(dropped) == math.floor(n * ratio)
         assert len(kept) + len(dropped) == n
-        scores = {a.annotation_id: g for a, g in items}
         if kept and dropped:
-            assert min(scores[a.annotation_id] for a in kept) >= \
-                max(scores[a.annotation_id] for a in dropped)
-        ranked = sorted(items, key=lambda ag: (-ag[1], ag[0].annotation_id))
-        assert kept + dropped == [a for a, _ in ranked]
+            assert min(gammas[i] for i in kept) >= \
+                max(gammas[i] for i in dropped)
+        ranked = sorted(range(n), key=lambda i: (-gammas[i], ids[i]))
+        assert kept + dropped == ranked
 
 
 class TestAdjustBoundary:
@@ -354,6 +351,64 @@ class TestAdjustBoundary:
             AdjustParams(alpha1=0.9, alpha2=0.2)
         with pytest.raises(ContractViolation):
             AdjustParams(delta=5, min_len=3)
+
+
+class TestBlockArithmetic:
+    """block_contrast and block_adjust equal moment_contrast and
+    adjust_boundary on rows of a prefix-sum block, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), delta=st.integers(1, 4),
+           extra=st.integers(0, 3), slack=st.integers(-3, 8),
+           flat=st.sampled_from([None, 0.0, 0.5, 1.0]))
+    @example(seed=0, delta=1, extra=0, slack=-3, flat=None)
+    @example(seed=1, delta=3, extra=0, slack=0, flat=0.0)
+    def test_matches_scalar_reference(self, seed, delta, extra, slack, flat):
+        rng = np.random.default_rng(seed)
+        params = AdjustParams(
+            delta=delta, min_len=delta + extra,
+            alpha1=float(rng.uniform(0.05, 0.6)),
+            alpha2=float(rng.uniform(0.65, 1.3)),
+            max_iters=int(rng.choice([1, 2, 64])))
+        # timelines near the shortest one that a side can shrink on
+        T = max(1, params.min_len + delta + slack)
+        n = int(rng.integers(1, 6))
+        if flat is None:
+            mapped = rng.random((n, T)) * 0.4
+            for row in mapped:  # one strong stretch per track
+                lo = int(rng.integers(0, T))
+                row[lo:int(rng.integers(lo, T + 1))] += 0.6
+        else:
+            mapped = np.full((n, T), flat)
+        prefix = np.zeros((n, T + 1))
+        np.cumsum(mapped, axis=1, out=prefix[:, 1:])
+        m = int(rng.integers(1, 16))
+        rows = rng.integers(0, n, m)
+        start = rng.integers(0, T, m)
+        end = rng.integers(start + 1, T + 1)
+        start[rng.random(m) < 0.3] = 0  # boundaries touching 0 and T
+        end[rng.random(m) < 0.3] = T
+        before = (start.copy(), end.copy())
+
+        gamma = block_contrast(prefix, rows, start, end)
+        got_start, got_end = block_adjust(prefix, rows, start, end, params)
+
+        assert np.array_equal(start, before[0])
+        assert np.array_equal(end, before[1])
+        for k in range(m):
+            track = SimilarityTrack(mapped=mapped[rows[k]],
+                                    prefix=prefix[rows[k]])
+            b = Boundary(int(start[k]), int(end[k]), T)
+            assert gamma[k] == moment_contrast(track, b)
+            assert (int(got_start[k]), int(got_end[k])) == \
+                adjust_boundary(track, b, params).as_tuple()
+
+    def test_empty(self):
+        prefix = np.zeros((1, 9))
+        empty = np.zeros(0, dtype=np.int64)
+        assert block_contrast(prefix, empty, empty, empty).shape == (0,)
+        s, e = block_adjust(prefix, empty, empty, empty, AdjustParams())
+        assert s.shape == e.shape == (0,)
 
 
 class TestRefineCorpus:

@@ -6,6 +6,7 @@ sampling order or the boundary rules shows up here.
 """
 
 import filecmp
+import json
 import os
 
 import numpy as np
@@ -15,7 +16,8 @@ from morp.core import Boundary
 from morp.errors import SpecError
 from morp.featstore import read_feature_file, read_manifest
 from morp.refine import compute_tracks, moment_contrast
-from morp.synth import SynthSpec, generate_corpus
+from morp.synth import (MAX_FRAME_VALUES, MAX_FRAMES, SynthSpec,
+                        generate_corpus)
 
 
 def small_spec(**kw):
@@ -37,6 +39,36 @@ class TestSpecValidation:
     def test_min_timeline(self):
         with pytest.raises(SpecError):
             small_spec(num_frames=8)
+
+    @pytest.mark.parametrize("frames,dim", [
+        (MAX_FRAMES + 1, 1), (99999999999, 16),
+        (MAX_FRAMES, MAX_FRAME_VALUES // MAX_FRAMES + 1)])
+    def test_frame_matrix_bounded(self, frames, dim):
+        with pytest.raises(SpecError):
+            small_spec(num_frames=frames, dim=dim)
+
+    def test_largest_frame_matrix_accepted(self):
+        # the spec alone is checked here; nothing is drawn
+        spec = small_spec(num_frames=MAX_FRAMES,
+                          dim=MAX_FRAME_VALUES // MAX_FRAMES)
+        assert spec.num_frames * spec.dim == MAX_FRAME_VALUES
+
+    def test_huge_timeline_is_one_spec_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        import morp.synth
+        from morp.cli import main
+
+        def refuse(*args):
+            raise AssertionError("a video was drawn")
+
+        monkeypatch.setattr(morp.synth, "_draw_video", refuse)
+        out = tmp_path / "c"
+        code = main(["synth", "--out", str(out), "--videos", "1",
+                     "--frames", "99999999999"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert json.loads(err)["code"] == "spec_error"
+        assert not out.exists()
 
     def test_queries_need_dim(self):
         with pytest.raises(SpecError):
