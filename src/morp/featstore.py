@@ -212,10 +212,9 @@ class PseudoAnnotation:
     of one row of an :class:`AnnotationTable`.
 
     ``boundary_frames`` is derived from ``boundary_seconds`` at load time
-    and is authoritative inside the pipeline.  The pipeline works on the
-    table's columns and builds no records; they serve tests, metrics and
-    statistics, and a manifest built from records converts them to a
-    table.
+    and is authoritative inside the pipeline.  The pipeline, statistics
+    and evaluation work on the table's columns and build no records; they
+    serve tests and callers that want one object per annotation.
     """
 
     annotation_id: str
@@ -231,12 +230,6 @@ class PseudoAnnotation:
     def __post_init__(self):
         _check_annotation(self.annotation_id, self.boundary_seconds,
                           self.status, self.error_tag)
-
-
-def _plain(x):
-    """A float subclass (such as numpy's float64) as a float, so that it
-    is written as json.dumps writes it."""
-    return float(x) if isinstance(x, float) else x
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,27 +271,6 @@ class AnnotationTable(Sequence):
         return cls(**{
             name: np.array(col, dtype=np.int64) if name in _ARRAY_COLUMNS
             else list(col) for name, col in zip(names, cols)})
-
-    @classmethod
-    def from_records(cls, records, videos) -> "AnnotationTable":
-        """The table of PseudoAnnotation records; a record without
-        frames gets them from its seconds and its video."""
-        index = {v.video_id: r for r, v in enumerate(videos)}
-        rows = []
-        for a in records:
-            row = index.get(a.video_id)
-            if row is None:
-                raise ReferentialError("annotation references absent video",
-                                       annotation_id=a.annotation_id,
-                                       video_id=a.video_id)
-            s, e = map(_plain, a.boundary_seconds)
-            b = a.boundary_frames or derive_boundary_frames(
-                s, e, videos[row].duration_seconds, videos[row].num_frames)
-            rows.append((a.annotation_id, a.video_id, row, a.query_text,
-                         a.query_feature_ref, s, e, b.start, b.end,
-                         b.timeline_len, a.status, a.error_tag,
-                         a.gt_boundary_seconds))
-        return cls.from_rows(rows)
 
     def take(self, rows, **columns) -> "AnnotationTable":
         """The given rows, in that order; a column given by name replaces
@@ -367,11 +339,8 @@ def _video_columns(videos):
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """A corpus: its videos, its query feature file and its annotations.
-
-    ``annotations`` is an :class:`AnnotationTable`; a sequence of
-    :class:`PseudoAnnotation` records given in its place is converted.
-    """
+    """A corpus: its videos, its query feature file and its annotations,
+    an :class:`AnnotationTable`."""
 
     format_version: int
     videos: tuple
@@ -380,11 +349,6 @@ class CorpusManifest:
     synth: Optional[dict] = None
     provenance: Optional[dict] = None
     base_dir: str = "."
-
-    def __post_init__(self):
-        if not isinstance(self.annotations, AnnotationTable):
-            object.__setattr__(self, "annotations", AnnotationTable.from_records(
-                self.annotations, self.videos))
 
     def video_by_id(self, video_id: str) -> VideoEntry:
         return self._video_index()[video_id]
@@ -737,22 +701,58 @@ def _json_number(x) -> str:
 def json_text(doc: dict, lists: dict) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` for a dict ``doc`` whose
     members named in ``lists`` are lists of objects, given there as the
-    texts of their elements, each already formatted at the indent of a
-    list element (four spaces)."""
+    texts that :func:`json_objects` formats for them."""
     members = []
     for key, value in doc.items():
         if key in lists:
-            items = lists[key]
-            body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-            members.append(f"  {encode_basestring_ascii(key)}: {body}")
+            members.append(f"  {encode_basestring_ascii(key)}: {lists[key]}")
         else:
             members.append(json.dumps({key: value}, indent=2)[2:-2])
     return "{\n" + ",\n".join(members) + "\n}\n"
 
 
+def json_objects(members: dict) -> str:
+    """The text of a list of objects that :func:`json_text` writes as a
+    member of the top-level object, as ``json.dumps(indent=2)`` lays it
+    out.
+
+    ``members`` maps each member name, in order, to a list of the texts
+    of its values, one per object: a scalar as JSON writes it, or a
+    :func:`json_pair`.  A value of None leaves the member out of that
+    object; the first member is in every object.  The pieces are
+    interleaved into one list and joined once.
+    """
+    rows = len(next(iter(members.values()), ()))
+    if not rows:
+        return "[]"
+    stride = 2 * len(members) + 2
+    parts = [",\n    {"] * (rows * stride)
+    parts[0] = "[\n    {"
+    for j, (key, values) in enumerate(members.items()):
+        head = f"{',' if j else ''}\n      {encode_basestring_ascii(key)}: "
+        if None in values:
+            parts[2 * j + 1::stride] = ["" if v is None else head
+                                        for v in values]
+            parts[2 * j + 2::stride] = ["" if v is None else v
+                                        for v in values]
+        else:
+            parts[2 * j + 1::stride] = [head] * rows
+            parts[2 * j + 2::stride] = values
+    parts[stride - 1::stride] = ["\n    }"] * rows
+    return "".join(parts) + "\n  ]"
+
+
+def json_pair(first: str, second: str) -> str:
+    """The text of a two-element list that is a member value in
+    :func:`json_objects`, from the texts of its elements."""
+    return f"[\n        {first},\n        {second}\n      ]"
+
+
 def _manifest_text(manifest: CorpusManifest) -> str:
     """``json.dumps(manifest_to_json_obj(manifest), indent=2) + "\\n"``,
-    formatted from the annotation columns."""
+    formatted from the annotation columns.  Boundary seconds are finite
+    (the reader checks ``0 <= start < end <= duration``, and new ones come
+    from frames), so ``repr`` writes them as JSON does."""
     enc = encode_basestring_ascii
     doc = {"format_version": manifest.format_version}
     if manifest.provenance is not None:
@@ -762,27 +762,28 @@ def _manifest_text(manifest: CorpusManifest) -> str:
     doc["videos"] = None
     doc["queries_file_path"] = manifest.queries_file_path
     doc["annotations"] = None
-    videos = [
-        f'    {{\n      "video_id": {enc(v.video_id)},\n'
-        f'      "duration_seconds": {_json_number(v.duration_seconds)},\n'
-        f'      "num_frames": {_json_number(v.num_frames)},\n'
-        f'      "feature_file_path": {enc(v.feature_file_path)}\n    }}'
-        for v in manifest.videos]
+    v = manifest.videos
+    videos = json_objects({
+        "video_id": [enc(x.video_id) for x in v],
+        "duration_seconds": [_json_number(x.duration_seconds) for x in v],
+        "num_frames": [_json_number(x.num_frames) for x in v],
+        "feature_file_path": [enc(x.feature_file_path) for x in v]})
     t = manifest.annotations
     status = {s: enc(s) for s in STATUSES}
-    tags = {tag: f',\n      "error_tag": {enc(tag)}' for tag in ERROR_TAGS}
-    tags[None] = ""
-    gts = ["" if g is None else
-           f',\n      "gt_boundary_seconds": [\n        {_json_number(g[0])},'
-           f'\n        {_json_number(g[1])}\n      ]' for g in t.gt]
-    annotations = [
-        f'    {{\n      "annotation_id": {aid},\n      "video_id": {vid},\n'
-        f'      "query_text": {text},\n      "query_feature_ref": {ref!r},\n'
-        f'      "boundary_seconds": [\n        {s!r},\n        {e!r}\n'
-        f'      ],\n      "status": {status[st]}{gt}{tags[tag]}\n    }}'
-        for aid, vid, text, ref, s, e, st, gt, tag in zip(
-            map(enc, t.ids), map(enc, t.video_id), map(enc, t.query_text),
-            t.query_ref, t.start_s, t.end_s, t.status, gts, t.error_tag)]
+    tags = {tag: enc(tag) for tag in ERROR_TAGS}
+    tags[None] = None
+    annotations = json_objects({
+        "annotation_id": list(map(enc, t.ids)),
+        "video_id": list(map(enc, t.video_id)),
+        "query_text": list(map(enc, t.query_text)),
+        "query_feature_ref": list(map(repr, t.query_ref)),
+        "boundary_seconds": list(map(json_pair, map(repr, t.start_s),
+                                     map(repr, t.end_s))),
+        "status": [status[st] for st in t.status],
+        "gt_boundary_seconds": [
+            None if g is None else
+            json_pair(_json_number(g[0]), _json_number(g[1])) for g in t.gt],
+        "error_tag": [tags[tag] for tag in t.error_tag]})
     return json_text(doc, {"videos": videos, "annotations": annotations})
 
 

@@ -112,8 +112,8 @@ def tokenize(text: str):
 
 def corpus_stats(manifest: CorpusManifest) -> CorpusStats:
     tokens = []
-    for ann in manifest.annotations:
-        tokens.extend(tokenize(ann.query_text))
+    for text in manifest.annotations.query_text:
+        tokens.extend(tokenize(text))
     return CorpusStats(
         video_count=len(manifest.videos),
         total_duration_hours=sum(v.duration_seconds for v in manifest.videos) / 3600.0,

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .consensus import CorrectionParams, run_correction
-from .core import iou
+from .core import Boundary, iou
 from .errors import ContractViolation
 from .featstore import CorpusManifest, derive_boundary_frames
 from .metrics import MetricReport, _align, metric_report
@@ -15,26 +15,32 @@ from .refine import AdjustParams, CleanParams, compute_tracks, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
 
-def gt_frames(manifest: CorpusManifest, ann):
-    """Ground-truth Boundary of an annotation, or None when absent."""
-    if ann.gt_boundary_seconds is None:
-        return None
-    video = manifest.video_by_id(ann.video_id)
-    return derive_boundary_frames(ann.gt_boundary_seconds[0],
-                                  ann.gt_boundary_seconds[1],
-                                  video.duration_seconds, video.num_frames)
+def boundaries(manifest: CorpusManifest, ids=None, with_gt=True):
+    """Per annotation, or per one of ``ids`` when given, from the
+    columns: (annotation_id, frame Boundary, ground-truth frame Boundary
+    or None when absent or not asked for)."""
+    t = manifest.annotations
+    for aid, v, gt, s, e, T in zip(t.ids, t.video.tolist(), t.gt,
+                                   t.start_f.tolist(), t.end_f.tolist(),
+                                   t.timeline.tolist()):
+        if ids is not None and aid not in ids:
+            continue
+        if not with_gt:
+            gt = None
+        elif gt is not None:
+            video = manifest.videos[v]
+            gt = derive_boundary_frames(gt[0], gt[1], video.duration_seconds,
+                                        video.num_frames)
+        yield aid, Boundary(s, e, T), gt
 
 
 def evaluate_manifest(manifest: CorpusManifest,
                       thresholds=(0.3, 0.5, 0.7)) -> MetricReport:
     """Score every gt-bearing annotation's boundary against its ground truth."""
     preds, gts = {}, {}
-    for ann in manifest.annotations:
-        gt = gt_frames(manifest, ann)
-        if gt is None:
-            continue
-        preds[ann.annotation_id] = ann.boundary_frames
-        gts[ann.annotation_id] = gt
+    for aid, b, gt in boundaries(manifest):
+        if gt is not None:
+            preds[aid], gts[aid] = b, gt
     if not preds:
         raise ContractViolation("manifest holds no ground-truth annotations")
     return metric_report(preds, gts, thresholds)
@@ -67,15 +73,14 @@ def corpus_quality(original: CorpusManifest, final: CorpusManifest) -> float:
     received); dropped annotations without ground truth leave the
     average entirely, which is exactly what cleaning is for.
     """
-    retained = {a.annotation_id: a for a in final.annotations}
+    retained = {aid: b for aid, b, _ in boundaries(final, with_gt=False)}
     values = []
-    for ann in original.annotations:
-        gt = gt_frames(original, ann)
-        kept = retained.get(ann.annotation_id)
+    for aid, b, gt in boundaries(original):
+        kept = retained.get(aid)
         if kept is not None:
-            values.append(iou(kept.boundary_frames, gt) if gt else 0.0)
+            values.append(iou(kept, gt) if gt else 0.0)
         elif gt is not None:
-            values.append(iou(ann.boundary_frames, gt))
+            values.append(iou(b, gt))
     if not values:
         raise ContractViolation("no annotations to score")
     return sum(values) / len(values)
@@ -84,13 +89,9 @@ def corpus_quality(original: CorpusManifest, final: CorpusManifest) -> float:
 def mean_iou_vs_gt(manifest: CorpusManifest, ids=None) -> float:
     """Mean IoU against ground truth over gt-bearing annotations (fraction)."""
     values = []
-    for ann in manifest.annotations:
-        if ids is not None and ann.annotation_id not in ids:
-            continue
-        gt = gt_frames(manifest, ann)
-        if gt is None:
-            continue
-        values.append(iou(ann.boundary_frames, gt))
+    for _, b, gt in boundaries(manifest, ids):
+        if gt is not None:
+            values.append(iou(b, gt))
     if not values:
         raise ContractViolation("no gt-bearing annotations selected")
     return sum(values) / len(values)

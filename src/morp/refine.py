@@ -17,11 +17,11 @@ cosines are kept.  :func:`frame_similarities` is the single-query form
 of the same arithmetic, bit for bit.
 
 :func:`refine_corpus` scores and adjusts the annotation columns of a
-manifest against these blocks: :func:`block_contrast` and
-:func:`block_adjust` gather prefix sums by (row, position) index and do
-the arithmetic of :func:`moment_contrast` and :func:`adjust_boundary`,
-which stay the per-boundary reference, over all boundaries of a block
-at once.
+manifest against these tracks: :func:`batch_contrast` and
+:func:`batch_adjust` gather prefix sums from one flat array by index
+and do the arithmetic of :func:`moment_contrast` and
+:func:`adjust_boundary`, which stay the per-boundary reference, over
+all boundaries of a corpus at once, whatever their timeline lengths.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .featstore import (
     FrameFeatureMatrix,
     QueryFeature,
     atomic_write,
+    json_objects,
+    json_pair,
     json_text,
 )
 
@@ -207,55 +209,58 @@ def adjust_boundary(track: SimilarityTrack, b: Boundary,
     return Boundary(s, e, T)
 
 
-def block_contrast(prefix: np.ndarray, rows, start, end) -> np.ndarray:
+def batch_contrast(prefix: np.ndarray, base, T, start, end) -> np.ndarray:
     """:func:`moment_contrast` of each boundary ``[start[k], end[k])`` on
-    track row ``rows[k]`` of an (n, T + 1) block of prefix sums."""
-    T = prefix.shape[1] - 1
-    inside = prefix[rows, end] - prefix[rows, start]
-    outside = (prefix[rows, T] - prefix[rows, 0]) - inside
+    the track of ``T[k]`` frames whose prefix sums are
+    ``prefix[base[k]:base[k] + T[k] + 1]`` of a flat array."""
+    inside = prefix[base + end] - prefix[base + start]
+    outside = (prefix[base + T] - prefix[base]) - inside
     gamma = np.full(len(inside), GAMMA_CAP)
     np.divide(inside, outside, out=gamma, where=~(outside < EPS_DENOM))
     return gamma
 
 
-def block_adjust(prefix: np.ndarray, rows, start, end,
+def batch_adjust(prefix: np.ndarray, base, T, start, end,
                  params: AdjustParams):
     """:func:`adjust_boundary` of each boundary ``[start[k], end[k])`` on
-    track row ``rows[k]`` of an (n, T + 1) block of prefix sums.
+    the track of ``T[k]`` frames whose prefix sums are
+    ``prefix[base[k]:base[k] + T[k] + 1]`` of a flat array.
 
     Each round updates every boundary still moving with the scalar
     climb's arithmetic, in its order; a boundary leaves once a round
     moves neither side.  Window ends that the scalar climb would not
     evaluate are clipped to the timeline, and their results unused.
-    Returns the new (start, end) int64 arrays.
+    Tracks of any timeline length share the rounds.  Returns the new
+    (start, end) int64 arrays.
     """
-    T = prefix.shape[1] - 1
     d, a1, a2 = params.delta, params.alpha1, params.alpha2
     min_span = params.min_len + d
     start = np.array(start, dtype=np.int64)
     end = np.array(end, dtype=np.int64)
-    rows = np.asarray(rows)
+    base, T = np.asarray(base), np.asarray(T)
     live = np.arange(len(start))
     for _ in range(params.max_iters):
         if not live.size:
             break
-        r, s, e = rows[live], start[live], end[live]
+        b, t, s, e = base[live], T[live], start[live], end[live]
+        at_s, at_e = prefix[b + s], prefix[b + e]
 
-        mu = (prefix[r, e] - prefix[r, s]) / (e - s)
+        mu = (at_e - at_s) / (e - s)
         lo = np.maximum(s - d, 0)
-        grow = (lo < s) & ((prefix[r, s] - prefix[r, lo])
+        grow = (lo < s) & ((at_s - prefix[b + lo])
                            / np.maximum(s - lo, 1) >= a2 * mu)
         shrink = ~grow & (e - s > min_span) & (
-            (prefix[r, np.minimum(s + d, T)] - prefix[r, s]) / d < a1 * mu)
+            (prefix[b + np.minimum(s + d, t)] - at_s) / d < a1 * mu)
         s = np.where(grow, lo, np.where(shrink, s + d, s))
         moved = grow | shrink
 
-        mu = (prefix[r, e] - prefix[r, s]) / (e - s)
-        hi = np.minimum(e + d, T)
-        grow = (hi > e) & ((prefix[r, hi] - prefix[r, e])
+        at_s = prefix[b + s]
+        mu = (at_e - at_s) / (e - s)
+        hi = np.minimum(e + d, t)
+        grow = (hi > e) & ((prefix[b + hi] - at_e)
                            / np.maximum(hi - e, 1) >= a2 * mu)
         shrink = ~grow & (e - s > min_span) & (
-            (prefix[r, e] - prefix[r, np.maximum(e - d, 0)]) / d < a1 * mu)
+            (at_e - prefix[b + np.maximum(e - d, 0)]) / d < a1 * mu)
         e = np.where(grow, hi, np.where(shrink, e - d, e))
         moved |= grow | shrink
 
@@ -316,19 +321,18 @@ class RefineReport:
         """Write :meth:`to_json_obj`, with ``provenance`` appended when
         given, as ``json.dumps(obj, indent=2) + "\\n"``, formatted from
         the columns."""
-        items = [
-            f'    {{\n      "annotation_id": {aid},\n      "gamma": {g!r},\n'
-            f'      "decision": "{"kept" if k else "dropped"}",\n'
-            f'      "boundary_before_frames": [\n        {bs},\n        {be}\n'
-            f'      ],\n      "boundary_after_frames": '
-            + (f'[\n        {as_},\n        {ae}\n      ]' if k else "null")
-            + "\n    }"
-            for aid, g, k, bs, be, as_, ae in zip(
-                map(encode_basestring_ascii, self.ids), self.gamma.tolist(),
-                self.kept.tolist(), self.before_start.tolist(),
-                self.before_end.tolist(), self.after_start.tolist(),
-                self.after_end.tolist())
-        ]
+        before = map(json_pair, map(str, self.before_start.tolist()),
+                     map(str, self.before_end.tolist()))
+        after = map(json_pair, map(str, self.after_start.tolist()),
+                    map(str, self.after_end.tolist()))
+        kept = self.kept.tolist()
+        items = json_objects({
+            "annotation_id": list(map(encode_basestring_ascii, self.ids)),
+            "gamma": list(map(float.__repr__, self.gamma.tolist())),
+            "decision": ['"kept"' if k else '"dropped"' for k in kept],
+            "boundary_before_frames": list(before),
+            "boundary_after_frames": [p if k else "null"
+                                      for p, k in zip(after, kept)]})
         doc = {"annotations": None}
         if provenance is not None:
             doc["provenance"] = provenance
@@ -341,17 +345,19 @@ class CorpusTracks(Mapping):
     """The similarity tracks of a corpus, by annotation id.
 
     The tracks of all annotations on timelines of T frames are the rows
-    of ``mapped[T]``, an (n, T) block of mapped values, and of
-    ``prefix[T]``, an (n, T + 1) block of their prefix sums.  Row i of
-    the manifest the tracks were computed for, annotation ``ids[i]``, is
-    row ``row[i]`` of the blocks of ``frames[i]`` frames.  Looking up an
-    id returns a :class:`SimilarityTrack` of row views.  Ids iterate in
-    the order their rows were filled.
+    of ``mapped[T]``, an (n, T) block of mapped values.  Their prefix
+    sums lie in one flat array, ``prefix``: an (n, T + 1) block for each
+    T, one after the other.  Row i of the manifest the tracks were
+    computed for, annotation ``ids[i]``, is row ``row[i]`` of the mapped
+    block of ``frames[i]`` frames, and its prefix sums start at
+    ``prefix[base[i]]``.  Looking up an id returns a
+    :class:`SimilarityTrack` of views.  Ids iterate in the order their
+    rows were filled.
     """
 
-    def __init__(self, ids, mapped, prefix, frames, row, filled):
+    def __init__(self, ids, mapped, prefix, frames, row, base, filled):
         self.mapped, self.prefix = mapped, prefix
-        self.frames, self.row = frames, row
+        self.frames, self.row, self.base = frames, row, base
         self._position = {ids[i]: i for i in filled}
 
     def positions(self, ids) -> np.ndarray:
@@ -361,9 +367,9 @@ class CorpusTracks(Mapping):
 
     def __getitem__(self, annotation_id) -> SimilarityTrack:
         i = self._position[annotation_id]
-        T, r = int(self.frames[i]), self.row[i]
-        return SimilarityTrack(mapped=self.mapped[T][r],
-                               prefix=self.prefix[T][r])
+        T, b = int(self.frames[i]), self.base[i]
+        return SimilarityTrack(mapped=self.mapped[T][self.row[i]],
+                               prefix=self.prefix[b:b + T + 1])
 
     def __iter__(self):
         return iter(self._position)
@@ -382,9 +388,8 @@ def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
     video, then one matrix-vector product per annotation fills a row of
     the preallocated (annotations, T) block of its timeline length T.
     Each block is then clipped and mapped by ``(s + 1) / 2`` in place,
-    its prefix sums go to one more block, and every track is a row of
-    these two; each track equals ``frame_similarities`` for its query
-    bit for bit.
+    and its prefix sums go to its own stretch of one flat array; each
+    track equals ``frame_similarities`` for its query bit for bit.
     """
     queries = manifest.load_query_features()
     table = manifest.annotations
@@ -399,8 +404,12 @@ def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
         T = manifest.video_frames(manifest.videos[v].video_id)
         counts[T] = counts.get(T, 0) + len(by_video[v])
     mapped = {T: np.empty((n, T)) for T, n in counts.items()}
+    offset, size = {}, 0
+    for T, n in counts.items():  # where each T's prefix block starts
+        offset[T], size = size, size + n * (T + 1)
     frames = np.zeros(len(table), dtype=np.int64)
     rows = np.zeros(len(table), dtype=np.int64)
+    base = np.zeros(len(table), dtype=np.int64)
     filled = dict.fromkeys(counts, 0)
     refs = table.query_ref
 
@@ -422,17 +431,19 @@ def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
             filled[T] = row + 1
         frames[members] = T
         rows[members] = np.arange(filled[T] - len(members), filled[T])
+        base[members] = offset[T] + rows[members] * (T + 1)
 
-    prefix = {}
+    prefix = np.empty(size)
     for T, block in mapped.items():
         # in place, so that no block-sized temporary raises peak memory
         np.clip(block, -1.0, 1.0, out=block)
         block += 1.0
         block /= 2.0
-        prefix[T] = p = np.empty((block.shape[0], T + 1))
+        n = block.shape[0]
+        p = prefix[offset[T]:offset[T] + n * (T + 1)].reshape(n, T + 1)
         p[:, 0] = 0.0
         np.cumsum(block, axis=1, out=p[:, 1:])
-    return CorpusTracks(table.ids, mapped, prefix, frames, rows,
+    return CorpusTracks(table.ids, mapped, prefix, frames, rows, base,
                         [i for v in order for i in by_video[v]])
 
 
@@ -448,16 +459,16 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
     order.  ``tracks`` holds ``compute_tracks(manifest)`` when the
     caller has it already.
 
-    The work is on the annotation columns and the track blocks, a block
-    of T frames at a time: :func:`block_contrast` scores every
-    annotation, :func:`clean_corpus` ranks them, and
-    :func:`block_adjust` moves the kept ones.
+    The work is on the annotation columns and the tracks' flat prefix
+    sums, all timeline lengths at once: :func:`batch_contrast` scores
+    every annotation, :func:`clean_corpus` ranks them, and
+    :func:`batch_adjust` moves the kept ones.
     """
     if tracks is None:
         tracks = compute_tracks(manifest)
     table = manifest.annotations
     where = tracks.positions(table.ids)
-    T, rows = tracks.frames[where], tracks.row[where]
+    T, base = tracks.frames[where], tracks.base[where]
     mismatch = np.flatnonzero(T != table.timeline)
     if mismatch.size:
         i = mismatch[0]
@@ -467,20 +478,15 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
                                           int(table.end_f[i])),
                                 track_len=int(T[i]))
     start, end = table.start_f, table.end_f
-    gamma = np.empty(len(table))
-    blocks = [(t, np.flatnonzero(T == t)) for t in sorted(set(T.tolist()))]
-    for t, sel in blocks:
-        gamma[sel] = block_contrast(tracks.prefix[t], rows[sel], start[sel],
-                                    end[sel])
+    gamma = batch_contrast(tracks.prefix, base, T, start, end)
     kept_rows, _ = clean_corpus(table.ids, gamma, clean_params)
 
     kept = np.zeros(len(table), dtype=bool)
     kept[kept_rows] = True
     after_start, after_end = start.copy(), end.copy()
-    for t, sel in blocks:
-        sel = sel[kept[sel]]
-        after_start[sel], after_end[sel] = block_adjust(
-            tracks.prefix[t], rows[sel], start[sel], end[sel], adjust_params)
+    after_start[kept], after_end[kept] = batch_adjust(
+        tracks.prefix, base[kept], T[kept], start[kept], end[kept],
+        adjust_params)
 
     order = sorted(kept_rows, key=table.ids.__getitem__)
     refined = manifest.with_boundaries(order, after_start[order],

@@ -192,8 +192,9 @@ def test_criterion_05_stage_ordering(corpora):
             manifest, CleanParams(0.4), AdjustParams(),
             CorrectionParams(seed=seed))
         kept_ids = {a.annotation_id for a in refined.annotations}
-        clean_only = replace(manifest, annotations=tuple(
-            a for a in manifest.annotations if a.annotation_id in kept_ids))
+        clean_only = replace(manifest, annotations=manifest.annotations.take(
+            [i for i, aid in enumerate(manifest.annotations.ids)
+             if aid in kept_ids]))
         q_raw = corpus_quality(manifest, manifest)
         q_clean = corpus_quality(manifest, clean_only)
         q_adjust = corpus_quality(manifest, refined)

@@ -361,6 +361,22 @@ class TestColumnarPath:
         assert filecmp.cmp(tmp_path / "r2" / "refined.json", refined,
                            shallow=False)
 
+    def test_stats_and_evaluate_read_columns(self, tmp_path, capsys,
+                                             monkeypatch):
+        """stats and evaluate read the columns, not PseudoAnnotation
+        records."""
+        from morp.featstore import PseudoAnnotation
+
+        manifest = make_corpus(tmp_path, capsys)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a PseudoAnnotation was built")
+
+        monkeypatch.setattr(PseudoAnnotation, "__init__", refuse)
+        for command in ("stats", "evaluate"):
+            code, out, err = run(capsys, command, "--manifest", str(manifest))
+            assert code == 0, err
+
 
 class TestEvaluateAndStats:
     def test_evaluate_pipeline_output(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import annotation_table
 from morp.core import Boundary, ScoredBoundary
 from morp.errors import ContractViolation, PredictorError
 from morp.predictor import EpochPredictions
@@ -338,8 +339,9 @@ class TestRunCorrection:
             return sorted(manifest.annotations, key=lambda a: a.annotation_id)
 
         refined = make_refined_corpus(tmp_path, n_videos=6)
-        reordered = replace(refined,
-                            annotations=tuple(reversed(refined.annotations)))
+        n = len(refined.annotations)
+        reordered = replace(refined, annotations=refined.annotations.take(
+            range(n - 1, -1, -1)))
         p = CorrectionParams(epochs=3, seed=5)
         out1, tr1 = run_correction(refined, SlidingWindowPredictor(), p)
         out2, tr2 = run_correction(reordered, SlidingWindowPredictor(), p)
@@ -390,7 +392,7 @@ def replay_manifest(rng, n, ids=None):
     """n adjusted annotations on videos of 2, 5 or 20 frames, with the
     given ids or else ids not in insertion order.  Replay reads no
     feature file, so none exists."""
-    from morp.featstore import CorpusManifest, PseudoAnnotation, VideoEntry
+    from morp.featstore import CorpusManifest, VideoEntry
 
     if ids is None:
         ids = [f"a{j:04d}" for j in rng.permutation(n).tolist()]
@@ -400,10 +402,11 @@ def replay_manifest(rng, n, ids=None):
         s = int(rng.integers(0, T))
         e = int(rng.integers(s + 1, T + 1))
         videos.append(VideoEntry(f"v{i}", float(T), T, f"v{i}.vmrp"))
-        anns.append(PseudoAnnotation(aid, f"v{i}", "q", 0,
-                                     (float(s), float(e)), status="adjusted",
-                                     boundary_frames=Boundary(s, e, T)))
-    return CorpusManifest(1, tuple(videos), "q.vmrp", tuple(anns))
+        anns.append({"annotation_id": aid, "video_id": f"v{i}",
+                     "boundary_seconds": (float(s), float(e)),
+                     "status": "adjusted", "boundary_frames": (s, e)})
+    return CorpusManifest(1, tuple(videos), "q.vmrp",
+                          annotation_table(videos, anns))
 
 
 def write_predictions(path, manifest, epochs, rng, max_count=6,
@@ -571,15 +574,15 @@ class TestBatchedCorrection:
     def test_each_annotation_checked_against_its_own_timeline(self, tmp_path):
         import json
 
-        from morp.featstore import CorpusManifest, PseudoAnnotation, VideoEntry
+        from morp.featstore import CorpusManifest, VideoEntry
         from morp.predictor import FilePredictor
 
         videos = (VideoEntry("short", 10.0, 10, "short.vmrp"),
                   VideoEntry("long", 40.0, 40, "long.vmrp"))
-        anns = tuple(
-            PseudoAnnotation(aid, vid, "q", 0, (0.0, 5.0), status="adjusted",
-                             boundary_frames=Boundary(0, 5, T))
-            for aid, vid, T in (("a", "short", 10), ("b", "long", 40)))
+        anns = annotation_table(videos, [
+            {"annotation_id": aid, "video_id": vid,
+             "boundary_seconds": (0.0, 5.0), "status": "adjusted"}
+            for aid, vid in (("a", "short"), ("b", "long"))])
         manifest = CorpusManifest(1, videos, "q.vmrp", anns)
 
         def replay(end_a):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import annotation_table
 from morp.core import Boundary
 from morp.errors import (
     ContractViolation,
@@ -27,7 +28,6 @@ from morp.featstore import (
     STATUSES,
     CorpusManifest,
     FrameFeatureMatrix,
-    PseudoAnnotation,
     QueryFeature,
     VideoEntry,
     frames_to_seconds,
@@ -287,10 +287,13 @@ class TestManifest:
     def test_with_boundaries(self):
         videos = (VideoEntry("v0", 37.3, 17, "v0.vmrp"),
                   VideoEntry("v1", 10, 3, "v1.vmrp"))
-        records = tuple(PseudoAnnotation(f"a{i}", f"v{i % 2}", "q", 0,
-                                         (0, 1), gt_boundary_seconds=(0, i))
-                        for i in range(5))
-        m = CorpusManifest(1, videos, "q.vmrp", records)
+        m = CorpusManifest(1, videos, "q.vmrp", annotation_table(videos, [
+            {"annotation_id": f"a{i}", "video_id": f"v{i % 2}",
+             "boundary_seconds": (0, 1), "gt_boundary_seconds": (0, i)}
+            for i in range(5)]))
+        records = tuple(m.annotations)
+        columns = {name: list(getattr(m.annotations, name)) for name in
+                   ("start_s", "end_s", "start_f", "end_f", "status")}
         rows = [4, 1, 2]
         start = np.array([3, 0, 16])
         end = np.array([17, 2, 17])
@@ -307,9 +310,9 @@ class TestManifest:
             assert replace(a, status="raw", boundary_frames=None,
                            boundary_seconds=(0, 1)) == \
                 replace(records[r], boundary_frames=None)
-        # the source manifest is unchanged
-        assert [replace(a, boundary_frames=None) for a in m.annotations] == \
-            list(records)
+        # the source manifest's columns are unchanged
+        for name, column in columns.items():
+            assert list(getattr(m.annotations, name)) == column
 
 
 class TestFieldTypes:
@@ -588,7 +591,7 @@ def annotation_records(draw, video_ids):
         # two distinct seconds, ints next to floats
         s, e = sorted(draw(st.lists(SECONDS, min_size=2, max_size=2,
                                     unique_by=float)))
-        records.append(PseudoAnnotation(
+        records.append(dict(
             annotation_id=aid, video_id=draw(st.sampled_from(video_ids)),
             query_text=draw(TEXT), query_feature_ref=draw(st.integers(0, 1)),
             boundary_seconds=(s, e), status=draw(st.sampled_from(STATUSES)),
@@ -611,19 +614,20 @@ class TestColumnarWriters:
            synth=st.none() | st.just({"spec": {"x": 1.5},
                                       "annotations": []}))
     @example(records=[
-        PseudoAnnotation("a", "v0", "q", 0, (12, 1e16),
-                         gt_boundary_seconds=(float("nan"), float("-inf"))),
-        PseudoAnnotation("\ud800\u00e9", "v\u00e9 \ud800", "\u00e9\"\\", 1,
-                         (1e-07, 0.5), status="adjusted",
-                         gt_boundary_seconds=(-0.0, 10 ** 20),
-                         error_tag="clean")],
+        dict(annotation_id="a", video_id="v0", boundary_seconds=(12, 1e16),
+             gt_boundary_seconds=(float("nan"), float("-inf"))),
+        dict(annotation_id="\ud800\u00e9", video_id="v\u00e9 \ud800",
+             query_text="\u00e9\"\\", query_feature_ref=1,
+             boundary_seconds=(1e-07, 0.5), status="adjusted",
+             gt_boundary_seconds=(-0.0, 10 ** 20), error_tag="clean")],
              provenance=None, synth=None)
     def test_manifest_text_is_json_dumps(self, records, provenance, synth):
         with tempfile.TemporaryDirectory() as base:
             write_feature_file(FrameFeatureMatrix(np.ones((2, 4), np.float32)),
                                os.path.join(base, "queries.vmrp"))
             manifest = CorpusManifest(1, self.VIDEOS, "queries.vmrp",
-                                      tuple(records), synth=synth,
+                                      annotation_table(self.VIDEOS, records),
+                                      synth=synth,
                                       provenance=provenance, base_dir=base)
             path = os.path.join(base, "m.json")
             write_manifest(manifest, path)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import annotation_table
 from morp.core import Boundary
 from morp.errors import ContractViolation
-from morp.featstore import CorpusManifest, PseudoAnnotation, VideoEntry
+from morp.featstore import CorpusManifest, VideoEntry
 from morp.metrics import (
     corpus_stats,
     mean_iou,
@@ -125,7 +126,7 @@ def make_manifest(videos, annotations):
         format_version=1,
         videos=tuple(videos),
         queries_file_path="queries.bin",
-        annotations=tuple(annotations),
+        annotations=annotation_table(videos, annotations),
     )
 
 
@@ -133,8 +134,10 @@ class TestCorpusStats:
     def test_hand_example(self):
         vids = [VideoEntry("v0", 3600.0, 128, "v0.bin")]
         anns = [
-            PseudoAnnotation("a0", "v0", "a man runs", 0, (0.0, 5.0)),
-            PseudoAnnotation("a1", "v0", "a man jumps", 1, (1.0, 6.0)),
+            {"annotation_id": "a0", "video_id": "v0",
+             "query_text": "a man runs", "boundary_seconds": (0.0, 5.0)},
+            {"annotation_id": "a1", "video_id": "v0", "query_feature_ref": 1,
+             "query_text": "a man jumps", "boundary_seconds": (1.0, 6.0)},
         ]
         stats = corpus_stats(make_manifest(vids, anns))
         assert stats.video_count == 1
@@ -146,7 +149,9 @@ class TestCorpusStats:
     def test_duplicate_queries_grow_tokens_not_vocab(self):
         vids = [VideoEntry("v0", 60.0, 16, "v0.bin")]
         anns = [
-            PseudoAnnotation(f"a{i}", "v0", "dog barks", i, (0.0, 2.0))
+            {"annotation_id": f"a{i}", "video_id": "v0",
+             "query_text": "dog barks", "query_feature_ref": i,
+             "boundary_seconds": (0.0, 2.0)}
             for i in range(3)
         ]
         stats = corpus_stats(make_manifest(vids, anns))

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import annotation_table
 import morp.featstore
 from morp.core import Boundary
 from morp.errors import ContractViolation
 from morp.featstore import (
     CorpusManifest,
     FrameFeatureMatrix,
-    PseudoAnnotation,
     QueryFeature,
     VideoEntry,
     write_feature_file,
@@ -25,8 +25,8 @@ from morp.refine import (
     CleanParams,
     SimilarityTrack,
     adjust_boundary,
-    block_adjust,
-    block_contrast,
+    batch_adjust,
+    batch_contrast,
     clean_corpus,
     compute_tracks,
     frame_similarities,
@@ -109,9 +109,10 @@ def write_corpus(base, queries, videos, anns):
         write_feature_file(FrameFeatureMatrix(data), f"{base}/{vid}.vmrp")
         entries.append(VideoEntry(vid, float(len(data)), len(data),
                                   f"{vid}.vmrp"))
-    annotations = tuple(
-        PseudoAnnotation(aid, vid, "q", ref, (0.0, float(len(videos[vid]))))
-        for aid, vid, ref in anns)
+    annotations = annotation_table(entries, [
+        {"annotation_id": aid, "video_id": vid, "query_feature_ref": ref,
+         "boundary_seconds": (0.0, float(len(videos[vid])))}
+        for aid, vid, ref in anns])
     return CorpusManifest(1, tuple(entries), "q.vmrp", annotations,
                           base_dir=base)
 
@@ -353,9 +354,10 @@ class TestAdjustBoundary:
             AdjustParams(delta=5, min_len=3)
 
 
-class TestBlockArithmetic:
-    """block_contrast and block_adjust equal moment_contrast and
-    adjust_boundary on rows of a prefix-sum block, bit for bit."""
+class TestBatchArithmetic:
+    """batch_contrast and batch_adjust equal moment_contrast and
+    adjust_boundary on tracks of mixed timeline lengths whose prefix
+    sums lie in one flat array, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), delta=st.integers(1, 4),
@@ -371,43 +373,52 @@ class TestBlockArithmetic:
             alpha2=float(rng.uniform(0.65, 1.3)),
             max_iters=int(rng.choice([1, 2, 64])))
         # timelines near the shortest one that a side can shrink on
-        T = max(1, params.min_len + delta + slack)
         n = int(rng.integers(1, 6))
-        if flat is None:
-            mapped = rng.random((n, T)) * 0.4
-            for row in mapped:  # one strong stretch per track
-                lo = int(rng.integers(0, T))
-                row[lo:int(rng.integers(lo, T + 1))] += 0.6
-        else:
-            mapped = np.full((n, T), flat)
-        prefix = np.zeros((n, T + 1))
-        np.cumsum(mapped, axis=1, out=prefix[:, 1:])
+        lengths = np.maximum(
+            1, params.min_len + delta + slack + rng.integers(0, 4, n))
+        tracks = []
+        for T in lengths.tolist():
+            if flat is None:
+                mapped = rng.random(T) * 0.4
+                lo = int(rng.integers(0, T))  # one strong stretch
+                mapped[lo:int(rng.integers(lo, T + 1))] += 0.6
+            else:
+                mapped = np.full(T, flat)
+            tracks.append(SimilarityTrack(
+                mapped=mapped,
+                prefix=np.concatenate(([0.0], np.cumsum(mapped)))))
+        prefix = np.concatenate([t.prefix for t in tracks])
+        offsets = np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
+
         m = int(rng.integers(1, 16))
-        rows = rng.integers(0, n, m)
-        start = rng.integers(0, T, m)
+        which = rng.integers(0, n, m)
+        base, T = offsets[which], lengths[which]
+        start = rng.integers(0, T)
         end = rng.integers(start + 1, T + 1)
         start[rng.random(m) < 0.3] = 0  # boundaries touching 0 and T
-        end[rng.random(m) < 0.3] = T
+        touch = rng.random(m) < 0.3
+        end[touch] = T[touch]
         before = (start.copy(), end.copy())
 
-        gamma = block_contrast(prefix, rows, start, end)
-        got_start, got_end = block_adjust(prefix, rows, start, end, params)
+        gamma = batch_contrast(prefix, base, T, start, end)
+        got_start, got_end = batch_adjust(prefix, base, T, start, end,
+                                          params)
 
         assert np.array_equal(start, before[0])
         assert np.array_equal(end, before[1])
         for k in range(m):
-            track = SimilarityTrack(mapped=mapped[rows[k]],
-                                    prefix=prefix[rows[k]])
-            b = Boundary(int(start[k]), int(end[k]), T)
+            track = tracks[which[k]]
+            b = Boundary(int(start[k]), int(end[k]), int(T[k]))
             assert gamma[k] == moment_contrast(track, b)
             assert (int(got_start[k]), int(got_end[k])) == \
                 adjust_boundary(track, b, params).as_tuple()
 
     def test_empty(self):
-        prefix = np.zeros((1, 9))
+        prefix = np.zeros(9)
         empty = np.zeros(0, dtype=np.int64)
-        assert block_contrast(prefix, empty, empty, empty).shape == (0,)
-        s, e = block_adjust(prefix, empty, empty, empty, AdjustParams())
+        assert batch_contrast(prefix, empty, empty, empty, empty).shape == (0,)
+        s, e = batch_adjust(prefix, empty, empty, empty, empty,
+                            AdjustParams())
         assert s.shape == e.shape == (0,)
 
 
@@ -430,13 +441,16 @@ class TestRefineCorpus:
             T = len(videos[ann.video_id])
             s = int(rng.integers(0, T - 12))
             e = int(rng.integers(s + 6, T + 1))
-            annotations.append(replace(
-                ann, query_text=f"query {k}",
-                boundary_seconds=(float(s), float(e)),
-                boundary_frames=Boundary(s, e, T),
-                gt_boundary_seconds=(0.0, float(e)),
-                error_tag=("clean", "imprecise", None)[k % 3]))
-        manifest = replace(manifest, annotations=tuple(annotations))
+            annotations.append({
+                "annotation_id": ann.annotation_id,
+                "video_id": ann.video_id, "query_text": f"query {k}",
+                "query_feature_ref": ann.query_feature_ref,
+                "boundary_seconds": (float(s), float(e)),
+                "boundary_frames": (s, e),
+                "gt_boundary_seconds": (0.0, float(e)),
+                "error_tag": ("clean", "imprecise", None)[k % 3]})
+        manifest = replace(manifest, annotations=annotation_table(
+            manifest.videos, annotations))
         before = copy.deepcopy(manifest.annotations)
         clean, adjust = CleanParams(0.4), AdjustParams(delta=3)
 
