@@ -23,7 +23,7 @@ from .errors import ConfigError, MorpError
 from .featstore import read_manifest, write_manifest
 from .metrics import corpus_stats, write_json
 from .pipeline import evaluate_manifest, run_pipeline, sweep
-from .predictor import FilePredictor, ProposalParams, SlidingWindowPredictor
+from .predictor import FilePredictor, SlidingWindowPredictor
 from .refine import AdjustParams, CleanParams, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
@@ -71,7 +71,9 @@ REFINE_OPTS = [
                                  "drop (default: 0.40)"),
     ("alpha1", float, 0.22, "shrink threshold (default: 0.22)"),
     ("alpha2", float, 0.92, "expand threshold (default: 0.92)"),
-    ("delta", int, 5, "adjustment step in frames (default: 5)"),
+    ("delta", int, 5, "adjustment step in frames; correct and pipeline "
+                      "also place sliding windows every delta frames and "
+                      "shift them by up to delta per epoch (default: 5)"),
     ("min_len", int, 0, "minimum moment length in frames; 0 means delta "
                         "(default: 0)"),
     ("max_iters", int, 64, "adjustment iteration cap (default: 64)"),
@@ -278,8 +280,7 @@ def _cmd_correct(args, cfg):
     if args.predictions:
         predictor = FilePredictor(args.predictions)
     else:
-        predictor = SlidingWindowPredictor(ProposalParams(
-            stride=cfg["delta"], jitter=cfg["delta"]))
+        predictor = SlidingWindowPredictor(cfg["delta"])
     corrected, trace = run_correction(manifest, predictor,
                                       _correction_params(cfg))
     prov = _provenance(cfg)
@@ -389,7 +390,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        return COMMANDS[args.command](args, _resolve(args, config))
+        code = COMMANDS[args.command](args, _resolve(args, config))
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading: not a morp error.  devnull takes
+        # over stdout, so the flush at exit has no pipe to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MorpError as exc:
         return _print_error(exc.to_json_obj())
     except FileNotFoundError as exc:

@@ -93,7 +93,9 @@ def select_consensus(bank: MemoryBank) -> Boundary:
 
 
 # Banks per consensus block.  A block's (rows, n, n) float64 temporaries
-# take rows * n * n * 8 bytes each, 1 MB at the default capacity of 32.
+# take rows * n * n * 8 bytes each.  run_correction makes banks
+# min(capacity, epochs + 1) wide: 16 at the defaults (capacity 32, 15
+# epochs), so 256 KB per temporary.
 CONSENSUS_ROWS = 128
 
 

@@ -69,12 +69,6 @@ class PredictorError(MorpError):
     code = "predictor_error"
 
 
-class NoCandidatesError(MorpError):
-    """The proposal generator could not enumerate any window."""
-
-    code = "no_candidates"
-
-
 class ConfigError(MorpError):
     """An option value from the environment or a config file does not parse."""
 

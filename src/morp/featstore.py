@@ -34,6 +34,7 @@ import struct
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -198,12 +199,15 @@ def _check_annotation(annotation_id, boundary_seconds, status, error_tag):
         raise ContractViolation("unknown status", status=status)
     if error_tag is not None and error_tag not in ERROR_TAGS:
         raise ContractViolation("unknown error tag", tag=error_tag)
-    s, e = boundary_seconds
+    check_seconds(annotation_id, *boundary_seconds)
+
+
+def check_seconds(annotation_id, s, e, **context):
+    """The rule of every seconds interval: 0 <= start < end."""
     if not (0 <= s < e):
-        raise RangeError(
-            "boundary seconds must satisfy 0 <= start < end",
-            annotation_id=annotation_id, start_s=s, end_s=e,
-        )
+        raise RangeError("boundary seconds must satisfy 0 <= start < end",
+                         annotation_id=annotation_id, start_s=s, end_s=e,
+                         **context)
 
 
 @dataclass(frozen=True)
@@ -284,38 +288,35 @@ class AnnotationTable(Sequence):
                     else [col[i] for i in rows]
         return AnnotationTable(**columns)
 
+    @cached_property
     def _records(self) -> tuple:
-        records = self.__dict__.get("_records_cache")
-        if records is None:
-            records = tuple(
-                PseudoAnnotation(
-                    annotation_id=aid, video_id=vid, query_text=text,
-                    query_feature_ref=ref, boundary_seconds=(s, e),
-                    status=status,
-                    gt_boundary_seconds=None if gt is None else tuple(gt),
-                    error_tag=tag, boundary_frames=Boundary(fs, fe, T))
-                for aid, vid, text, ref, s, e, status, gt, tag, fs, fe, T
-                in zip(self.ids, self.video_id, self.query_text,
-                       self.query_ref, self.start_s, self.end_s,
-                       self.status, self.gt, self.error_tag,
-                       self.start_f.tolist(), self.end_f.tolist(),
-                       self.timeline.tolist()))
-            object.__setattr__(self, "_records_cache", records)
-        return records
+        return tuple(
+            PseudoAnnotation(
+                annotation_id=aid, video_id=vid, query_text=text,
+                query_feature_ref=ref, boundary_seconds=(s, e),
+                status=status,
+                gt_boundary_seconds=None if gt is None else tuple(gt),
+                error_tag=tag, boundary_frames=Boundary(fs, fe, T))
+            for aid, vid, text, ref, s, e, status, gt, tag, fs, fe, T
+            in zip(self.ids, self.video_id, self.query_text,
+                   self.query_ref, self.start_s, self.end_s,
+                   self.status, self.gt, self.error_tag,
+                   self.start_f.tolist(), self.end_f.tolist(),
+                   self.timeline.tolist()))
 
     def __len__(self):
         return len(self.ids)
 
     def __getitem__(self, index):
-        return self._records()[index]
+        return self._records[index]
 
     def __iter__(self):
-        return iter(self._records())
+        return iter(self._records)
 
     def __eq__(self, other):
         if isinstance(other, AnnotationTable):
-            other = other._records()
-        return self._records() == other
+            other = other._records
+        return self._records == other
 
     __hash__ = None
 
@@ -351,17 +352,17 @@ class CorpusManifest:
     base_dir: str = "."
 
     def video_by_id(self, video_id: str) -> VideoEntry:
-        return self._video_index()[video_id]
+        return self._video_index[video_id]
 
+    # cached_property writes the instance __dict__, past the frozen
+    # __setattr__; replace() builds a new instance with an empty cache
+    @cached_property
     def _video_index(self):
-        if not hasattr(self, "_vidx"):
-            object.__setattr__(self, "_vidx", {v.video_id: v for v in self.videos})
-        return self._vidx
+        return {v.video_id: v for v in self.videos}
 
+    @cached_property
     def _video_columns(self):
-        if not hasattr(self, "_vcols"):
-            object.__setattr__(self, "_vcols", _video_columns(self.videos))
-        return self._vcols
+        return _video_columns(self.videos)
 
     def with_boundaries(self, rows, start_f, end_f,
                         status: str) -> "CorpusManifest":
@@ -373,7 +374,7 @@ class CorpusManifest:
         computed in float64 over the columns.
         """
         table = self.annotations
-        duration, frames = self._video_columns()
+        duration, frames = self._video_columns
         video = table.video[rows]
         d, n = duration[video], frames[video]
         return replace(self, annotations=table.take(
@@ -442,10 +443,10 @@ def _check_ids(ids, videos):
                              video_id=v.video_id)
 
 
-def _validate_manifest(manifest: CorpusManifest, num_queries: Optional[int]):
+def _validate_manifest(manifest: CorpusManifest, duration: np.ndarray,
+                       num_queries: Optional[int]):
     table = manifest.annotations
     _check_ids(table.ids, manifest.videos)
-    duration, _ = manifest._video_columns()
     limit = duration[table.video]
     past = np.flatnonzero(np.array(table.end_s, dtype=np.float64)
                           > limit + 1e-9)
@@ -543,8 +544,9 @@ def _duration(v: dict) -> float:
     return d
 
 
-def _read_annotations(entries, videos) -> AnnotationTable:
-    """The annotation table of a manifest's annotation objects.
+def _read_annotations(entries, videos, duration, frames) -> AnnotationTable:
+    """The annotation table of a manifest's annotation objects, given the
+    videos and their duration and frame-count columns.
 
     Each column is checked in turn.  Boundary frames are derived for all
     rows at once with :func:`derive_boundary_frames`' arithmetic; an
@@ -566,7 +568,6 @@ def _read_annotations(entries, videos) -> AnnotationTable:
 
     index = {v.video_id: r for r, v in enumerate(videos)}
     video = np.array([index.get(v, -1) for v in video_id], dtype=np.int64)
-    duration, frames = _video_columns(videos)
     d = np.append(duration, 1.0)[video]  # an absent video reads row -1
     T = np.append(frames, 1)[video]
     try:
@@ -607,6 +608,17 @@ def _read_annotations(entries, videos) -> AnnotationTable:
         end_f=end_f, timeline=T, status=status, error_tag=error_tag, gt=gt)
 
 
+def _check_path(path: str, **context):
+    """A path the file system can take.  JSON can escape a NUL byte and a
+    lone surrogate, and neither can be part of a file name."""
+    try:
+        ok = b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        ok = False
+    if not ok:
+        raise FormatError("path cannot name a file", **context)
+
+
 def read_manifest(path) -> CorpusManifest:
     """Parse and validate a manifest JSON file.
 
@@ -629,23 +641,28 @@ def read_manifest(path) -> CorpusManifest:
     if not isinstance(doc.get("queries_file_path"), str):
         raise FormatError("queries_file_path must be a string",
                           field="queries_file_path")
+    _check_path(doc["queries_file_path"], field="queries_file_path")
     entries = _entries(doc, "videos")
     ids, frames, paths = (_column(entries, name, kind, "video_id")
                           for name, kind in _VIDEO_FIELDS)
+    for video_id, p in zip(ids, paths):
+        _check_path(p, video_id=video_id, field="feature_file_path")
     videos = tuple(map(VideoEntry, ids, [_duration(v) for v in entries],
                        frames, paths))
+    duration, frame_counts = _video_columns(videos)
     manifest = CorpusManifest(
         format_version=FORMAT_VERSION,
         videos=videos,
         queries_file_path=doc["queries_file_path"],
-        annotations=_read_annotations(_entries(doc, "annotations"), videos),
+        annotations=_read_annotations(_entries(doc, "annotations"), videos,
+                                      duration, frame_counts),
         synth=doc.get("synth"),
         provenance=doc.get("provenance"),
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
     num_queries, _ = read_feature_header(
         manifest.resolve(manifest.queries_file_path))
-    _validate_manifest(manifest, num_queries)
+    _validate_manifest(manifest, duration, num_queries)
     return manifest
 
 
@@ -833,7 +850,7 @@ def write_manifest(manifest: CorpusManifest, path) -> None:
     columns and equals ``json.dumps(manifest_to_json_obj(manifest),
     indent=2) + "\\n"``.
     """
-    _validate_manifest(manifest, None)
+    _validate_manifest(manifest, manifest._video_columns[0], None)
     out_dir = os.path.dirname(os.path.abspath(path))
     if out_dir != os.path.abspath(manifest.base_dir):
         manifest = rebase_manifest(manifest, out_dir)

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field, replace
 from .consensus import CorrectionParams, run_correction
 from .core import Boundary, iou
 from .errors import ContractViolation
-from .featstore import CorpusManifest, derive_boundary_frames
+from .featstore import CorpusManifest, check_seconds, derive_boundary_frames
 from .metrics import MetricReport, _align, metric_report
-from .predictor import ProposalParams, SlidingWindowPredictor
+from .predictor import SlidingWindowPredictor
 from .refine import AdjustParams, CleanParams, compute_tracks, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
@@ -18,7 +18,8 @@ from .synth import SynthSpec, generate_corpus
 def boundaries(manifest: CorpusManifest, ids=None, with_gt=True):
     """Per annotation, or per one of ``ids`` when given, from the
     columns: (annotation_id, frame Boundary, ground-truth frame Boundary
-    or None when absent or not asked for)."""
+    or None when absent or not asked for).  The reader leaves ground
+    truths unchecked; here they get :func:`check_seconds`."""
     t = manifest.annotations
     for aid, v, gt, s, e, T in zip(t.ids, t.video.tolist(), t.gt,
                                    t.start_f.tolist(), t.end_f.tolist(),
@@ -28,6 +29,7 @@ def boundaries(manifest: CorpusManifest, ids=None, with_gt=True):
         if not with_gt:
             gt = None
         elif gt is not None:
+            check_seconds(aid, *gt, field="gt_boundary_seconds")
             video = manifest.videos[v]
             gt = derive_boundary_frames(gt[0], gt[1], video.duration_seconds,
                                         video.num_frames)
@@ -55,8 +57,7 @@ def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
     tracks = compute_tracks(manifest)
     refined, report = refine_corpus(manifest, clean_params, adjust_params,
                                     tracks=tracks)
-    predictor = SlidingWindowPredictor(ProposalParams(
-        stride=adjust_params.delta, jitter=adjust_params.delta))
+    predictor = SlidingWindowPredictor(adjust_params.delta)
     corrected, trace = run_correction(refined, predictor, correction_params,
                                       tracks=tracks)
     return refined, report, corrected, trace

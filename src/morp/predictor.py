@@ -1,13 +1,14 @@
 """Deterministic sliding-window proposal predictor.
 
 Stands in for a trained localization model during desk-scale correction
-runs.  Candidate windows are enumerated at several length fractions of
-the timeline, shifted by a seeded epoch-dependent jitter so consecutive
-epochs contribute diverse candidates.  A handful of thresholded
-"actionness" runs are added to the pool so proposals are not limited to
-the quantized fraction lengths.  Windows are scored by their
-contrast margin (mean mapped similarity inside minus mean outside),
-greedily NMS-suppressed, and the survivors' scores are softmaxed into
+runs.  Candidate windows of the lengths ``WINDOW_FRACTIONS`` of the
+timeline start every ``delta`` frames, shifted by a seeded
+epoch-dependent jitter of up to ``delta`` frames so consecutive epochs
+contribute diverse candidates.  A handful of thresholded "actionness"
+runs are added to the pool so proposals are not limited to the quantized
+fraction lengths.  Windows are scored by their contrast margin (mean
+mapped similarity inside minus mean outside), greedily NMS-suppressed
+at IoU ``NMS_IOU``, and the survivors' scores are softmaxed into
 confidences.
 
 Scoring note: the raw inside/outside mass ratio is strictly increasing
@@ -62,41 +63,24 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Boundary, ScoredBoundary
-from .errors import ContractViolation, NoCandidatesError, PredictorError
+from .errors import ContractViolation, PredictorError
 from .refine import SimilarityTrack, compute_tracks
 
-DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+# Window lengths as fractions of T, ascending; a length rounding to 0 is
+# skipped.  Every track has windows: round(0.6 * T) >= 1 for T >= 1.
+WINDOW_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+NMS_IOU = 0.5
 
 
-@dataclass(frozen=True)
-class ProposalParams:
-    """Window enumeration and suppression knobs."""
-
-    window_fractions: tuple = DEFAULT_FRACTIONS
-    stride: int = 5
-    nms_iou: float = 0.5
-    jitter: int = 5
-
-    def __post_init__(self):
-        fr = tuple(float(f) for f in self.window_fractions)
-        if not fr or any(not (0.0 < f <= 1.0) for f in fr):
-            raise ContractViolation("window fractions must lie in (0, 1]")
-        if list(fr) != sorted(fr):
-            raise ContractViolation("window fractions must be sorted ascending")
-        object.__setattr__(self, "window_fractions", fr)
-        if self.stride < 1:
-            raise ContractViolation("stride must be >= 1", stride=self.stride)
-        if not (0.0 <= self.nms_iou <= 1.0):
-            raise ContractViolation("nms_iou must lie in [0, 1]")
-        if self.jitter < 0:
-            raise ContractViolation("jitter must be >= 0")
+def _check_delta(delta):
+    if delta < 1:
+        raise ContractViolation("delta must be >= 1", delta=delta)
 
 
 class EpochPredictions(NamedTuple):
@@ -106,14 +90,20 @@ class EpochPredictions(NamedTuple):
     ``[0, count[i])`` of the (A, W) ``start``/``end`` (int64 frames) and
     ``confidence`` (float64) arrays; the columns past ``count[i]`` are
     padding and carry no meaning.  The width W is at least 1 and at
-    least every count; a predictor makes it no wider than U or than the
-    most predictions a row can hold, so memory follows the output, not U.
+    least every count; a predictor makes it :meth:`width`, no wider than U
+    or than the most predictions a row can hold, so memory follows the
+    output, not U.
     """
 
     start: np.ndarray
     end: np.ndarray
     confidence: np.ndarray
     count: np.ndarray
+
+    @staticmethod
+    def width(U: int, widest: int) -> int:
+        """W for U predictions a row, when no row holds more than widest."""
+        return max(1, min(U, widest))
 
     @classmethod
     def empty(cls, A: int, W: int) -> "EpochPredictions":
@@ -137,10 +127,10 @@ class EpochPredictions(NamedTuple):
 def _support_candidates(track: SimilarityTrack):
     """Maximal runs of high mapped similarity, at a few track-relative levels.
 
-    Sliding windows alone quantize proposal lengths to the configured
-    fractions; thresholded "actionness" runs recover moment supports at
-    native length, which is what lets consensus correction end up more
-    precise than the coarse adjustment stage.
+    Sliding windows alone quantize proposal lengths to the
+    ``WINDOW_FRACTIONS``; thresholded "actionness" runs recover moment
+    supports at native length, which is what lets consensus correction
+    end up more precise than the coarse adjustment stage.
     """
     mapped = track.mapped
     lo, hi = float(mapped.min()), float(mapped.max())
@@ -160,7 +150,7 @@ def _support_candidates(track: SimilarityTrack):
 
 
 def _enumerate_windows(track: SimilarityTrack, epoch: int, seed: int,
-                       params: ProposalParams):
+                       delta: int):
     """(start, end) candidate arrays, jittered per (seed, epoch)."""
     T = track.num_frames
     rng = np.random.default_rng([seed & 0xFFFFFFFF, epoch])
@@ -170,20 +160,16 @@ def _enumerate_windows(track: SimilarityTrack, epoch: int, seed: int,
         s, e = zip(*support)
         starts.append(np.asarray(s, dtype=np.int64))
         ends.append(np.asarray(e, dtype=np.int64))
-    for f in params.window_fractions:
+    for f in WINDOW_FRACTIONS:
         length = int(round(f * T))
-        if length < 1 or length > T:
+        if length < 1:
             continue
-        offset = 0
-        if params.jitter > 0:
-            offset = int(rng.integers(-params.jitter, params.jitter + 1))
-        base = np.arange(0, T - length + 1, params.stride)
+        offset = int(rng.integers(-delta, delta + 1))
+        base = np.arange(0, T - length + 1, delta)
         s = np.clip(base + offset, 0, T - length)
         s = np.unique(s)
         starts.append(s)
         ends.append(s + length)
-    if not starts:
-        raise NoCandidatesError("track too short for every window fraction", T=T)
     return np.concatenate(starts), np.concatenate(ends)
 
 
@@ -199,7 +185,7 @@ def _contrast_margin(track: SimilarityTrack, starts, ends):
     return inside_mean - outside_mean
 
 
-def _greedy_nms(starts, ends, order, nms_iou, T):
+def _greedy_nms(starts, ends, order):
     """Indices surviving greedy NMS, in ranking order."""
     s = starts[order]
     e = ends[order]
@@ -207,7 +193,7 @@ def _greedy_nms(starts, ends, order, nms_iou, T):
     inter = np.maximum(inter, 0)
     lens = e - s
     union = lens[:, None] + lens[None, :] - inter
-    suppress = inter / union > nms_iou
+    suppress = inter / union > NMS_IOU
 
     keep = []
     dead = np.zeros(len(order), dtype=bool)
@@ -220,23 +206,21 @@ def _greedy_nms(starts, ends, order, nms_iou, T):
 
 
 def propose(track: SimilarityTrack, U: int, epoch: int, seed: int,
-            params: Optional[ProposalParams] = None):
+            delta: int):
     """Return up to U scored boundary proposals for one similarity track.
 
-    Deterministic in (track, U, epoch, seed, params); with jitter 0 the
-    output is epoch-invariant.
+    Deterministic in (track, U, epoch, seed, delta).
     """
     if U < 1:
         raise ContractViolation("U must be >= 1", U=U)
-    if params is None:
-        params = ProposalParams()
+    _check_delta(delta)
     T = track.num_frames
-    starts, ends = _enumerate_windows(track, epoch, seed, params)
+    starts, ends = _enumerate_windows(track, epoch, seed, delta)
     scores = _contrast_margin(track, starts, ends)
 
     # stable ranking: score descending, enumeration index ascending
     order = np.lexsort((np.arange(len(scores)), -scores))
-    keep = _greedy_nms(starts, ends, order, params.nms_iou, T)
+    keep = _greedy_nms(starts, ends, order)
 
     kept_scores = scores[keep]
     shifted = kept_scores - np.max(kept_scores)
@@ -397,7 +381,7 @@ class _Block:
     row's sum rounds as :func:`propose`'s 1-D sum does.
     """
 
-    def __init__(self, T, rows, tracks, params: ProposalParams):
+    def __init__(self, T, rows, tracks, delta):
         self.T = T
         self.rows = np.asarray(rows, dtype=np.int64)
         self.prefixes = [tracks[i].prefix for i in rows]
@@ -412,22 +396,18 @@ class _Block:
                 self.sup_start[r, k], self.sup_end[r, k] = s, e
                 self.sup_valid[r, k] = True
 
-        lengths = [L for L in (int(round(f * T)) for f in params.window_fractions)
-                   if 1 <= L <= T]
-        bases = [np.arange(0, T - L + 1, params.stride, dtype=np.int64)
+        lengths = [L for L in (int(round(f * T)) for f in WINDOW_FRACTIONS)
+                   if L >= 1]
+        bases = [np.arange(0, T - L + 1, delta, dtype=np.int64)
                  for L in lengths]
         counts = [len(b) for b in bases]
         self.n_fractions = len(lengths)
-        self.win_base = np.concatenate(bases) if bases else \
-            np.zeros(0, dtype=np.int64)
+        self.win_base = np.concatenate(bases)
         self.win_frac = np.repeat(np.arange(len(lengths)), counts)
         self.win_len = np.repeat(np.asarray(lengths, dtype=np.int64), counts)
         self.win_first = np.cumsum([0] + counts)[:-1]
         # the most candidates, and so survivors, a row can have
         self.n_candidates = width + len(self.win_base)
-        # tracks with neither a support run nor a usable window fraction
-        self.empty = [] if lengths else \
-            [i for i, runs in zip(rows, support) if not runs]
 
     def _candidates(self, offsets):
         """(starts, ends, valid) candidate arrays in propose's order, for
@@ -447,9 +427,8 @@ class _Block:
                 np.concatenate((self.sup_end, win_start + self.win_len), axis=1),
                 np.concatenate((self.sup_valid, fresh), axis=1))
 
-    def propose(self, U, offsets, params: ProposalParams,
-                out: EpochPredictions):
-        """Write each row's propose(track, U, epoch, seed, params) into out,
+    def propose(self, U, offsets, out: EpochPredictions):
+        """Write each row's propose(track, U, epoch, seed, delta) into out,
         given the rows' jitter offsets for the epoch."""
         T = self.T
         starts, ends, valid = self._candidates(offsets)
@@ -503,7 +482,7 @@ class _Block:
             union = length[rows, i + 1:]
             union += length[rows, i, None]
             union -= inter
-            alive[rows, i + 1:] &= ~(inter / union > params.nms_iou)
+            alive[rows, i + 1:] &= ~(inter / union > NMS_IOU)
         del length
 
         # propose's softmax over each row's survivors.  The survivors are
@@ -545,60 +524,52 @@ class ProposalBatch:
     """:func:`propose` over a fixed list of tracks, one epoch per call.
 
     ``propose(U, epoch)`` returns :class:`EpochPredictions` whose row i
-    holds exactly what ``propose(tracks[i], U, epoch, seeds[i], params)``
-    returns, and raises the error the first failing track would raise.
-    Support runs and prefix sums are gathered once, at construction.
+    holds exactly what ``propose(tracks[i], U, epoch, seeds[i], delta)``
+    returns.  Support runs and prefix sums are gathered once, at
+    construction.
     """
 
-    def __init__(self, tracks, seeds, params: Optional[ProposalParams] = None):
+    def __init__(self, tracks, seeds, delta: int):
+        _check_delta(delta)
         tracks = list(tracks)
         seeds = np.asarray([int(seed) & 0xFFFFFFFF for seed in seeds],
                            dtype=np.int64)
         if len(seeds) != len(tracks):
             raise ContractViolation("need one seed per track",
                                     tracks=len(tracks), seeds=len(seeds))
-        self.params = params or ProposalParams()
-        self._size = len(tracks)
+        self.delta = delta
         by_len = {}
         for i, track in enumerate(tracks):
             by_len.setdefault(track.num_frames, []).append(i)
         self._blocks = [
-            _Block(T, rows[k:k + BLOCK_ROWS], tracks, self.params)
+            _Block(T, rows[k:k + BLOCK_ROWS], tracks, delta)
             for T, rows in by_len.items()
             for k in range(0, len(rows), BLOCK_ROWS)
         ]
         self._seeds = seeds
-        self._fractions = max((b.n_fractions for b in self._blocks), default=0)
         self._widest = max((b.n_candidates for b in self._blocks), default=0)
-        empty = [i for block in self._blocks for i in block.empty]
-        self._empty_T = tracks[min(empty)].num_frames if empty else None
 
     def propose(self, U: int, epoch: int) -> EpochPredictions:
         if U < 1:
             raise ContractViolation("U must be >= 1", U=U)
-        if self._empty_T is not None:
-            raise NoCandidatesError("track too short for every window fraction",
-                                    T=self._empty_T)
         # a block with fewer usable fractions takes a prefix of each row's
         # draws, as propose's scalar draws are a prefix of the size-F draw
-        jitter, F = self.params.jitter, self._fractions
-        if jitter > 0 and F:
-            offsets = _jitter_offsets(self._seeds, epoch, jitter, F)
-        else:
-            offsets = np.zeros((self._size, F), dtype=np.int64)
-        out = EpochPredictions.empty(self._size, max(1, min(U, self._widest)))
+        offsets = _jitter_offsets(self._seeds, epoch, self.delta,
+                                  len(WINDOW_FRACTIONS))
+        out = EpochPredictions.empty(
+            len(self._seeds), EpochPredictions.width(U, self._widest))
         for block in self._blocks:
-            block.propose(U, offsets[block.rows, :block.n_fractions],
-                          self.params, out)
+            block.propose(U, offsets[block.rows, :block.n_fractions], out)
         return out
 
 
 class SlidingWindowPredictor:
-    """The default predictor: :func:`propose` with fixed params, computed
+    """The default predictor: :func:`propose` at one ``delta``, computed
     a whole epoch at a time by a :class:`ProposalBatch`."""
 
-    def __init__(self, params: Optional[ProposalParams] = None):
-        self.params = params or ProposalParams()
+    def __init__(self, delta: int):
+        _check_delta(delta)
+        self.delta = delta
 
     def epoch_source(self, manifest, ids, seeds, tracks):
         """``ProposalBatch.propose`` over the tracks of ``ids``, where
@@ -606,7 +577,7 @@ class SlidingWindowPredictor:
         if tracks is None:
             tracks = compute_tracks(manifest)
         return ProposalBatch([tracks[i] for i in ids], seeds,
-                             self.params).propose
+                             self.delta).propose
 
 
 class FilePredictor:
@@ -705,7 +676,7 @@ class FilePredictor:
                           dtype=np.int64)
         first = self._offsets[rows]
         count = np.minimum(self._offsets[rows + 1] - first, U)
-        cols = np.arange(max(1, min(U, self._widest)))
+        cols = np.arange(EpochPredictions.width(U, self._widest))
         idx = np.where(cols < count[:, None], first[:, None] + cols, -1)
         return EpochPredictions(self._start[idx], self._end[idx],
                                 self._confidence[idx], count)

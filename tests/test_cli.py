@@ -111,10 +111,10 @@ class TestSynth:
         assert obj["code"] == "config_error"
 
 
-def run_pipeline_dir(tmp_path, capsys, manifest, name="pipe"):
+def run_pipeline_dir(tmp_path, capsys, manifest, name="pipe", *extra):
     out_dir = tmp_path / name
     code, _, err = run(capsys, "pipeline", "--manifest", str(manifest),
-                       "--out-dir", str(out_dir), "--epochs", "3")
+                       "--out-dir", str(out_dir), "--epochs", "3", *extra)
     assert code == 0, err
     return out_dir
 
@@ -142,16 +142,22 @@ class TestPipeline:
                      "refine_report.json"):
             assert filecmp.cmp(d1 / name, out_dir / name, shallow=False), name
 
-    def test_matches_separate_refine_and_correct(self, tmp_path, capsys):
+    # at a delta other than the default, a stage that dropped the value
+    # on its way to the predictor would not match
+    @pytest.mark.parametrize("delta", ["5", "3"])
+    def test_matches_separate_refine_and_correct(self, tmp_path, capsys,
+                                                 delta):
         manifest = make_corpus(tmp_path, capsys)
-        pipe = run_pipeline_dir(tmp_path, capsys, manifest, "whole")
+        pipe = run_pipeline_dir(tmp_path, capsys, manifest, "whole",
+                                "--delta", delta)
         refined = tmp_path / "whole" / "sep_refined.json"
         code, _, err = run(capsys, "refine", "--manifest", str(manifest),
-                           "--out-manifest", str(refined))
+                           "--out-manifest", str(refined), "--delta", delta)
         assert code == 0, err
         corrected = tmp_path / "whole" / "sep_corrected.json"
         code, _, err = run(capsys, "correct", "--manifest", str(refined),
-                           "--out-manifest", str(corrected), "--epochs", "3")
+                           "--out-manifest", str(corrected), "--epochs", "3",
+                           "--delta", delta)
         assert code == 0, err
 
         # provenance hashes differ (the subcommands hash different option
@@ -585,6 +591,56 @@ class TestErrors:
         obj = json.loads(err)
         assert obj["code"] == "truncation_error"
         assert obj["context"]["expected_rows"] == 2 ** 31
+
+    @pytest.mark.parametrize("gt", [[5, 2], [3, 3]])
+    def test_unordered_ground_truth(self, tmp_path, capsys, gt):
+        """A reversed or empty ground truth is a range_error, as the same
+        pair in boundary_seconds is, not a one-frame moment."""
+        from morp.errors import RangeError
+        from morp.featstore import read_manifest
+        from morp.pipeline import corpus_quality
+
+        manifest = make_corpus(tmp_path, capsys)
+        doc = json.loads(manifest.read_text())
+        ann = next(a for a in doc["annotations"] if a["gt_boundary_seconds"])
+        ann["gt_boundary_seconds"] = gt
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "evaluate", "--manifest", str(manifest))
+        assert code == 1
+        assert out == ""
+        obj = self.one_error(err)
+        assert obj["code"] == "range_error"
+        assert obj["context"] == {
+            "annotation_id": ann["annotation_id"],
+            "field": "gt_boundary_seconds", "start_s": gt[0], "end_s": gt[1]}
+        m = read_manifest(manifest)
+        with pytest.raises(RangeError) as exc:
+            corpus_quality(m, m)
+        assert exc.value.to_json_obj() == obj
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_not_an_error(self, tmp_path, capsys,
+                                           unbuffered):
+        """A reader that stops reading, as `morp evaluate | head -1` does,
+        ends the run with exit 1 and nothing on stderr.  Run in a
+        subprocess: the handler repoints file descriptor 1.  The reader
+        closes the pipe before the run can write, so every write fails;
+        unbuffered, the first print does, and buffered, the flush."""
+        import subprocess
+        import sys
+
+        manifest = make_corpus(tmp_path, capsys)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "morp.cli", "evaluate", "--manifest",
+             str(manifest)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        proc.stderr.close()
+        assert err == b""
 
     @staticmethod
     def one_error(err):

@@ -343,28 +343,26 @@ class TestRunCorrection:
         reordered = replace(refined, annotations=refined.annotations.take(
             range(n - 1, -1, -1)))
         p = CorrectionParams(epochs=3, seed=5)
-        out1, tr1 = run_correction(refined, SlidingWindowPredictor(), p)
-        out2, tr2 = run_correction(reordered, SlidingWindowPredictor(), p)
+        out1, tr1 = run_correction(refined, SlidingWindowPredictor(5), p)
+        out2, tr2 = run_correction(reordered, SlidingWindowPredictor(5), p)
         assert by_id(out1) == by_id(out2)
         assert [r.to_json_obj() for r in tr1.records] == \
             [r.to_json_obj() for r in tr2.records]
 
     def test_batched_proposals_match_per_annotation_loop(self, tmp_path):
-        from morp.predictor import (ProposalParams, SlidingWindowPredictor,
-                                    propose)
+        from morp.predictor import SlidingWindowPredictor, propose
         from morp.refine import compute_tracks
 
         refined = make_refined_corpus(tmp_path, n_videos=6, seed=2)
-        params = ProposalParams(stride=3, jitter=4)
         p = CorrectionParams(epochs=4, seed=7, predictions_per_query=6)
         tracks = compute_tracks(refined)
 
         class OneAtATime:
             def for_annotation(self, annotation_id, track, U, epoch):
                 seed = annotation_seed(7, annotation_id)
-                return propose(tracks[annotation_id], U, epoch, seed, params)
+                return propose(tracks[annotation_id], U, epoch, seed, 3)
 
-        out, trace = run_correction(refined, SlidingWindowPredictor(params), p)
+        out, trace = run_correction(refined, SlidingWindowPredictor(3), p)
         final, records = reference_correction(refined, OneAtATime(), p)
         assert {a.annotation_id: a.boundary_frames
                 for a in out.annotations} == final
@@ -563,7 +561,7 @@ class TestBatchedCorrection:
                                      np.random.default_rng(0))
             predictor = FilePredictor(path)
         else:
-            predictor = SlidingWindowPredictor()
+            predictor = SlidingWindowPredictor(5)
         ids = sorted(a.annotation_id for a in refined.annotations)
         seeds = [annotation_seed(0, i) for i in ids]
         predict = predictor.epoch_source(refined, ids, seeds, None)

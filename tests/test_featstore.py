@@ -600,6 +600,65 @@ def annotation_records(draw, video_ids):
     return records
 
 
+# any JSON value, for one hostile field of a manifest
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBER | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6)
+MANIFEST_FIELDS = (
+    [(key,) for key in ("format_version", "queries_file_path", "videos",
+                        "annotations", "synth", "provenance")]
+    + [("videos", 0, key) for key in ("video_id", "duration_seconds",
+                                      "num_frames", "feature_file_path")]
+    + [("annotations", 1, key) for key in (
+        "annotation_id", "video_id", "query_text", "query_feature_ref",
+        "boundary_seconds", "status", "gt_boundary_seconds", "error_tag")])
+
+
+class TestHostileFields:
+    """A valid manifest with one field replaced by any JSON value reads
+    as a manifest or raises a MorpError.  The only other exception let
+    through is an OSError, from a queries path that names no readable
+    file, which the CLI reports as one io_error or missing_file line."""
+
+    @staticmethod
+    def load(base, field, value):
+        path = write_fixture_corpus(Path(base))
+        doc = json.loads(path.read_text())
+        *parents, key = field
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        path.write_text(json.dumps(doc))
+        return read_manifest(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(MANIFEST_FIELDS), value=JSON)
+    @example(field=("queries_file_path",), value="q\ud800.vmrp")
+    @example(field=("queries_file_path",), value="q\0.vmrp")
+    def test_manifest_or_morp_error(self, field, value):
+        with tempfile.TemporaryDirectory() as base:
+            try:
+                self.load(base, field, value)
+            except (MorpError, OSError):
+                pass
+
+    @pytest.mark.parametrize("path", ["q\ud800.vmrp", "q\0.vmrp"])
+    @pytest.mark.parametrize("field,context", [
+        (("queries_file_path",), {"field": "queries_file_path"}),
+        (("videos", 0, "feature_file_path"),
+         {"video_id": "vid0", "field": "feature_file_path"}),
+    ])
+    def test_unnamable_path(self, tmp_path, field, context, path):
+        """JSON can escape a lone surrogate and a NUL byte, which no file
+        name can hold."""
+        with pytest.raises(FormatError) as err:
+            self.load(tmp_path, field, path)
+        assert err.value.context == context
+
+
 class TestColumnarWriters:
     """The manifest and refine-report writers format from columns, and
     write exactly ``json.dumps(obj, indent=2) + "\\n"`` of the records."""

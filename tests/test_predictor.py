@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morp.core import iou
-from morp.errors import ContractViolation, NoCandidatesError, PredictorError
+from morp.errors import ContractViolation, PredictorError
 from morp.predictor import (
     BLOCK_ROWS,
+    WINDOW_FRACTIONS,
     FilePredictor,
     ProposalBatch,
-    ProposalParams,
-    _enumerate_windows,
+    SlidingWindowPredictor,
     _jitter_offsets,
     _replica_draws,
     _support_candidates,
@@ -24,33 +24,36 @@ def track_from_mapped(mapped):
     return SimilarityTrack.from_raw(2.0 * np.asarray(mapped, float) - 1.0)
 
 
-class TestParams:
-    def test_defaults(self):
-        p = ProposalParams()
-        assert p.window_fractions == tuple(np.round(np.arange(0.1, 0.81, 0.1), 1))
-        assert (p.stride, p.nms_iou, p.jitter) == (5, 0.5, 5)
+class TestDelta:
+    @pytest.mark.parametrize("delta", [0, -1])
+    def test_validation(self, delta):
+        t = track_from_mapped(np.full(10, 0.5))
+        for make in (lambda: propose(t, 1, 1, 0, delta),
+                     lambda: ProposalBatch([t], [0], delta),
+                     lambda: SlidingWindowPredictor(delta)):
+            with pytest.raises(ContractViolation) as err:
+                make()
+            assert err.value.context == {"delta": delta}
 
-    def test_validation(self):
-        with pytest.raises(ContractViolation):
-            ProposalParams(window_fractions=(0.5, 0.2))
-        with pytest.raises(ContractViolation):
-            ProposalParams(window_fractions=(0.0, 0.5))
-        with pytest.raises(ContractViolation):
-            ProposalParams(stride=0)
-        with pytest.raises(ContractViolation):
-            ProposalParams(jitter=-1)
+    def test_every_track_has_proposals(self):
+        """round(0.6 * T) >= 1 for every T >= 1, so no track, however
+        short, runs out of candidate windows."""
+        for T in range(1, 40):
+            t = track_from_mapped(np.full(T, 0.5))
+            for delta in (1, 2, 5, 40):
+                assert len(propose(t, 5, 1, T, delta)) >= 1
 
 
 class TestPropose:
     def test_support_window_is_top1(self):
         mapped = np.zeros(50)
         mapped[10:20] = 1.0
-        out = propose(track_from_mapped(mapped), U=3, epoch=1, seed=0)
+        out = propose(track_from_mapped(mapped), U=3, epoch=1, seed=0, delta=5)
         assert out[0].boundary.as_tuple() == (10, 20)
 
     def test_uniform_track_equal_confidences(self):
         out = propose(track_from_mapped(np.full(40, 0.6)), U=4, epoch=1, seed=0,
-                      params=ProposalParams(jitter=0))
+                      delta=5)
         # surviving same-length windows on a flat track tie in confidence
         lengths = {p.boundary.end - p.boundary.start for p in out}
         for length in lengths:
@@ -61,23 +64,15 @@ class TestPropose:
     def test_deterministic(self):
         mapped = np.linspace(0.1, 0.9, 64)
         t = track_from_mapped(mapped)
-        a = propose(t, U=5, epoch=3, seed=11)
-        c = propose(t, U=5, epoch=3, seed=11)
+        a = propose(t, U=5, epoch=3, seed=11, delta=5)
+        c = propose(t, U=5, epoch=3, seed=11, delta=5)
         assert [(p.boundary.as_tuple(), p.confidence) for p in a] == \
             [(p.boundary.as_tuple(), p.confidence) for p in c]
-
-    def test_jitter_zero_epoch_invariant(self):
-        rng = np.random.default_rng(4)
-        t = track_from_mapped(rng.uniform(0, 1, 48))
-        p = ProposalParams(jitter=0)
-        a = propose(t, U=5, epoch=1, seed=2, params=p)
-        c = propose(t, U=5, epoch=9, seed=2, params=p)
-        assert [x.boundary for x in a] == [x.boundary for x in c]
 
     def test_nms_limits_pairwise_overlap(self):
         rng = np.random.default_rng(8)
         t = track_from_mapped(rng.uniform(0, 1, 60))
-        out = propose(t, U=8, epoch=2, seed=3)
+        out = propose(t, U=8, epoch=2, seed=3, delta=5)
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
                 assert iou(out[i].boundary, out[j].boundary) <= 0.5 + 1e-12
@@ -85,7 +80,7 @@ class TestPropose:
     def test_confidences_positive_and_bounded(self):
         rng = np.random.default_rng(9)
         t = track_from_mapped(rng.uniform(0, 1, 60))
-        out = propose(t, U=5, epoch=1, seed=0)
+        out = propose(t, U=5, epoch=1, seed=0, delta=5)
         assert all(p.confidence > 0 for p in out)
         assert sum(p.confidence for p in out) <= 1.0 + 1e-12
         assert [p.confidence for p in out] == \
@@ -95,17 +90,13 @@ class TestPropose:
         rng = np.random.default_rng(10)
         t = track_from_mapped(rng.uniform(0, 1, 30))
         for U in (1, 3, 200):
-            out = propose(t, U=U, epoch=1, seed=0)
+            out = propose(t, U=U, epoch=1, seed=0, delta=5)
             assert 1 <= len(out) <= U
 
     def test_u_must_be_positive(self):
         with pytest.raises(ContractViolation):
-            propose(track_from_mapped(np.full(10, 0.5)), U=0, epoch=1, seed=0)
-
-    def test_too_short_track(self):
-        with pytest.raises(NoCandidatesError):
-            propose(track_from_mapped([0.5]), U=1, epoch=1, seed=0,
-                    params=ProposalParams(window_fractions=(0.1,), jitter=0))
+            propose(track_from_mapped(np.full(10, 0.5)), U=0, epoch=1, seed=0,
+                    delta=5)
 
     @settings(max_examples=100)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -119,8 +110,7 @@ class TestPropose:
         T = 40
         mapped = rng.uniform(0.05, 0.9, T)
         t = track_from_mapped(mapped)
-        p = ProposalParams(jitter=0)
-        top = propose(t, U=1, epoch=1, seed=0, params=p)[0].boundary
+        top = propose(t, U=1, epoch=1, seed=0, delta=5)[0].boundary
         idx = int(rng.integers(top.start, top.end))
         boosted = mapped.copy()
         boosted[idx] = min(1.0, boosted[idx] + 0.1)
@@ -135,17 +125,13 @@ class TestPropose:
             assert after[0] >= after[1]
 
 
-def oracle(tracks, seeds, U, epoch, params):
-    """Per-track propose over a corpus; stops at the first error, as
-    the per-annotation correction loop does.  Each track's proposals are
-    a tuple of (start, end, confidence), the form of
+def oracle(tracks, seeds, U, epoch, delta):
+    """Per-track propose over a corpus.  Each track's proposals are a
+    tuple of (start, end, confidence), the form of
     EpochPredictions.tuples()."""
-    try:
-        return [tuple((p.boundary.start, p.boundary.end, p.confidence)
-                      for p in propose(t, U, epoch, s, params))
-                for t, s in zip(tracks, seeds)], None
-    except (ContractViolation, NoCandidatesError) as exc:
-        return None, exc
+    return [tuple((p.boundary.start, p.boundary.end, p.confidence)
+                  for p in propose(t, U, epoch, s, delta))
+            for t, s in zip(tracks, seeds)]
 
 
 @st.composite
@@ -168,14 +154,8 @@ def corpora(draw):
     return tracks, seeds
 
 
-proposal_params = st.builds(
-    ProposalParams,
-    window_fractions=st.sampled_from([
-        (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (0.1, 0.2), (0.25, 1.0)]),
-    stride=st.sampled_from([1, 2, 5, 40]),
-    nms_iou=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-    jitter=st.integers(0, 6),
-)
+# 40 strides past every sampled T but 64
+deltas = st.sampled_from([1, 2, 5, 40])
 
 
 def rng_offsets(seed, epoch, jitter, F):
@@ -228,19 +208,13 @@ class TestProposalBatch:
     """ProposalBatch must return exactly what per-track propose returns."""
 
     @settings(max_examples=300)
-    @given(corpora(), proposal_params, st.integers(1, 40),
-           st.integers(1, 20))
-    def test_matches_propose(self, corpus, params, U, epoch):
+    @given(corpora(), deltas, st.integers(1, 40), st.integers(1, 20))
+    def test_matches_propose(self, corpus, delta, U, epoch):
         tracks, seeds = corpus
-        batch = ProposalBatch(tracks, seeds, params)
-        want, err = oracle(tracks, seeds, U, epoch, params)
-        if err is None:
-            # float equality compares confidences exactly
-            assert batch.propose(U, epoch).tuples() == want
-        else:
-            with pytest.raises(type(err)) as got:
-                batch.propose(U, epoch)
-            assert got.value.to_json_obj() == err.to_json_obj()
+        batch = ProposalBatch(tracks, seeds, delta)
+        # float equality compares confidences exactly
+        assert batch.propose(U, epoch).tuples() == \
+            oracle(tracks, seeds, U, epoch, delta)
 
     def test_offset_draw_matches_scalar_draws(self):
         """The batch draws each track's F jitter offsets with one size-F
@@ -255,22 +229,22 @@ class TestProposalBatch:
             assert many.integers(-jitter, jitter + 1, size=8).tolist() == \
                 [int(one.integers(-jitter, jitter + 1)) for _ in range(8)]
 
-    def test_default_params_full_length(self):
+    def test_full_length(self):
         rng = np.random.default_rng(0)
         tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(8)]
         seeds = rng.integers(0, 2 ** 32, size=8).tolist()
-        batch = ProposalBatch(tracks, seeds)
+        batch = ProposalBatch(tracks, seeds, 5)
         for epoch in (1, 2, 15):
-            want, _ = oracle(tracks, seeds, 5, epoch, ProposalParams())
-            assert batch.propose(5, epoch).tuples() == want
+            assert batch.propose(5, epoch).tuples() == \
+                oracle(tracks, seeds, 5, epoch, 5)
 
     def test_more_tracks_than_one_block(self):
         rng = np.random.default_rng(1)
         lengths = [32, 48] * BLOCK_ROWS
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
         seeds = list(range(len(tracks)))
-        want, _ = oracle(tracks, seeds, 5, 3, ProposalParams())
-        assert ProposalBatch(tracks, seeds).propose(5, 3).tuples() == want
+        assert ProposalBatch(tracks, seeds, 5).propose(5, 3).tuples() == \
+            oracle(tracks, seeds, 5, 3, 5)
 
     def test_more_than_one_pairwise_block_of_survivors(self):
         """Rows with more than 128 survivors: their softmax sums take
@@ -280,27 +254,25 @@ class TestProposalBatch:
                   for T in (512, 512, 600, 700)]
         tracks.append(track_from_mapped(np.full(512, 0.3)))
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        p = ProposalParams(stride=1, nms_iou=0.9)
-        got = ProposalBatch(tracks, seeds, p).propose(1000, 4)
+        got = ProposalBatch(tracks, seeds, 1).propose(1000, 4)
         assert got.count.max() > 128
-        assert got.tuples() == oracle(tracks, seeds, 1000, 4, p)[0]
+        assert got.tuples() == oracle(tracks, seeds, 1000, 4, 1)
 
     def test_u_above_survivor_count(self):
         rng = np.random.default_rng(3)
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in (17, 40, 64)]
-        got = ProposalBatch(tracks, [5, 6, 7]).propose(300, 2)
+        got = ProposalBatch(tracks, [5, 6, 7], 5).propose(300, 2)
         assert (got.count < 300).all()
-        assert got.tuples() == oracle(tracks, [5, 6, 7], 300, 2,
-                                      ProposalParams())[0]
+        assert got.tuples() == oracle(tracks, [5, 6, 7], 300, 2, 5)
 
-    @pytest.mark.parametrize("jitter", [0, 5, 40])
-    def test_flat_tracks(self, jitter):
+    @pytest.mark.parametrize("delta", [1, 5, 40])
+    def test_flat_tracks(self, delta):
         tracks = [track_from_mapped(np.full(T, v))
                   for T, v in ((128, 0.5), (128, 0.0), (64, 1.0), (300, 0.7))]
-        p = ProposalParams(jitter=jitter)
+        batch = ProposalBatch(tracks, [1, 2, 3, 4], delta)
         for epoch in (1, 9):
-            assert ProposalBatch(tracks, [1, 2, 3, 4], p).propose(7, epoch) \
-                .tuples() == oracle(tracks, [1, 2, 3, 4], 7, epoch, p)[0]
+            assert batch.propose(7, epoch).tuples() == \
+                oracle(tracks, [1, 2, 3, 4], 7, epoch, delta)
 
     def test_padding_slot_outscoring_every_candidate(self):
         """The second track has one support run, (0, 2), so the block pads
@@ -310,28 +282,15 @@ class TestProposalBatch:
         peak = np.zeros(100)
         peak[:2] = (1.0, 0.7)
         tracks = [many, track_from_mapped(peak)]
-        got = ProposalBatch(tracks, [1, 2]).propose(10, 3)
-        assert got.tuples() == oracle(tracks, [1, 2], 10, 3,
-                                      ProposalParams())[0]
+        got = ProposalBatch(tracks, [1, 2], 5).propose(10, 3)
+        assert got.tuples() == oracle(tracks, [1, 2], 10, 3, 5)
 
     def test_rejected_jitter_draw(self):
         rng = np.random.default_rng(4)
         tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(3)]
         seeds = [11, REJECTED_SEED, 2 ** 32 + REJECTED_SEED]
-        want, _ = oracle(tracks, seeds, 40, 1, ProposalParams())
-        assert ProposalBatch(tracks, seeds).propose(40, 1).tuples() == want
-
-    def test_first_failing_track_reported(self):
-        # round(0.1 * T) < 1 for T <= 4: flat tracks that short fail
-        p = ProposalParams(window_fractions=(0.1,), jitter=0)
-        ok = track_from_mapped(np.full(16, 0.5))
-        tracks = [ok, track_from_mapped(np.full(4, 0.5)),
-                  track_from_mapped(np.full(2, 0.5))]
-        _, err = oracle(tracks, [0, 1, 2], 2, 1, p)
-        assert err.context == {"T": 4}
-        with pytest.raises(NoCandidatesError) as got:
-            ProposalBatch(tracks, [0, 1, 2], p).propose(2, 1)
-        assert got.value.to_json_obj() == err.to_json_obj()
+        assert ProposalBatch(tracks, seeds, 5).propose(40, 1).tuples() == \
+            oracle(tracks, seeds, 40, 1, 5)
 
     def test_huge_u_is_no_wider_than_the_candidates(self):
         """The arrays are as wide as the most candidates a row can have,
@@ -339,23 +298,22 @@ class TestProposalBatch:
         rng = np.random.default_rng(5)
         tracks = [track_from_mapped(rng.uniform(0, 1, T))
                   for T in (64, 64, 40)]
-        got = ProposalBatch(tracks, [1, 2, 3]).propose(10 ** 6, 1)
-        assert got.tuples() == oracle(tracks, [1, 2, 3], 10 ** 6, 1,
-                                      ProposalParams())[0]
-        # a flat track has no support run, so its candidates are the
-        # windows alone
-        windows = len(_enumerate_windows(track_from_mapped(np.zeros(64)), 1, 0,
-                                         ProposalParams(jitter=0))[0])
+        got = ProposalBatch(tracks, [1, 2, 3], 5).propose(10 ** 6, 1)
+        assert got.tuples() == oracle(tracks, [1, 2, 3], 10 ** 6, 1, 5)
+        # the unjittered windows of the longest track, one every 5 frames;
+        # jitter can only merge clipped starts
+        windows = sum(len(range(0, 64 - round(f * 64) + 1, 5))
+                      for f in WINDOW_FRACTIONS)
         support = max(len(_support_candidates(t)) for t in tracks)
         assert got.count.max() <= got.start.shape[1] <= windows + support
 
     def test_u_must_be_positive(self):
-        batch = ProposalBatch([track_from_mapped(np.full(10, 0.5))], [0])
+        batch = ProposalBatch([track_from_mapped(np.full(10, 0.5))], [0], 5)
         with pytest.raises(ContractViolation):
             batch.propose(0, 1)
 
     def test_empty(self):
-        assert ProposalBatch([], []).propose(5, 1).tuples() == []
+        assert ProposalBatch([], [], 5).propose(5, 1).tuples() == []
 
 
 class TestSplitLengthGroup:
@@ -378,11 +336,10 @@ class TestSplitLengthGroup:
             lengths.insert(i, 96)
         tracks = [plateau(T) for T in lengths]
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        batch = ProposalBatch(tracks, seeds)
+        batch = ProposalBatch(tracks, seeds, 5)
         for epoch in (1, 15):
             got = batch.propose(5, epoch)
-            assert got.tuples() == oracle(tracks, seeds, 5, epoch,
-                                          ProposalParams())[0]
+            assert got.tuples() == oracle(tracks, seeds, 5, epoch, 5)
         survivors = batch.propose(200, 1).count[np.array(lengths) == 128]
         assert 30 <= np.median(survivors) <= 38
 
