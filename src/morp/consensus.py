@@ -328,7 +328,8 @@ def run_correction(manifest: CorpusManifest, predictor,
     ids = [table.ids[i] for i in order]
     U = params.predictions_per_query
     seeds = [annotation_seed(params.seed, i) for i in ids]
-    predict = predictor.epoch_source(manifest, ids, seeds, tracks)
+    predict = predictor.epoch_source(manifest, ids, seeds, tracks,
+                                     params.epochs)
 
     A = len(order)
     T = table.timeline[order]

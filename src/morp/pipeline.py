@@ -5,12 +5,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .consensus import CorrectionParams, run_correction
+from .consensus import CorrectionParams, annotation_seed, run_correction
 from .core import Boundary, iou
 from .errors import ContractViolation
 from .featstore import CorpusManifest, check_seconds, derive_boundary_frames
 from .metrics import MetricReport, _align, metric_report
-from .predictor import SlidingWindowPredictor
+from .predictor import ProposalBatch, SlidingWindowPredictor, TablePredictor
 from .refine import AdjustParams, CleanParams, compute_tracks, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
@@ -131,6 +131,12 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
     under ``work_dir``, so a clean-ratio sweep generates one per seed.
     Every value's parameters are built, and so checked, before the
     first corpus is generated.
+
+    Each value's quality is what :func:`run_pipeline` and
+    :func:`corpus_quality` give.  A proposal depends on neither the
+    cleaning ratio nor the memory bank, so each corpus gets its tracks
+    and one proposal table, over every annotation some value keeps, and
+    each value's correction takes its kept annotations' rows of it.
     """
     if knob not in ("clean_ratio", "corpus_size"):
         raise ContractViolation("unknown sweep knob", knob=knob)
@@ -147,18 +153,26 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
              for seed in seeds for size in sizes}
     per_seed = {}
     for seed in seeds:
-        corpora = {}  # corpus size -> manifest
-        row = []
-        for size, clean in zip(sizes, cleans):
-            if size not in corpora:
-                corpora[size] = generate_corpus(
-                    specs[seed, size],
-                    os.path.join(work_dir, f"sweep_seed{seed}_n{size}"))
-            manifest = corpora[size]
-            _, _, corrected, _ = run_pipeline(
-                manifest, clean, adjust_params,
-                replace(correction_params, seed=seed))
-            row.append(corpus_quality(manifest, corrected))
+        params = replace(correction_params, seed=seed)
+        row = [None] * len(values)
+        for size in dict.fromkeys(sizes):
+            manifest = generate_corpus(
+                specs[seed, size],
+                os.path.join(work_dir, f"sweep_seed{seed}_n{size}"))
+            tracks = compute_tracks(manifest)
+            refined = {i: refine_corpus(manifest, cleans[i], adjust_params,
+                                        tracks=tracks)[0]
+                       for i, n in enumerate(sizes) if n == size}
+            ids = sorted(set().union(*(r.annotations.ids
+                                       for r in refined.values())))
+            table = ProposalBatch(
+                [tracks[i] for i in ids],
+                [annotation_seed(seed, i) for i in ids], adjust_params.delta,
+            ).propose(params.predictions_per_query, params.epochs)
+            predictor = TablePredictor(ids, table)
+            for i, r in refined.items():
+                corrected, _ = run_correction(r, predictor, params, tracks)
+                row[i] = corpus_quality(manifest, corrected)
         per_seed[seed] = row
     metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)
               for i in range(len(values))]

@@ -18,14 +18,17 @@ The mean-contrast margin keeps the intended ordering (the window hugging
 the relevant support scores highest) without that length bias.
 
 Two entry points compute the same proposals.  :func:`propose` handles
-one track.  :class:`ProposalBatch` handles every track of a correction
-run, one epoch per call: tracks that share a timeline length T are cut
-into blocks of at most ``BLOCK_ROWS`` rows, each block's support runs and
-prefix sums are stacked once, and every epoch enumerates, scores, ranks
-and NMS-suppresses a whole block with array operations.  Per track it
-performs the same elementwise arithmetic as :func:`propose`, so its
-output equals :func:`propose`'s bit for bit; the tests keep
-:func:`propose` as the reference.  Two steps differ in form only:
+one track at one epoch.  :class:`ProposalBatch` computes a correction
+run's whole table at once: a proposal depends on the track, its seed,
+the epoch and ``delta``, never on the memory bank, so every (track,
+epoch) pair is one row.  The rows of the tracks that share a timeline
+length T are laid out epoch after epoch and cut into blocks of at most
+``BLOCK_ROWS`` rows; each track's support runs are found once, and each
+block enumerates, scores, ranks and NMS-suppresses its rows with array
+operations.  Per row it performs the same elementwise arithmetic as
+:func:`propose`, so its output equals :func:`propose`'s bit for bit; the
+tests keep :func:`propose` as the reference.  Two steps differ in form
+only:
 
 - The jitter offsets of every track are drawn at once per epoch by
   :func:`_jitter_offsets`, a numpy replica of ``default_rng([seed,
@@ -50,20 +53,23 @@ are the same.
 Correction consumes predictions one epoch at a time, as
 :class:`EpochPredictions`: padded start/end/confidence arrays over all
 annotations, at most U columns wide, plus a per-row count.  Every
-predictor has one method, ``epoch_source(manifest, ids, seeds,
-tracks)``, which returns the callable ``(U, epoch) -> EpochPredictions``
-that correction calls once per epoch.  :class:`SlidingWindowPredictor`
-hands out a :class:`ProposalBatch`, which fills the arrays directly;
-:class:`FilePredictor` gathers them from a JSON-lines file it parses
-once, and needs only each annotation's timeline length, never its
-features.
+predictor has one method, ``epoch_source(manifest, ids, seeds, tracks,
+epochs)``, which returns the callable ``(U, epoch) -> EpochPredictions``
+that correction calls once per epoch, for epochs 1 to ``epochs``.
+:class:`SlidingWindowPredictor` computes a :class:`ProposalBatch` table
+of those epochs on the first call and hands out one epoch's views of it
+per call; :class:`TablePredictor` gathers a run's rows from a table
+computed for more annotations, which lets a sweep share one table
+across its values; :class:`FilePredictor` gathers each epoch from a
+JSON-lines file it parses once, and needs only each annotation's
+timeline length, never its features.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -93,6 +99,9 @@ class EpochPredictions(NamedTuple):
     least every count; a predictor makes it :meth:`width`, no wider than U
     or than the most predictions a row can hold, so memory follows the
     output, not U.
+
+    A table of epochs stacks them on a leading axis: (E, A, W) arrays
+    and an (E, A) count, of which :meth:`epoch` takes one epoch.
     """
 
     start: np.ndarray
@@ -106,11 +115,20 @@ class EpochPredictions(NamedTuple):
         return max(1, min(U, widest))
 
     @classmethod
-    def empty(cls, A: int, W: int) -> "EpochPredictions":
-        return cls(np.zeros((A, W), dtype=np.int64),
-                   np.zeros((A, W), dtype=np.int64),
-                   np.zeros((A, W), dtype=np.float64),
+    def empty(cls, A, W: int) -> "EpochPredictions":
+        """Zeros for A rows, or for a table when A is an (E, A) shape."""
+        A = A if isinstance(A, tuple) else (A,)
+        return cls(np.zeros((*A, W), dtype=np.int64),
+                   np.zeros((*A, W), dtype=np.int64),
+                   np.zeros((*A, W), dtype=np.float64),
                    np.zeros(A, dtype=np.int64))
+
+    def epoch(self, j: int) -> "EpochPredictions":
+        """Epoch j, counted from 1, of a table: views of its rows."""
+        if not 1 <= j <= len(self.count):
+            raise ContractViolation("epoch outside the proposal table",
+                                    epoch=j, epochs=len(self.count))
+        return EpochPredictions(*(a[j - 1] for a in self))
 
     def valid(self) -> np.ndarray:
         """(A, W) mask of the slots that hold a prediction."""
@@ -350,7 +368,8 @@ def _jitter_offsets(seeds, epoch, jitter, F):
     return out
 
 
-# Rows per ProposalBatch block.  Larger blocks pay the per-rank-position
+# Rows per block.  A row is one (track, epoch) pair, and a block holds
+# rows of one timeline length.  Larger blocks pay the per-rank-position
 # NMS loop overhead fewer times but hold larger (rows, candidates)
 # arrays.  On `morp pipeline` at 500 videos x 128 frames (600 kept
 # tracks, 119 candidates each), 128- and 256-row blocks both peaked at
@@ -360,39 +379,40 @@ def _jitter_offsets(seeds, epoch, jitter, F):
 BLOCK_ROWS = 256
 
 
-class _Block:
-    """Up to BLOCK_ROWS tracks of one timeline length, stacked once per run.
+class _LengthGroup:
+    """The tracks of one timeline length T, whose (track, epoch) rows are
+    computed in blocks of up to BLOCK_ROWS.
 
-    Holds what does not change across epochs: the tracks' prefix sums,
-    the support runs padded to a common width, and the unjittered
-    sliding-window starts of every usable fraction laid end to end.
+    Holds what no row changes: the tracks' support runs padded to a
+    common width, and the unjittered sliding-window starts of every
+    usable fraction laid end to end.  The rows run epoch after epoch,
+    row k being the group's track ``k % n`` at epoch index ``k // n``,
+    and are cut into blocks, so a group of few tracks fills its blocks
+    with epochs.
 
-    Each epoch it takes its rows' jitter offsets, which
-    :class:`ProposalBatch` draws for all tracks at once with
-    :func:`_jitter_offsets` (``default_rng`` redraws only the rows whose
-    bounded draw was rejected).  It scores the candidates in place in
-    one (rows, candidates) array, gathers starts, ends, the alive mask
-    and the scores into rank order, dropping each unsorted array as soon
-    as its sorted copy exists, and runs the NMS loop over rank
-    positions.  Each step of that loop gathers the later ranks of the
-    rows alive at it once and computes the intersection and union into
-    those copies.  The softmax then packs each row's survivors to the
-    left and works on one contiguous array per survivor count, so every
-    row's sum rounds as :func:`propose`'s 1-D sum does.
+    A block takes its rows' jitter offsets, which :class:`ProposalBatch`
+    draws per epoch for all tracks at once with :func:`_jitter_offsets`
+    (``default_rng`` redraws only the rows whose bounded draw was
+    rejected).  It scores the candidates in place in one (rows,
+    candidates) array, gathers starts, ends, the alive mask and the
+    scores into rank order, dropping each unsorted array as soon as its
+    sorted copy exists, and runs the NMS loop over rank positions.  Each
+    step of that loop gathers the later ranks of the rows alive at it
+    once and computes the intersection and union into those copies.  The
+    softmax then packs each row's survivors to the left and works on one
+    contiguous array per survivor count, so every row's sum rounds as
+    :func:`propose`'s 1-D sum does.
     """
 
-    def __init__(self, T, rows, tracks, delta):
+    def __init__(self, T, tracks, support, delta):
         self.T = T
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.prefixes = [tracks[i].prefix for i in rows]
-
-        support = [_support_candidates(tracks[i]) for i in rows]
-        width = max(len(runs) for runs in support)
-        self.sup_start = np.zeros((len(rows), width), dtype=np.int64)
-        self.sup_end = np.ones((len(rows), width), dtype=np.int64)
-        self.sup_valid = np.zeros((len(rows), width), dtype=bool)
-        for r, runs in enumerate(support):
-            for k, (s, e) in enumerate(runs):
+        self.tracks = np.asarray(tracks, dtype=np.int64)
+        width = max(len(support[i]) for i in tracks)
+        self.sup_start = np.zeros((len(tracks), width), dtype=np.int64)
+        self.sup_end = np.ones((len(tracks), width), dtype=np.int64)
+        self.sup_valid = np.zeros((len(tracks), width), dtype=bool)
+        for r, i in enumerate(tracks):
+            for k, (s, e) in enumerate(support[i]):
                 self.sup_start[r, k], self.sup_end[r, k] = s, e
                 self.sup_valid[r, k] = True
 
@@ -409,9 +429,25 @@ class _Block:
         # the most candidates, and so survivors, a row can have
         self.n_candidates = width + len(self.win_base)
 
-    def _candidates(self, offsets):
+    def propose(self, U, prefixes, offsets, out: EpochPredictions):
+        """Write propose(track, U, epoch, seed, delta) of every (track,
+        epoch) row of the group into out, given every track's prefix sums
+        and the (epochs, tracks, fractions) jitter offsets."""
+        # stacked per group and dropped after it: a stack of every group
+        # at once would duplicate every track's prefix array
+        prefix = np.stack([prefixes[i] for i in self.tracks.tolist()])
+        n = len(self.tracks)
+        rows = n * len(offsets)
+        for lo in range(0, rows, BLOCK_ROWS):
+            epoch, pos = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, rows)),
+                                   n)
+            self._block(U, prefix, pos, epoch,
+                        offsets[epoch, self.tracks[pos], :self.n_fractions],
+                        out)
+
+    def _candidates(self, pos, offsets):
         """(starts, ends, valid) candidate arrays in propose's order, for
-        (rows, n_fractions) jitter offsets.
+        the block's group positions and (rows, n_fractions) offsets.
 
         Invalid slots are padding or repeated clipped windows; the valid
         slots of a row are that track's candidates, in order.
@@ -423,21 +459,20 @@ class _Block:
         fresh = np.ones(win_start.shape, dtype=bool)
         fresh[:, 1:] = win_start[:, 1:] != win_start[:, :-1]
         fresh[:, self.win_first] = True
-        return (np.concatenate((self.sup_start, win_start), axis=1),
-                np.concatenate((self.sup_end, win_start + self.win_len), axis=1),
-                np.concatenate((self.sup_valid, fresh), axis=1))
+        return (np.concatenate((self.sup_start[pos], win_start), axis=1),
+                np.concatenate((self.sup_end[pos], win_start + self.win_len),
+                               axis=1),
+                np.concatenate((self.sup_valid[pos], fresh), axis=1))
 
-    def propose(self, U, offsets, out: EpochPredictions):
-        """Write each row's propose(track, U, epoch, seed, delta) into out,
-        given the rows' jitter offsets for the epoch."""
+    def _block(self, U, prefix, pos, epoch, offsets, out: EpochPredictions):
+        """Write the rows (track at group position pos[r], epoch index
+        epoch[r]) into out."""
         T = self.T
-        starts, ends, valid = self._candidates(offsets)
+        starts, ends, valid = self._candidates(pos, offsets)
 
         # _contrast_margin, elementwise over the block and in place:
-        # scores holds inside, then inside_mean, then the margin.  The
-        # prefix sums are stacked per call: a stack kept for the whole
-        # run would duplicate every track's prefix array.
-        prefix = np.stack(self.prefixes)
+        # scores holds inside, then inside_mean, then the margin
+        prefix = prefix[pos]
         scores = np.take_along_axis(prefix, ends, axis=1)
         scores -= np.take_along_axis(prefix, starts, axis=1)
         outside = np.subtract(prefix[:, T, None], scores)
@@ -501,10 +536,10 @@ class _Block:
         row = by_count[r]
         packed = np.empty(alive.shape)
         packed[r, slot] = scores[row, c]
-        conf = np.empty((len(self.rows), min(U, alive.shape[1])))
+        conf = np.empty((len(pos), min(U, alive.shape[1])))
         sizes, first = np.unique(count[by_count], return_index=True)
         for n, lo, hi in zip(sizes.tolist(), first.tolist(),
-                             first[1:].tolist() + [len(self.rows)]):
+                             first[1:].tolist() + [len(pos)]):
             kept = packed[lo:hi, :n]
             weights = np.exp(kept - kept[:, :1])
             k = min(n, U)
@@ -513,20 +548,20 @@ class _Block:
 
         top = slot < U
         r, c, slot, row = r[top], c[top], slot[top], row[top]
-        i = self.rows[row]
-        out.start[i, slot] = s[row, c]
-        out.end[i, slot] = e[row, c]
-        out.confidence[i, slot] = conf[r, slot]
-        out.count[self.rows] = np.minimum(count, U)
+        at = epoch[row], self.tracks[pos[row]], slot
+        out.start[at] = s[row, c]
+        out.end[at] = e[row, c]
+        out.confidence[at] = conf[r, slot]
+        out.count[epoch, self.tracks[pos]] = np.minimum(count, U)
 
 
 class ProposalBatch:
-    """:func:`propose` over a fixed list of tracks, one epoch per call.
+    """:func:`propose` over a fixed list of tracks, every epoch in one call.
 
-    ``propose(U, epoch)`` returns :class:`EpochPredictions` whose row i
-    holds exactly what ``propose(tracks[i], U, epoch, seeds[i], delta)``
-    returns.  Support runs and prefix sums are gathered once, at
-    construction.
+    ``propose(U, epochs)`` returns a table: :class:`EpochPredictions`
+    whose :meth:`~EpochPredictions.epoch` ``j`` row i holds exactly what
+    ``propose(tracks[i], U, j, seeds[i], delta)`` returns, for j from 1
+    to ``epochs``.  Support runs are found once, at construction.
     """
 
     def __init__(self, tracks, seeds, delta: int):
@@ -538,46 +573,69 @@ class ProposalBatch:
             raise ContractViolation("need one seed per track",
                                     tracks=len(tracks), seeds=len(seeds))
         self.delta = delta
+        self._prefixes = [track.prefix for track in tracks]
+        support = [_support_candidates(track) for track in tracks]
         by_len = {}
         for i, track in enumerate(tracks):
             by_len.setdefault(track.num_frames, []).append(i)
-        self._blocks = [
-            _Block(T, rows[k:k + BLOCK_ROWS], tracks, delta)
-            for T, rows in by_len.items()
-            for k in range(0, len(rows), BLOCK_ROWS)
-        ]
+        self._groups = [_LengthGroup(T, group, support, delta)
+                        for T, group in by_len.items()]
         self._seeds = seeds
-        self._widest = max((b.n_candidates for b in self._blocks), default=0)
+        self._widest = max((g.n_candidates for g in self._groups), default=0)
 
-    def propose(self, U: int, epoch: int) -> EpochPredictions:
-        if U < 1:
-            raise ContractViolation("U must be >= 1", U=U)
-        # a block with fewer usable fractions takes a prefix of each row's
+    def propose(self, U: int, epochs: int) -> EpochPredictions:
+        if U < 1 or epochs < 1:
+            raise ContractViolation("U and epochs must be >= 1", U=U,
+                                    epochs=epochs)
+        # a group with fewer usable fractions takes a prefix of each row's
         # draws, as propose's scalar draws are a prefix of the size-F draw
-        offsets = _jitter_offsets(self._seeds, epoch, self.delta,
-                                  len(WINDOW_FRACTIONS))
-        out = EpochPredictions.empty(
-            len(self._seeds), EpochPredictions.width(U, self._widest))
-        for block in self._blocks:
-            block.propose(U, offsets[block.rows, :block.n_fractions], out)
+        offsets = np.stack([_jitter_offsets(self._seeds, epoch, self.delta,
+                                            len(WINDOW_FRACTIONS))
+                            for epoch in range(1, epochs + 1)])
+        out = EpochPredictions.empty((epochs, len(self._seeds)),
+                                     EpochPredictions.width(U, self._widest))
+        for group in self._groups:
+            group.propose(U, self._prefixes, offsets, out)
         return out
 
 
 class SlidingWindowPredictor:
     """The default predictor: :func:`propose` at one ``delta``, computed
-    a whole epoch at a time by a :class:`ProposalBatch`."""
+    a whole run at a time by a :class:`ProposalBatch`."""
 
     def __init__(self, delta: int):
         _check_delta(delta)
         self.delta = delta
 
-    def epoch_source(self, manifest, ids, seeds, tracks):
-        """``ProposalBatch.propose`` over the tracks of ``ids``, where
-        ``seeds[i]`` seeds ``ids[i]``'s jitter."""
+    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
+        """Epochs of the ``ProposalBatch`` table over the tracks of ``ids``,
+        where ``seeds[i]`` seeds ``ids[i]``'s jitter; the table holds
+        epochs 1 to ``epochs`` and is computed on the first call."""
         if tracks is None:
             tracks = compute_tracks(manifest)
-        return ProposalBatch([tracks[i] for i in ids], seeds,
-                             self.delta).propose
+        batch = ProposalBatch([tracks[i] for i in ids], seeds, self.delta)
+        table = lru_cache(maxsize=1)(partial(batch.propose, epochs=epochs))
+        return lambda U, epoch: table(U).epoch(epoch)
+
+
+class TablePredictor:
+    """Serves correction runs the rows of one :class:`ProposalBatch`
+    table, computed for the ``ids`` of a corpus at the runs' seed, U and
+    epoch count.
+
+    A run over any subset of ``ids`` gathers its rows, which equal a
+    table computed for that subset, so runs that keep different
+    annotations of one corpus share one table.
+    """
+
+    def __init__(self, ids, table: EpochPredictions):
+        self._row = {aid: r for r, aid in enumerate(ids)}
+        self._table = table
+
+    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
+        rows = [self._row[aid] for aid in ids]
+        part = EpochPredictions(*(a[:, rows] for a in self._table))
+        return lambda U, epoch: part.epoch(epoch)
 
 
 class FilePredictor:
@@ -665,9 +723,9 @@ class FilePredictor:
                                  annotation_id=annotation_id, epoch=epoch)
         return row
 
-    def epoch_source(self, manifest, ids, seeds, tracks):
-        """:meth:`replay` of ``ids``; the seeds and tracks go unused, so
-        no feature file is read."""
+    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
+        """:meth:`replay` of ``ids``, an epoch a call; the seeds, tracks
+        and epoch count go unused, so no feature file is read."""
         return partial(self.replay, ids)
 
     def replay(self, annotation_ids, U: int, epoch: int) -> EpochPredictions:

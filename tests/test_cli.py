@@ -642,6 +642,30 @@ class TestErrors:
         proc.stderr.close()
         assert err == b""
 
+    def test_hostile_feature_file_in_a_subprocess(self, tmp_path, capsys):
+        """A feature header claiming 2**32 - 1 frames ends `morp refine`
+        with exit 1 and one truncation_error line, never a traceback or a
+        MemoryError."""
+        import struct
+        import subprocess
+        import sys
+
+        manifest = make_corpus(tmp_path, capsys)
+        video = json.loads(manifest.read_text())["videos"][0]
+        path = manifest.parent / video["feature_file_path"]
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 2 ** 32 - 1)
+        path.write_bytes(bytes(data))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "morp.cli", "refine", "--manifest",
+             str(manifest), "--out-manifest", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        obj = self.one_error(proc.stderr)
+        assert obj["code"] == "truncation_error"
+        assert obj["context"]["expected_rows"] == 2 ** 32 - 1
+
     @staticmethod
     def one_error(err):
         """The one error object on stderr, parsed as strict JSON."""

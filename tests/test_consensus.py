@@ -210,7 +210,7 @@ class EchoPredictor:
     def __init__(self, table):
         self.table = table
 
-    def epoch_source(self, manifest, ids, seeds, tracks):
+    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
         start = [self.table[i].start for i in ids]
         end = [self.table[i].end for i in ids]
 
@@ -264,7 +264,7 @@ class TestRunCorrection:
         class WrongTimeline:
             """Ends one annotation's prediction past its timeline."""
 
-            def epoch_source(self, manifest, ids, seeds, tracks):
+            def epoch_source(self, manifest, ids, seeds, tracks, epochs):
                 def predict(U, epoch):
                     out = EpochPredictions.empty(len(ids), U)
                     out.end[:, 0] = [5, 999] + [5] * (len(ids) - 2)
@@ -281,8 +281,9 @@ class TestRunCorrection:
         assert err.value.context["end"] == 999
 
     def test_epoch_source_built_once_and_called_per_epoch(self, tmp_path):
-        """run_correction asks for one source, over the sorted ids and
-        their annotation seeds, and calls it once per epoch with U."""
+        """run_correction asks for one source, over the sorted ids, their
+        annotation seeds and the run's epoch count, and calls it once per
+        epoch with U."""
         refined = make_refined_corpus(tmp_path)
         table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
                  for a in refined.annotations}
@@ -290,9 +291,10 @@ class TestRunCorrection:
         builds, calls = [], []
 
         class Recorder:
-            def epoch_source(self, manifest, ids, seeds, tracks):
-                builds.append((list(ids), list(seeds), tracks))
-                predict = echo.epoch_source(manifest, ids, seeds, tracks)
+            def epoch_source(self, manifest, ids, seeds, tracks, epochs):
+                builds.append((list(ids), list(seeds), tracks, epochs))
+                predict = echo.epoch_source(manifest, ids, seeds, tracks,
+                                            epochs)
 
                 def recorded(U, epoch):
                     calls.append((U, epoch))
@@ -303,7 +305,8 @@ class TestRunCorrection:
         params = CorrectionParams(epochs=3, seed=11, predictions_per_query=4)
         _, trace = run_correction(refined, Recorder(), params)
         ids = sorted(table)
-        assert builds == [(ids, [annotation_seed(11, i) for i in ids], None)]
+        assert builds == [(ids, [annotation_seed(11, i) for i in ids], None,
+                           3)]
         assert calls == [(4, 1), (4, 2), (4, 3)]
         assert [r.epoch for r in trace.records] == \
             [e for e in (1, 2, 3) for _ in ids]
@@ -312,7 +315,7 @@ class TestRunCorrection:
         refined = make_refined_corpus(tmp_path)
 
         class TooMany:
-            def epoch_source(self, manifest, ids, seeds, tracks):
+            def epoch_source(self, manifest, ids, seeds, tracks, epochs):
                 def predict(U, epoch):
                     out = EpochPredictions.empty(len(ids), U)
                     out.end[:] = 5
@@ -564,7 +567,7 @@ class TestBatchedCorrection:
             predictor = SlidingWindowPredictor(5)
         ids = sorted(a.annotation_id for a in refined.annotations)
         seeds = [annotation_seed(0, i) for i in ids]
-        predict = predictor.epoch_source(refined, ids, seeds, None)
+        predict = predictor.epoch_source(refined, ids, seeds, None, 2)
         first, second = predict(5, 1), predict(5, 2)
         for a, b_ in zip(first, second):
             assert not np.shares_memory(a, b_)

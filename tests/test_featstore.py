@@ -149,6 +149,70 @@ class TestFeatureFile:
             np.testing.assert_array_equal(read_feature_file(path).data, data)
 
 
+@st.composite
+def feature_files(draw):
+    """(file bytes, matrix or None).  Each fault comes with probability
+    1/4, alone or with others: a bad magic or version, T or D at an edge
+    (0, 1, 2**31 or 2**32 - 1), a short or trailing payload, a file cut
+    inside its header, NaN or infinite values, an all-zero row.  The
+    matrix is what the file holds when it has no fault."""
+    def fault():
+        return draw(st.integers(0, 3)) == 0
+
+    edge = st.sampled_from([0, 1, 2 ** 31, 2 ** 32 - 1])
+    magic = draw(st.sampled_from([b"VMRQ", b"\0\0\0\0"])) if fault() else b"VMRP"
+    version = draw(st.sampled_from([0, 2, 2 ** 32 - 1])) if fault() else 1
+    t = draw(edge if fault() else st.integers(1, 4))
+    d = draw(edge if fault() else st.integers(1, 4))
+    # a header asking for more than 4 KiB gets a short payload
+    fits = 4 * t * d <= 4096
+    rows, cols = (t, d) if fits else (draw(st.integers(0, 3)), 1)
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    cell = st.one_of(finite, st.sampled_from(
+        [float("nan"), float("inf"), float("-inf")])) if fault() else finite
+    values = np.array(draw(st.lists(cell, min_size=rows * cols,
+                                    max_size=rows * cols)), dtype="<f4")
+    if rows and fault():
+        values.reshape(rows, cols)[draw(st.integers(0, rows - 1))] = -0.0
+    payload = values.tobytes()
+    length = draw(st.sampled_from(["short", "trailing"])) \
+        if fault() or not fits else "exact"
+    if length == "short":
+        payload = payload[:draw(st.integers(0, max(len(payload) - 1, 0)))]
+    elif length == "trailing":
+        payload += b"\xff" * draw(st.integers(1, 7))
+    data = struct.pack("<4sIII", magic, version, t, d) + payload
+    if fault():
+        return data[:draw(st.integers(0, 15))], None
+    valid = (magic == b"VMRP" and version == 1 and t >= 1 and d >= 1
+             and length == "exact" and np.isfinite(values).all()
+             and values.reshape(t, d).any(axis=1).all())
+    return data, values.reshape(t, d) if valid else None
+
+
+class TestFeatureFileFuzz:
+    """Every byte string ends as a matrix or as one MorpError, never as
+    another exception or an allocation the file cannot back."""
+
+    @settings(max_examples=400)
+    @given(feature_files())
+    @example((pack_file(1, 2 ** 32 - 1, 2 ** 32 - 1, b""), None))
+    @example((pack_file(1, 1, 2, struct.pack("<2f", 0.0, -0.0)), None))
+    def test_matrix_or_one_error(self, case):
+        data, want = case
+        with tempfile.TemporaryDirectory() as base:
+            path = os.path.join(base, "f.vmrp")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            if want is None:
+                with pytest.raises(MorpError):
+                    read_feature_file(path)
+            else:
+                got = read_feature_file(path)
+                assert isinstance(got, FrameFeatureMatrix)
+                np.testing.assert_array_equal(got.data, want)
+
+
 class TestSecondsToFrames:
     def test_origin(self):
         assert seconds_to_frames(0.0, 100.0, 10) == 0
