@@ -14,7 +14,11 @@ time: each feature file is read once and its frame norms are taken once,
 and the tracks of all annotations whose video has T frames are rows of
 one (annotations, T) block, clipped and mapped in place, so no raw
 cosines are kept.  :func:`frame_similarities` is the single-query form
-of the same arithmetic, bit for bit.
+of the same arithmetic, bit for bit.  The pipeline and correction keep
+these mapped blocks beside the prefix sums, because proposals read the
+mapped values; standalone refinement reads only prefix sums, so it
+keeps nothing else: each track's cosines are written where its prefix
+sums go and turned into them in place.
 
 :func:`refine_corpus` scores and adjusts the annotation columns of a
 manifest against these tracks: :func:`batch_contrast` and
@@ -48,6 +52,8 @@ from .featstore import (
 
 EPS_DENOM = 1e-8
 GAMMA_CAP = 1e6
+# the most bytes of one prefix block that one cumsum call reads
+_CUMSUM_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -353,6 +359,11 @@ class CorpusTracks(Mapping):
     ``prefix[base[i]]``.  Looking up an id returns a
     :class:`SimilarityTrack` of views.  Ids iterate in the order their
     rows were filled.
+
+    Tracks that :func:`refine_corpus` builds for itself keep only the
+    prefix sums: their ``mapped`` is None, and they are not looked up by
+    id.  Those of :func:`compute_tracks`, which the pipeline and
+    correction use, keep both.
     """
 
     def __init__(self, ids, mapped, prefix, frames, row, base, filled):
@@ -379,7 +390,8 @@ class CorpusTracks(Mapping):
 
 
 def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
-    """The similarity tracks of every annotation of a manifest.
+    """The similarity tracks of every annotation of a manifest: mapped
+    values and prefix sums.
 
     Each video's frame count in the manifest is first checked against
     its feature file's header, before any block is allocated.  Videos
@@ -390,7 +402,17 @@ def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
     Each block is then clipped and mapped by ``(s + 1) / 2`` in place,
     and its prefix sums go to its own stretch of one flat array; each
     track equals ``frame_similarities`` for its query bit for bit.
+    :func:`refine_corpus` builds the same prefix sums, and no mapped
+    blocks, when it is not given tracks.
     """
+    return _tracks(manifest, keep_mapped=True)
+
+
+def _tracks(manifest: CorpusManifest, keep_mapped: bool) -> CorpusTracks:
+    """:func:`compute_tracks`; without ``keep_mapped``, each row's
+    cosines are written to the columns of its prefix row that will hold
+    its prefix sums, and clipped, mapped and summed there in place, so
+    the tracks hold the same prefix sums and no ``mapped`` blocks."""
     queries = manifest.load_query_features()
     table = manifest.annotations
     by_video = {}
@@ -403,10 +425,16 @@ def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
         # manifest cannot ask for more than the feature files hold
         T = manifest.video_frames(manifest.videos[v].video_id)
         counts[T] = counts.get(T, 0) + len(by_video[v])
-    mapped = {T: np.empty((n, T)) for T, n in counts.items()}
     offset, size = {}, 0
     for T, n in counts.items():  # where each T's prefix block starts
         offset[T], size = size, size + n * (T + 1)
+    prefix = np.empty(size)
+    blocks = {T: prefix[offset[T]:offset[T] + n * (T + 1)].reshape(n, T + 1)
+              for T, n in counts.items()}
+    if keep_mapped:
+        mapped = {T: np.empty((n, T)) for T, n in counts.items()}
+    else:  # each row's values take the place of its prefix sums
+        mapped = {T: p[:, 1:] for T, p in blocks.items()}
     frames = np.zeros(len(table), dtype=np.int64)
     rows = np.zeros(len(table), dtype=np.int64)
     base = np.zeros(len(table), dtype=np.int64)
@@ -433,17 +461,20 @@ def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
         rows[members] = np.arange(filled[T] - len(members), filled[T])
         base[members] = offset[T] + rows[members] * (T + 1)
 
-    prefix = np.empty(size)
     for T, block in mapped.items():
         # in place, so that no block-sized temporary raises peak memory
         np.clip(block, -1.0, 1.0, out=block)
         block += 1.0
         block /= 2.0
-        n = block.shape[0]
-        p = prefix[offset[T]:offset[T] + n * (T + 1)].reshape(n, T + 1)
+        p = blocks[T]
         p[:, 0] = 0.0
-        np.cumsum(block, axis=1, out=p[:, 1:])
-    return CorpusTracks(table.ids, mapped, prefix, frames, rows, base,
+        # a bounded number of rows per call, so that the copy NumPy may
+        # make of an input overlapping its output stays small
+        step = max(1, _CUMSUM_BYTES // (8 * T))
+        for r in range(0, len(p), step):
+            np.cumsum(block[r:r + step], axis=1, out=p[r:r + step, 1:])
+    return CorpusTracks(table.ids, mapped if keep_mapped else None, prefix,
+                        frames, rows, base,
                         [i for v in order for i in by_video[v]])
 
 
@@ -465,7 +496,7 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
     :func:`batch_adjust` moves the kept ones.
     """
     if tracks is None:
-        tracks = compute_tracks(manifest)
+        tracks = _tracks(manifest, keep_mapped=False)
     table = manifest.annotations
     where = tracks.positions(table.ids)
     T, base = tracks.frames[where], tracks.base[where]

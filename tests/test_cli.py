@@ -168,6 +168,10 @@ class TestPipeline:
             return obj
 
         assert body(pipe / "refined.json") == body(refined)
+        # the pipeline's refinement reads tracks with mapped blocks, the
+        # standalone one builds prefix sums alone; the gammas must agree
+        assert body(pipe / "refine_report.json") == \
+            body(tmp_path / "whole" / "sep_refined.json.report.json")
         assert body(pipe / "corrected.json") == body(corrected)
 
     def test_integer_lambda_from_config(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import annotation_table
 import morp.featstore
+import morp.refine
 from morp.core import Boundary
 from morp.errors import ContractViolation
 from morp.featstore import (
@@ -124,6 +125,7 @@ class TestComputeTracks:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 7, 64]))
     @example(seed=0, dim=1)
+    @example(seed=4, dim=3)  # a cosine past -1 that the clip must catch
     def test_matches_frame_similarities(self, seed, dim):
         rng = np.random.default_rng(seed)
         n_queries = int(rng.integers(1, 5))
@@ -154,6 +156,12 @@ class TestComputeTracks:
         with tempfile.TemporaryDirectory() as base:
             manifest = write_corpus(base, queries, videos, anns)
             tracks = compute_tracks(manifest)
+            # what refine_corpus builds for itself: the same prefix sums
+            prefix_only = morp.refine._tracks(manifest, keep_mapped=False)
+        assert prefix_only.mapped is None
+        for name in ("prefix", "frames", "base"):
+            assert np.array_equal(getattr(prefix_only, name),
+                                  getattr(tracks, name))
         assert list(tracks) != [aid for aid, _, _ in anns]
         assert set(tracks) == {aid for aid, _, _ in anns}
         for aid, vid, ref in anns:
@@ -497,3 +505,25 @@ class TestRefineCorpus:
             assert r.boundary_before_frames == ann.boundary_frames.as_tuple()
             assert r.boundary_after_frames == (
                 None if kept is None else kept.as_tuple())
+
+    def test_own_tracks_keep_one_block(self, tmp_path):
+        # without tracks passed in, refinement keeps only the prefix sums:
+        # another (annotations, T) block of mapped values would take the
+        # peak past twice the prefix block's bytes
+        import tracemalloc
+
+        from morp.featstore import read_manifest
+        from morp.synth import SynthSpec, generate_corpus
+
+        generate_corpus(SynthSpec(n_videos=40, num_frames=512,
+                                  annotations_per_video=4), tmp_path)
+        manifest = read_manifest(tmp_path / "manifest.json")
+        block = compute_tracks(manifest).prefix.nbytes
+        assert block == 40 * 4 * 513 * 8
+        tracemalloc.start()
+        try:
+            refine_corpus(manifest, CleanParams(), AdjustParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * block, peak / block

@@ -8,6 +8,7 @@ sampling order or the boundary rules shows up here.
 import filecmp
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -90,6 +91,31 @@ class TestDeterminism:
         ]
         for name in names:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+    def test_small_corpus_is_prefix_of_large(self, tmp_path):
+        # video v is drawn from its own stream, so n videos of a seed are
+        # the first n of any larger corpus of that seed
+        small, large = tmp_path / "small", tmp_path / "large"
+        generate_corpus(small_spec(n_videos=20, seed=3), small)
+        generate_corpus(small_spec(n_videos=40, seed=3), large)
+        names = sorted(os.listdir(small / "features"))
+        assert len(names) == 20
+        for name in names:
+            assert filecmp.cmp(small / "features" / name,
+                               large / "features" / name, shallow=False), name
+        queries = read_feature_file(small / "queries.vmrp").data
+        assert len(queries) == 40
+        assert np.array_equal(
+            queries, read_feature_file(large / "queries.vmrp").data[:40])
+        a = read_manifest(small / "manifest.json").annotations
+        b = read_manifest(large / "manifest.json").annotations
+        assert len(b) == 2 * len(a)
+        for field in fields(a):
+            got, want = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, want[:len(a)]), field.name
+            else:
+                assert got == want[:len(a)], field.name
 
     def test_seed_changes_output(self, tmp_path):
         generate_corpus(small_spec(seed=1), tmp_path / "a")
