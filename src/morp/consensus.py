@@ -6,12 +6,13 @@ inserted, and the bank instance with the highest summed IoU against the
 rest becomes the consensus pick.  After the final epoch the consensus
 pick replaces the annotation's boundary.
 
-:func:`run_correction` runs each epoch as array operations over all
-annotations: the predictor's ``epoch_source`` hands over the epoch's
-predictions as padded arrays, the banks are (A, n) start/end arrays, the
-insert is a row-wise argmax over the epoch's padded confidences, and the
-consensus is taken on (rows, n, n) IoU tensors, a block of rows at a
-time.
+:func:`run_correction` works on arrays over all annotations: it asks the
+predictor for the run's whole (epochs, A, W) table of predictions in one
+``table`` call, takes every epoch's insert with one argmax over the
+table's padded confidences, and lays each annotation's seed and inserts
+out as one row.  An epoch's banks are then a window of those columns,
+and the consensus is taken on (rows, n, n) IoU tensors, a block of rows
+at a time.
 :class:`MemoryBank`, :func:`consensus_scores`, :func:`select_consensus`
 and :func:`select_insert` do the same for one annotation and are the
 reference the tests hold the arrays to.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,9 +94,9 @@ def select_consensus(bank: MemoryBank) -> Boundary:
 
 
 # Banks per consensus block.  A block's (rows, n, n) float64 temporaries
-# take rows * n * n * 8 bytes each.  run_correction makes banks
-# min(capacity, epochs + 1) wide: 16 at the defaults (capacity 32, 15
-# epochs), so 256 KB per temporary.
+# take rows * n * n * 8 bytes each.  run_correction's banks hold at most
+# min(capacity, epochs + 1) boundaries: 16 at the defaults (capacity 32,
+# 15 epochs), so 256 KB per temporary.
 CONSENSUS_ROWS = 128
 
 
@@ -104,14 +105,16 @@ def consensus_picks(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     The scores are :func:`consensus_scores`' elementwise IoU arithmetic
     on a (rows, n, n) tensor, summed along the same contiguous axis, so
-    ties break the same way: the earliest column wins.
+    ties break the same way: the earliest column wins.  Each block is
+    copied to C order first: a sum along a strided axis adds in another
+    order, and a rounding apart can break a tie differently.
     """
     A, n = starts.shape
     picks = np.zeros(A, dtype=np.int64)
     diag = np.arange(n)
     for lo in range(0, A, CONSENSUS_ROWS):
-        s = starts[lo:lo + CONSENSUS_ROWS]
-        e = ends[lo:lo + CONSENSUS_ROWS]
+        s = np.ascontiguousarray(starts[lo:lo + CONSENSUS_ROWS])
+        e = np.ascontiguousarray(ends[lo:lo + CONSENSUS_ROWS])
         inter = np.minimum(e[:, :, None], e[:, None, :]) - \
             np.maximum(s[:, :, None], s[:, None, :])
         inter = np.maximum(inter, 0)
@@ -295,7 +298,7 @@ def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
 
 
 def run_correction(manifest: CorpusManifest, predictor,
-                   params: CorrectionParams, tracks: Optional[dict] = None):
+                   params: CorrectionParams):
     """Run the epoch loop over a refined corpus.
 
     Every annotation must arrive with status ``adjusted``.  For each
@@ -305,17 +308,15 @@ def run_correction(manifest: CorpusManifest, predictor,
     pick of the final epoch.  Fully deterministic given params.seed;
     results do not depend on the processing order.
 
-    Each epoch is one set of array operations over all annotations,
-    sorted by id: the banks are (A, n) start/end arrays with the seed in
-    column 0 (at capacity, column 1 leaves), and the picks are row-wise
-    argmaxes.  The predictions come from the callable
-    ``predictor.epoch_source(manifest, ids, seeds, tracks)`` returns, as
-    one :class:`EpochPredictions` per ``(U, epoch)`` call; row i belongs
-    to ``ids[i]``, and ``seeds[i]`` is its :func:`annotation_seed`.
-    ``tracks`` maps annotation ids to similarity tracks already computed
-    for this corpus (by refinement, say); a predictor that needs tracks
-    computes them from the feature files when it is None, and one that
-    replays a file reads no feature file.
+    The annotations are sorted by id, and the predictions come from one
+    ``predictor.table(manifest, ids, seeds, U, epochs)`` call, as an
+    :class:`EpochPredictions` table whose epoch j row i belongs to
+    ``ids[i]``; ``seeds[i]`` is its :func:`annotation_seed`.  Every
+    epoch's predictions are checked, in epoch order, before any is used.
+    Each annotation's seed and inserts form one row of (A, 1 + epochs)
+    boundaries, and epoch j's bank is its seed and its last inserts up
+    to epoch j, as many as the capacity leaves room for
+    (:class:`MemoryBank`'s eviction); the picks are row-wise argmaxes.
     """
     table = manifest.annotations
     if not set(table.status) <= {"adjusted"}:
@@ -328,40 +329,30 @@ def run_correction(manifest: CorpusManifest, predictor,
     ids = [table.ids[i] for i in order]
     U = params.predictions_per_query
     seeds = [annotation_seed(params.seed, i) for i in ids]
-    predict = predictor.epoch_source(manifest, ids, seeds, tracks,
-                                     params.epochs)
-
-    A = len(order)
+    proposals = predictor.table(manifest, ids, seeds, U, params.epochs)
+    epochs = [proposals.epoch(j) for j in range(1, params.epochs + 1)]
     T = table.timeline[order]
-    # the bank never holds more than the seed and one insert per epoch
-    width = min(params.capacity, params.epochs + 1)
-    bank_start = np.zeros((A, width), dtype=np.int64)
-    bank_end = np.zeros((A, width), dtype=np.int64)
-    bank_start[:, 0] = table.start_f[order]
-    bank_end[:, 0] = table.end_f[order]
-    n = 1
-    all_rows = np.arange(A)
+    for j, preds in enumerate(epochs, 1):
+        _check_predictions(preds, U, T, ids, j)
 
+    # select_insert per (epoch, row): the earliest of the most confident
+    best = np.where(proposals.valid(), proposals.confidence,
+                    -np.inf).argmax(axis=-1)[..., None]
+    # (A, 1 + epochs, 2): each annotation's seed, then its inserts
+    bounds = np.stack([
+        np.column_stack([seed[order],
+                         np.take_along_axis(a, best, axis=-1)[..., 0].T])
+        for seed, a in ((table.start_f, proposals.start),
+                        (table.end_f, proposals.end))], axis=-1)
+    # inserts a bank holds beside the seed; a capacity-1 bank holds none
+    held = params.capacity - 1
+    all_rows = np.arange(len(order))
     trace = CorrectionTrace(ids, params.lam, 1.0 - params.lam)
-    for epoch in range(1, params.epochs + 1):
-        preds = predict(U, epoch)
-        _check_predictions(preds, U, T, ids, epoch)
-        # select_insert per row: the earliest of the most confident
-        best = np.where(preds.valid(), preds.confidence, -np.inf).argmax(axis=1)
-        inserted = np.stack([preds.start[all_rows, best],
-                             preds.end[all_rows, best]], axis=1)
-        if width > 1:  # a capacity-1 bank holds the seed alone
-            if n == width:
-                # MemoryBank.insert at capacity: the oldest non-seed leaves
-                bank_start[:, 1:-1] = bank_start[:, 2:].copy()
-                bank_end[:, 1:-1] = bank_end[:, 2:].copy()
-            else:
-                n += 1
-            bank_start[:, n - 1], bank_end[:, n - 1] = inserted.T
-        pick = consensus_picks(bank_start[:, :n], bank_end[:, :n])
-        consensus = np.stack([bank_start[all_rows, pick],
-                              bank_end[all_rows, pick]], axis=1)
-        trace.add_epoch(epoch, n, inserted, consensus, preds)
+    for j, preds in enumerate(epochs, 1):
+        cols = np.array([0, *range(max(1, j + 1 - held), j + 1)])
+        pick = cols[consensus_picks(bounds[:, cols, 0], bounds[:, cols, 1])]
+        consensus = bounds[all_rows, pick]
+        trace.add_epoch(j, len(cols), bounds[:, j], consensus, preds)
 
     corrected = manifest.with_boundaries(order, consensus[:, 0],
                                          consensus[:, 1], "corrected")

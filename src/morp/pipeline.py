@@ -57,9 +57,8 @@ def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
     tracks = compute_tracks(manifest)
     refined, report = refine_corpus(manifest, clean_params, adjust_params,
                                     tracks=tracks)
-    predictor = SlidingWindowPredictor(adjust_params.delta)
-    corrected, trace = run_correction(refined, predictor, correction_params,
-                                      tracks=tracks)
+    predictor = SlidingWindowPredictor(adjust_params.delta, tracks)
+    corrected, trace = run_correction(refined, predictor, correction_params)
     return refined, report, corrected, trace
 
 
@@ -171,7 +170,7 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
             ).propose(params.predictions_per_query, params.epochs)
             predictor = TablePredictor(ids, table)
             for i, r in refined.items():
-                corrected, _ = run_correction(r, predictor, params, tracks)
+                corrected, _ = run_correction(r, predictor, params)
                 row[i] = corpus_quality(manifest, corrected)
         per_seed[seed] = row
     metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)

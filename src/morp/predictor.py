@@ -50,26 +50,24 @@ lengths.  Each element still goes through :func:`propose`'s
 floating-point operations in :func:`propose`'s order, so the results
 are the same.
 
-Correction consumes predictions one epoch at a time, as
+Correction takes a whole run's predictions at once, as
 :class:`EpochPredictions`: padded start/end/confidence arrays over all
-annotations, at most U columns wide, plus a per-row count.  Every
-predictor has one method, ``epoch_source(manifest, ids, seeds, tracks,
-epochs)``, which returns the callable ``(U, epoch) -> EpochPredictions``
-that correction calls once per epoch, for epochs 1 to ``epochs``.
-:class:`SlidingWindowPredictor` computes a :class:`ProposalBatch` table
-of those epochs on the first call and hands out one epoch's views of it
-per call; :class:`TablePredictor` gathers a run's rows from a table
-computed for more annotations, which lets a sweep share one table
-across its values; :class:`FilePredictor` gathers each epoch from a
-JSON-lines file it parses once, and needs only each annotation's
-timeline length, never its features.
+epochs and annotations, at most U columns wide, plus a per-row count.
+Every predictor has one method, ``table(manifest, ids, seeds, U,
+epochs)``, which returns that (epochs, annotations, W) table for epochs
+1 to ``epochs``; row i of each epoch belongs to ``ids[i]``.
+:class:`SlidingWindowPredictor` computes it as a :class:`ProposalBatch`;
+:class:`TablePredictor` gathers a run's rows from a table computed for
+more annotations, which lets a sweep share one table across its values;
+:class:`FilePredictor` gathers it from a JSON-lines file it parses
+once, and needs only each annotation's timeline length, never its
+features.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -131,8 +129,8 @@ class EpochPredictions(NamedTuple):
         return EpochPredictions(*(a[j - 1] for a in self))
 
     def valid(self) -> np.ndarray:
-        """(A, W) mask of the slots that hold a prediction."""
-        return np.arange(self.start.shape[1]) < self.count[:, None]
+        """Mask of the slots that hold a prediction, (A, W) or (E, A, W)."""
+        return np.arange(self.start.shape[-1]) < self.count[..., None]
 
     def tuples(self):
         """Per row, the tuple of its (start, end, confidence) predictions."""
@@ -601,21 +599,25 @@ class ProposalBatch:
 
 class SlidingWindowPredictor:
     """The default predictor: :func:`propose` at one ``delta``, computed
-    a whole run at a time by a :class:`ProposalBatch`."""
+    a whole run at a time by a :class:`ProposalBatch`.
 
-    def __init__(self, delta: int):
+    ``tracks`` maps annotation ids to similarity tracks already computed
+    for the corpus (by refinement, say); when it is None, each run
+    computes them from the feature files.
+    """
+
+    def __init__(self, delta: int, tracks=None):
         _check_delta(delta)
         self.delta = delta
+        self.tracks = tracks
 
-    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
-        """Epochs of the ``ProposalBatch`` table over the tracks of ``ids``,
-        where ``seeds[i]`` seeds ``ids[i]``'s jitter; the table holds
-        epochs 1 to ``epochs`` and is computed on the first call."""
-        if tracks is None:
-            tracks = compute_tracks(manifest)
-        batch = ProposalBatch([tracks[i] for i in ids], seeds, self.delta)
-        table = lru_cache(maxsize=1)(partial(batch.propose, epochs=epochs))
-        return lambda U, epoch: table(U).epoch(epoch)
+    def table(self, manifest, ids, seeds, U, epochs) -> EpochPredictions:
+        """The ``ProposalBatch`` table over the tracks of ``ids``, where
+        ``seeds[i]`` seeds ``ids[i]``'s jitter."""
+        tracks = compute_tracks(manifest) if self.tracks is None \
+            else self.tracks
+        return ProposalBatch([tracks[i] for i in ids], seeds,
+                             self.delta).propose(U, epochs)
 
 
 class TablePredictor:
@@ -632,10 +634,9 @@ class TablePredictor:
         self._row = {aid: r for r, aid in enumerate(ids)}
         self._table = table
 
-    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
+    def table(self, manifest, ids, seeds, U, epochs) -> EpochPredictions:
         rows = [self._row[aid] for aid in ids]
-        part = EpochPredictions(*(a[:, rows] for a in self._table))
-        return lambda U, epoch: part.epoch(epoch)
+        return EpochPredictions(*(a[:, rows] for a in self._table))
 
 
 class FilePredictor:
@@ -650,7 +651,7 @@ class FilePredictor:
     network) drive the correction loop.  The file is parsed once, on
     construction, into flat arrays; a line that is not such a record
     raises a :class:`PredictorError` naming the path and the line.
-    :meth:`replay` gathers one epoch for a list of annotations, and
+    :meth:`table` gathers a run's epochs for a list of annotations, and
     :meth:`for_annotation` one annotation's list.  Neither reads any
     feature: boundaries are checked against the annotation's timeline
     length by the caller.
@@ -723,19 +724,17 @@ class FilePredictor:
                                  annotation_id=annotation_id, epoch=epoch)
         return row
 
-    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
-        """:meth:`replay` of ``ids``, an epoch a call; the seeds, tracks
-        and epoch count go unused, so no feature file is read."""
-        return partial(self.replay, ids)
-
-    def replay(self, annotation_ids, U: int, epoch: int) -> EpochPredictions:
-        """The first U predictions of each annotation's record for the epoch."""
-        rows = np.asarray([self._record(a, epoch) for a in annotation_ids],
-                          dtype=np.int64)
+    def table(self, manifest, ids, seeds, U, epochs) -> EpochPredictions:
+        """The first U predictions of each of ``ids``' records, for
+        epochs 1 to ``epochs``.  Every record is looked up, epoch by
+        epoch, before any is gathered; the manifest and the seeds go
+        unused, so no feature file is read."""
+        rows = np.asarray([[self._record(a, j) for a in ids]
+                           for j in range(1, epochs + 1)], dtype=np.int64)
         first = self._offsets[rows]
         count = np.minimum(self._offsets[rows + 1] - first, U)
         cols = np.arange(EpochPredictions.width(U, self._widest))
-        idx = np.where(cols < count[:, None], first[:, None] + cols, -1)
+        idx = np.where(cols < count[..., None], first[..., None] + cols, -1)
         return EpochPredictions(self._start[idx], self._end[idx],
                                 self._confidence[idx], count)
 

@@ -192,6 +192,25 @@ class TestConsensusPicks:
         assert consensus_picks(np.zeros((0, 3), np.int64),
                                np.ones((0, 3), np.int64)).shape == (0,)
 
+    def test_pick_does_not_depend_on_memory_layout(self):
+        """The seed (0, 4) and (0, 5) tie at 4.4 on T = 5, but their sums
+        round apart when added along a strided axis: Fortran-ordered
+        banks, and column gathers such as run_correction's bank windows,
+        must still pick what select_consensus picks."""
+        bank = [(0, 4), (1, 3), (1, 3), (0, 5), (1, 3), (0, 5), (2, 4),
+                (0, 5)]
+        want = bank.index(select_consensus(bank_of(
+            *(b(s, e, 5) for s, e in bank))).as_tuple())
+        starts = np.array([[s for s, _ in bank]] * 3)
+        ends = np.array([[e for _, e in bank]] * 3)
+        wide_s = np.column_stack([starts, starts])
+        wide_e = np.column_stack([ends, ends])
+        cols = np.arange(len(bank))
+        for s, e in ((starts, ends),
+                     (np.asfortranarray(starts), np.asfortranarray(ends)),
+                     (wide_s[:, cols], wide_e[:, cols])):
+            assert consensus_picks(s, e).tolist() == [want] * 3
+
 
 def make_refined_corpus(tmp_path, n_videos=4, seed=0):
     from morp.refine import AdjustParams, CleanParams, refine_corpus
@@ -207,21 +226,16 @@ class EchoPredictor:
     """Predicts a fixed boundary per annotation, with confidence 1, every
     epoch."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, bounds):
+        self.bounds = bounds
 
-    def epoch_source(self, manifest, ids, seeds, tracks, epochs):
-        start = [self.table[i].start for i in ids]
-        end = [self.table[i].end for i in ids]
-
-        def predict(U, epoch):
-            out = EpochPredictions.empty(len(ids), U)
-            out.start[:, 0], out.end[:, 0] = start, end
-            out.confidence[:, 0] = 1.0
-            out.count[:] = 1
-            return out
-
-        return predict
+    def table(self, manifest, ids, seeds, U, epochs):
+        out = EpochPredictions.empty((epochs, len(ids)), U)
+        out.start[:, :, 0] = [self.bounds[i].start for i in ids]
+        out.end[:, :, 0] = [self.bounds[i].end for i in ids]
+        out.confidence[:, :, 0] = 1.0
+        out.count[:] = 1
+        return out
 
 
 class TestRunCorrection:
@@ -264,15 +278,12 @@ class TestRunCorrection:
         class WrongTimeline:
             """Ends one annotation's prediction past its timeline."""
 
-            def epoch_source(self, manifest, ids, seeds, tracks, epochs):
-                def predict(U, epoch):
-                    out = EpochPredictions.empty(len(ids), U)
-                    out.end[:, 0] = [5, 999] + [5] * (len(ids) - 2)
-                    out.confidence[:, 0] = 1.0
-                    out.count[:] = 1
-                    return out
-
-                return predict
+            def table(self, manifest, ids, seeds, U, epochs):
+                out = EpochPredictions.empty((epochs, len(ids)), U)
+                out.end[:, :, 0] = [5, 999] + [5] * (len(ids) - 2)
+                out.confidence[:, :, 0] = 1.0
+                out.count[:] = 1
+                return out
 
         with pytest.raises(PredictorError) as err:
             run_correction(refined, WrongTimeline(), CorrectionParams(epochs=1))
@@ -280,34 +291,25 @@ class TestRunCorrection:
         assert err.value.context["epoch"] == 1
         assert err.value.context["end"] == 999
 
-    def test_epoch_source_built_once_and_called_per_epoch(self, tmp_path):
-        """run_correction asks for one source, over the sorted ids, their
-        annotation seeds and the run's epoch count, and calls it once per
-        epoch with U."""
+    def test_one_table_call_per_run(self, tmp_path):
+        """run_correction asks for one table, over the sorted ids, their
+        annotation seeds, U and the run's epoch count, and traces each of
+        its epochs in order."""
         refined = make_refined_corpus(tmp_path)
         table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
                  for a in refined.annotations}
         echo = EchoPredictor(table)
-        builds, calls = [], []
+        calls = []
 
         class Recorder:
-            def epoch_source(self, manifest, ids, seeds, tracks, epochs):
-                builds.append((list(ids), list(seeds), tracks, epochs))
-                predict = echo.epoch_source(manifest, ids, seeds, tracks,
-                                            epochs)
-
-                def recorded(U, epoch):
-                    calls.append((U, epoch))
-                    return predict(U, epoch)
-
-                return recorded
+            def table(self, manifest, ids, seeds, U, epochs):
+                calls.append((list(ids), list(seeds), U, epochs))
+                return echo.table(manifest, ids, seeds, U, epochs)
 
         params = CorrectionParams(epochs=3, seed=11, predictions_per_query=4)
         _, trace = run_correction(refined, Recorder(), params)
         ids = sorted(table)
-        assert builds == [(ids, [annotation_seed(11, i) for i in ids], None,
-                           3)]
-        assert calls == [(4, 1), (4, 2), (4, 3)]
+        assert calls == [(ids, [annotation_seed(11, i) for i in ids], 4, 3)]
         assert [r.epoch for r in trace.records] == \
             [e for e in (1, 2, 3) for _ in ids]
 
@@ -315,15 +317,12 @@ class TestRunCorrection:
         refined = make_refined_corpus(tmp_path)
 
         class TooMany:
-            def epoch_source(self, manifest, ids, seeds, tracks, epochs):
-                def predict(U, epoch):
-                    out = EpochPredictions.empty(len(ids), U)
-                    out.end[:] = 5
-                    out.confidence[:] = 0.5
-                    out.count[:] = U + 1
-                    return out
-
-                return predict
+            def table(self, manifest, ids, seeds, U, epochs):
+                out = EpochPredictions.empty((epochs, len(ids)), U)
+                out.end[:] = 5
+                out.confidence[:] = 0.5
+                out.count[:] = U + 1
+                return out
 
         with pytest.raises(PredictorError) as err:
             run_correction(refined, TooMany(),
@@ -552,10 +551,60 @@ class TestBatchedCorrection:
         assert err.value.context["epoch"] == 2
         assert err.value.context["count"] == 0
 
+    def test_missing_record_reported_before_an_earlier_epochs_range(
+            self, tmp_path):
+        """FilePredictor.table looks up every (epoch, id) record before
+        correction checks any value, so a record missing from epoch 2
+        is reported ahead of an out-of-range prediction in epoch 1."""
+        import json
+
+        from morp.predictor import FilePredictor
+
+        refined = make_refined_corpus(tmp_path)
+        anns = sorted(refined.annotations, key=lambda a: a.annotation_id)
+        lines = []
+        for epoch in (1, 2):
+            for i, ann in enumerate(anns):
+                if epoch == 2 and i == 1:
+                    continue
+                end = 10 ** 6 if epoch == 1 and i == 0 else 1
+                lines.append(json.dumps({
+                    "epoch": epoch, "annotation_id": ann.annotation_id,
+                    "predictions": [{"start": 0, "end": end,
+                                     "confidence": 0.5}]}))
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n".join(lines))
+        with pytest.raises(PredictorError) as err:
+            run_correction(refined, FilePredictor(path),
+                           CorrectionParams(epochs=2))
+        assert "no prediction record" in err.value.message
+        assert err.value.context == {"annotation_id": anns[1].annotation_id,
+                                     "epoch": 2}
+        with pytest.raises(PredictorError) as err:
+            run_correction(refined, FilePredictor(path),
+                           CorrectionParams(epochs=1))
+        assert err.value.context["annotation_id"] == anns[0].annotation_id
+        assert err.value.context["end"] == 10 ** 6
+
+    def test_sliding_window_uses_the_tracks_it_holds(self, tmp_path):
+        """Given tracks, the predictor reads no feature file: it needs no
+        manifest, and its table is the one it computes from the files."""
+        from morp.predictor import SlidingWindowPredictor
+        from morp.refine import compute_tracks
+
+        refined = make_refined_corpus(tmp_path)
+        ids = sorted(a.annotation_id for a in refined.annotations)
+        seeds = [annotation_seed(3, i) for i in ids]
+        held = SlidingWindowPredictor(4, compute_tracks(refined)).table(
+            None, ids, seeds, 5, 3)
+        read = SlidingWindowPredictor(4).table(refined, ids, seeds, 5, 3)
+        for a, b_ in zip(held, read):
+            np.testing.assert_array_equal(a, b_)
+
     @pytest.mark.parametrize("kind", ["sliding_window", "file"])
-    def test_epoch_source_returns_fresh_arrays(self, tmp_path, kind):
-        """The trace stores the arrays a source returns, so no epoch's
-        arrays may be the memory of another's."""
+    def test_epochs_of_a_table_share_no_memory(self, tmp_path, kind):
+        """The trace stores each epoch's arrays of the table, so no
+        epoch's arrays may be the memory of another's."""
         from morp.predictor import FilePredictor, SlidingWindowPredictor
 
         refined = make_refined_corpus(tmp_path)
@@ -567,8 +616,8 @@ class TestBatchedCorrection:
             predictor = SlidingWindowPredictor(5)
         ids = sorted(a.annotation_id for a in refined.annotations)
         seeds = [annotation_seed(0, i) for i in ids]
-        predict = predictor.epoch_source(refined, ids, seeds, None, 2)
-        first, second = predict(5, 1), predict(5, 2)
+        table = predictor.table(refined, ids, seeds, 5, 2)
+        first, second = table.epoch(1), table.epoch(2)
         for a, b_ in zip(first, second):
             assert not np.shares_memory(a, b_)
 

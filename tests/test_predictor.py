@@ -346,12 +346,12 @@ class TestProposalBatch:
         ids = [f"a{i:02d}" for i in range(len(tracks))]
         table = ProposalBatch(tracks, seeds, 2).propose(4, 6)
         kept = sorted(rng.choice(len(tracks), size=13, replace=False).tolist())
-        gather = TablePredictor(ids, table).epoch_source(
-            None, [ids[i] for i in kept], None, None, 6)
+        gather = TablePredictor(ids, table).table(
+            None, [ids[i] for i in kept], None, 4, 6)
         part = ProposalBatch([tracks[i] for i in kept],
                              [seeds[i] for i in kept], 2).propose(4, 6)
         for epoch in range(1, 7):
-            assert gather(4, epoch).tuples() == part.epoch(epoch).tuples()
+            assert gather.epoch(epoch).tuples() == part.epoch(epoch).tuples()
 
     @pytest.mark.parametrize("epoch", [0, 4])
     def test_epoch_outside_the_table(self, epoch):
@@ -413,7 +413,7 @@ class TestFilePredictor:
         with pytest.raises(PredictorError):
             fp.for_annotation("a0", t, U=5, epoch=1)
 
-    def test_replay_arrays_match_for_annotation(self, tmp_path):
+    def test_table_arrays_match_for_annotation(self, tmp_path):
         import json
 
         recs = [(1, "a0", [(2, 9, 0.8), (0, 4, 0.2), (1, 3, 0.1)]),
@@ -427,7 +427,7 @@ class TestFilePredictor:
                              for s, e, c in preds]}) for j, a, preds in recs))
         fp = FilePredictor(path)
         t = track_from_mapped(np.full(16, 0.5))
-        got = fp.replay(["a1", "a0"], 2, 1)
+        got = fp.table(None, ["a1", "a0"], None, 2, 1).epoch(1)
         assert got.count.tolist() == [2, 2]
         assert got.tuples() == [
             tuple((p.boundary.start, p.boundary.end, p.confidence)
@@ -436,13 +436,14 @@ class TestFilePredictor:
         assert got.tuples() == [((6, 8, 0.3), (6, 8, 0.3)),
                                 ((2, 9, 0.8), (0, 4, 0.2))]
         with pytest.raises(PredictorError) as err:
-            fp.replay(["a0", "a1"], 2, 2)
+            fp.table(None, ["a0", "a1"], None, 2, 2)
         assert err.value.context == {"annotation_id": "a1", "epoch": 2}
-        assert fp.replay([], 3, 1).start.shape == (0, 3)
+        assert fp.table(None, [], None, 3, 1).start.shape == (1, 0, 3)
         # a huge U: as wide as the longest record, not U
-        huge = fp.replay(["a1", "a0"], 10 ** 6, 1)
-        assert huge.start.shape == (2, 3)
-        assert huge.tuples() == fp.replay(["a1", "a0"], 3, 1).tuples()
+        huge = fp.table(None, ["a1", "a0"], None, 10 ** 6, 1)
+        assert huge.start.shape == (1, 2, 3)
+        assert huge.epoch(1).tuples() == \
+            fp.table(None, ["a1", "a0"], None, 3, 1).epoch(1).tuples()
 
     @pytest.mark.parametrize("line", [
         '{"epoch": 1, "annotation_id": "a0", "predictions": [',  # bad JSON
