@@ -283,6 +283,7 @@ def _cmd_correct(args, cfg):
         predictor = SlidingWindowPredictor(cfg["delta"])
     corrected, trace = run_correction(manifest, predictor,
                                       _correction_params(cfg))
+    del manifest, predictor  # freed before the writers build their text
     prov = _provenance(cfg)
     trace_path = args.trace or args.out_manifest + ".trace.jsonl"
     _parent_dirs(args.out_manifest, trace_path)

@@ -67,7 +67,7 @@ features.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -642,16 +642,25 @@ class TablePredictor:
 class FilePredictor:
     """Replays predictions from a JSON-lines file.
 
-    One record per (epoch, annotation_id); a later record replaces an
-    earlier one with the same key:
+    One record per (epoch, annotation_id):
         {"epoch": j, "annotation_id": id,
          "predictions": [{"start": s, "end": e, "confidence": c}, ...]}
 
     Lets an external model (for example, exported scores from a trained
     network) drive the correction loop.  The file is parsed once, on
-    construction, into flat arrays; a line that is not such a record
-    raises a :class:`PredictorError` naming the path and the line.
-    :meth:`table` gathers a run's epochs for a list of annotations, and
+    construction, line by line with ``json.loads``, into columns: every
+    prediction's start, end and confidence, and every record's offset
+    into them, with no Python object kept per record or per value.  The
+    records are indexed by one sorted int64 key of (epoch, id), on which
+    a later record replaces an earlier one with the same key.  A record
+    whose epoch is below 1, or above 2**63 over the number of distinct
+    ids, matches no lookup.  Blank lines are skipped and still counted.
+
+    Errors name the path and, for a bad line, its number: a line that
+    is not such a record, or text that is not UTF-8, ends the parse at
+    once; a start or end outside int64 is reported after the last line,
+    the first such start ahead of the first such end.  :meth:`table`
+    gathers a run's epochs for a list of annotations, and
     :meth:`for_annotation` one annotation's list.  Neither reads any
     feature: boundaries are checked against the annotation's timeline
     length by the caller.
@@ -659,31 +668,50 @@ class FilePredictor:
 
     def __init__(self, path):
         self.path = str(path)
-        index, lines, offsets = {}, [], [0]
-        starts, ends, confs = [], [], []
+        self._code, epochs, codes = {}, array("q"), array("q")
+        offsets = array("q", [0])
+        starts, ends, confs = array("q"), array("q"), array("d")
+        bad_start = bad_end = None  # (line, value) of the first overflow
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    key, s, e, c = self._parse(line, lineno)
-                    index[key] = len(lines)
-                    lines.append(lineno)
-                    starts += s
-                    ends += e
-                    confs += c
+                    (epoch, aid), s, e, c = self._parse(line, lineno)
+                    epochs.append(epoch if 0 < epoch < 2 ** 63 else 0)
+                    codes.append(self._code.setdefault(aid, len(self._code)))
+                    bad_start = _extend(starts, s, lineno, bad_start)
+                    bad_end = _extend(ends, e, lineno, bad_end)
+                    confs.extend(c)
                     offsets.append(len(starts))
         except UnicodeDecodeError as exc:
             raise PredictorError("prediction file is not UTF-8 text",
                                  path=self.path, detail=str(exc)) from None
-        self._index = index
-        self._offsets = np.asarray(offsets, dtype=np.int64)
-        # one padding slot at the end, which index -1 selects
-        self._start = self._int64(starts + [0], offsets, lines)
-        self._end = self._int64(ends + [0], offsets, lines)
-        self._confidence = np.asarray(confs + [0.0], dtype=np.float64)
+        if bad_start or bad_end:
+            line, value = bad_start or bad_end
+            raise PredictorError("prediction boundary out of range",
+                                 path=self.path, line=line, value=str(value))
+        for column in (starts, ends, confs):
+            column.append(0)  # one padding slot, which index -1 selects
+        self._start, self._end, self._offsets = (
+            np.frombuffer(a, dtype=np.int64) for a in (starts, ends, offsets))
+        self._confidence = np.frombuffer(confs, dtype=np.float64)
         self._widest = int(np.diff(self._offsets).max(initial=0))
+        # one int64 key per record, epoch * n + code; a record whose epoch
+        # is below 1 or past _max_epoch, where the key would overflow, is
+        # left out of the index
+        n = max(1, len(self._code))
+        self._max_epoch = (2 ** 63 - 1) // n - 1
+        epoch = np.frombuffer(epochs, dtype=np.int64)
+        rows = np.flatnonzero((epoch >= 1) & (epoch <= self._max_epoch))
+        key = epoch[rows] * n + np.frombuffer(codes, dtype=np.int64)[rows]
+        order = np.lexsort((rows, key))
+        key, rows = key[order], rows[order]
+        last = np.diff(key, append=2 ** 63 - 1) > 0  # last record of a key
+        # a sentinel above every key keeps searchsorted inside the array
+        self._key = np.append(key[last], 2 ** 63 - 1)
+        self._row = rows[last]
 
     def _parse(self, line, lineno):
         """((epoch, annotation_id), starts, ends, confidences) of one line."""
@@ -705,32 +733,29 @@ class FilePredictor:
         raise PredictorError("malformed prediction record", path=self.path,
                              line=lineno, detail=detail)
 
-    def _int64(self, values, offsets, lines):
-        try:
-            return np.asarray(values, dtype=np.int64)
-        except OverflowError:
-            info = np.iinfo(np.int64)
-            i = next(i for i, v in enumerate(values)
-                     if not info.min <= v <= info.max)
-            raise PredictorError("prediction boundary out of range",
-                                 path=self.path,
-                                 line=lines[bisect_right(offsets, i) - 1],
-                                 value=str(values[i])) from None
-
-    def _record(self, annotation_id, epoch):
-        row = self._index.get((epoch, annotation_id))
-        if row is None:
+    def _rows(self, ids, epochs):
+        """(len(epochs), len(ids)) rows of the last record of each
+        (epoch, id), found with one ``searchsorted``; the first pair with
+        no record, epoch by epoch, raises."""
+        code = np.asarray([self._code.get(a, -1) for a in ids],
+                          dtype=np.int64)
+        epoch = np.asarray(epochs, dtype=np.int64)[:, None]
+        ok = (code >= 0) & (epoch >= 1) & (epoch <= self._max_epoch)
+        key = np.where(ok, epoch * max(1, len(self._code)) + code, -1)
+        pos = np.searchsorted(self._key, key)
+        ok &= self._key[pos] == key
+        if not ok.all():
+            j, i = divmod(int(np.argmin(ok)), len(ids))
             raise PredictorError("no prediction record for annotation/epoch",
-                                 annotation_id=annotation_id, epoch=epoch)
-        return row
+                                 annotation_id=ids[i], epoch=epochs[j])
+        return self._row[pos]
 
     def table(self, manifest, ids, seeds, U, epochs) -> EpochPredictions:
         """The first U predictions of each of ``ids``' records, for
         epochs 1 to ``epochs``.  Every record is looked up, epoch by
         epoch, before any is gathered; the manifest and the seeds go
         unused, so no feature file is read."""
-        rows = np.asarray([[self._record(a, j) for a in ids]
-                           for j in range(1, epochs + 1)], dtype=np.int64)
+        rows = self._rows(ids, range(1, epochs + 1))
         first = self._offsets[rows]
         count = np.minimum(self._offsets[rows + 1] - first, U)
         cols = np.arange(EpochPredictions.width(U, self._widest))
@@ -739,7 +764,7 @@ class FilePredictor:
                                 self._confidence[idx], count)
 
     def for_annotation(self, annotation_id, track, U, epoch):
-        row = self._record(annotation_id, epoch)
+        row = self._rows([annotation_id], [epoch])[0, 0]
         lo, hi = self._offsets[row], self._offsets[row + 1]
         hi = min(hi, lo + U)
         return [
@@ -749,3 +774,18 @@ class FilePredictor:
                                self._end[lo:hi].tolist(),
                                self._confidence[lo:hi].tolist())
         ]
+
+
+def _extend(column, values, lineno, bad):
+    """Append int values to an int64 column; one outside int64 goes in
+    as 0.  Returns bad, or if it is None, the (line, value) of the first
+    value that did not fit."""
+    n = len(column)
+    try:
+        column.extend(values)
+        return bad
+    except OverflowError:
+        del column[n:]
+        fits = [-2 ** 63 <= v < 2 ** 63 for v in values]
+        column.extend(v if f else 0 for v, f in zip(values, fits))
+        return bad or (lineno, values[fits.index(False)])

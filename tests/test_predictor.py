@@ -481,3 +481,162 @@ class TestFilePredictor:
         with pytest.raises(PredictorError) as err:
             FilePredictor(path)
         assert err.value.context["path"] == str(path)
+
+
+def replay_oracle(lines):
+    """(epoch, annotation_id) -> the (start, end, confidence) list of the
+    last record with that key, kept in a plain dict."""
+    import json
+
+    records = {}
+    for line in lines:
+        if line.strip():
+            rec = json.loads(line)
+            records[(int(rec["epoch"]), rec["annotation_id"])] = [
+                (int(p["start"]), int(p["end"]), float(p["confidence"]))
+                for p in rec["predictions"]]
+    return records
+
+
+REPLAY_IDS = ["a0", "a1", 'q"\\\n\t/', "\ud800", "é\udfff", " é"]
+REPLAY_EPOCHS = [-1, 0, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 10 ** 30]
+
+
+def replay_line(epoch, aid, preds, raw=False):
+    import json
+
+    # a lone surrogate has no UTF-8 form: such an id is always escaped
+    ascii = not raw or any(0xD800 <= ord(ch) < 0xE000 for ch in aid)
+    return json.dumps({"epoch": epoch, "annotation_id": aid,
+                       "predictions": [{"start": s, "end": e, "confidence": c}
+                                       for s, e, c in preds]},
+                      ensure_ascii=ascii)
+
+
+@st.composite
+def replay_files(draw):
+    """Lines of a replay file: records over a few epochs and ids, with
+    repeated keys, blank lines and epochs no lookup reaches."""
+    epoch = st.one_of(st.integers(1, 3), st.integers(1, 3).map(str),
+                      st.sampled_from(REPLAY_EPOCHS))
+    pred = st.tuples(st.integers(-5, 40), st.integers(-5, 40),
+                     st.floats(allow_nan=False, width=64))
+    lines = []
+    for _ in range(draw(st.integers(0, 24))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t \t"])))
+        else:
+            lines.append(replay_line(draw(epoch),
+                                     draw(st.sampled_from(REPLAY_IDS)),
+                                     draw(st.lists(pred, max_size=6)),
+                                     draw(st.booleans())))
+    return lines
+
+
+class TestFilePredictorOracle:
+    @staticmethod
+    def write(tmp_path, lines):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return FilePredictor(path)
+
+    @given(lines=replay_files(),
+           ids=st.lists(st.sampled_from(REPLAY_IDS), max_size=4),
+           epochs=st.integers(1, 3), U=st.integers(1, 7))
+    @example(lines=[replay_line(1, "a0", [(0, 4, 0.5)]),
+                    replay_line(1, "a0", [(1, 3, 0.25), (2, 5, 0.75)])],
+             ids=["a0"], epochs=1, U=7)  # the later record wins
+    @example(lines=[replay_line(j, aid, [(1, 2, 0.5)])
+                    for j in REPLAY_EPOCHS for aid in ("a0", "a1")]
+             + [replay_line(1, "a1", [(3, 4, 1.0)])],
+             ids=["a1"], epochs=1, U=1)  # no lookup reaches these epochs
+    @example(lines=["", "  ", replay_line(1, REPLAY_IDS[2], [(1, 2, 0.5)]),
+                    replay_line(1, REPLAY_IDS[3], [(3, 4, 0.5)]),
+                    replay_line(1, REPLAY_IDS[4], [(5, 6, 0.5)], raw=True),
+                    replay_line(1, REPLAY_IDS[5], [(7, 8, 0.5)], raw=True)],
+             ids=REPLAY_IDS[2:], epochs=1, U=2)  # escaped and raw ids
+    @settings(max_examples=200)
+    def test_table_matches_dict_oracle(self, tmp_path_factory, lines, ids,
+                                       epochs, U):
+        fp = self.write(tmp_path_factory.mktemp("oracle"), lines)
+        records = replay_oracle(lines)
+        missing = [(j, aid) for j in range(1, epochs + 1) for aid in ids
+                   if (j, aid) not in records]
+        if missing:
+            with pytest.raises(PredictorError) as err:
+                fp.table(None, ids, None, U, epochs)
+            j, aid = missing[0]
+            assert err.value.context == {"annotation_id": aid, "epoch": j}
+            return
+        table = fp.table(None, ids, None, U, epochs)
+        for j in range(1, epochs + 1):
+            assert table.epoch(j).tuples() == [
+                tuple(records[(j, aid)][:U]) for aid in ids]
+
+    def test_unreached_epochs_match_no_lookup(self, tmp_path):
+        fp = self.write(tmp_path, [replay_line(j, "a0", [(1, 2, 0.5)])
+                                   for j in REPLAY_EPOCHS])
+        t = track_from_mapped(np.full(16, 0.5))
+        for j in (-1, 0, 1, 2 ** 62):
+            with pytest.raises(PredictorError) as err:
+                fp.for_annotation("a0", t, U=5, epoch=j)
+            assert err.value.context == {"annotation_id": "a0", "epoch": j}
+
+    @pytest.mark.parametrize("lines, line, value", [
+        # a start overflow on a later line before an end overflow
+        ([replay_line(1, "a0", [(0, 2 ** 63, 0.5)]), "",
+          replay_line(1, "a1", [(-2 ** 63 - 1, 4, 0.5)])], 3, -2 ** 63 - 1),
+        # the first start overflow, counted past blank lines
+        (["", " \t", replay_line(1, "a0", [(1, 2, 0.5), (2 ** 64, 3, 0.5)]),
+          replay_line(1, "a1", [(2 ** 65, 2, 0.5)])], 3, 2 ** 64),
+        # the first end overflow when no start overflows
+        ([replay_line(1, "a0", [(1, 2 ** 70, 0.5)]),
+          replay_line(1, "a1", [(1, 2 ** 63, 0.5)])], 1, 2 ** 70),
+        # a malformed line after an overflow
+        ([replay_line(1, "a0", [(2 ** 63, 2, 0.5)]), "  ",
+          '{"epoch": 1, "annotation_id": "a1"}'], 3, None),
+    ])
+    def test_error_order(self, tmp_path, lines, line, value):
+        with pytest.raises(PredictorError) as err:
+            self.write(tmp_path, lines)
+        assert err.value.context["line"] == line
+        if value is None:
+            assert err.value.message == "malformed prediction record"
+        else:
+            assert err.value.message == "prediction boundary out of range"
+            assert err.value.context["value"] == str(value)
+
+    def test_not_utf8_before_an_overflow(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(replay_line(1, "a0", [(2 ** 63, 2, 0.5)]).encode()
+                         + b'\n{"epoch": 1, "annotation_id": "\xff"}\n')
+        with pytest.raises(PredictorError) as err:
+            FilePredictor(path)
+        assert err.value.message == "prediction file is not UTF-8 text"
+
+    def test_columns_stay_small(self, tmp_path):
+        # 400 annotations x 15 epochs x 5 predictions, the replay shape;
+        # a Python object per value would cost over 60 B a prediction
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        s = rng.integers(0, 100, (15, 400, 5))
+        e = s + rng.integers(1, 28, s.shape)
+        c = rng.random(s.shape)
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(
+            replay_line(j + 1, f"v{a // 2:05d}-a{a % 2}",
+                        zip(s[j, a].tolist(), e[j, a].tolist(),
+                            c[j, a].tolist())) + "\n"
+            for j in range(15) for a in range(400)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fp = FilePredictor(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = s.size
+        assert (peak - base) / n < 64, (peak - base) / n
+        assert (current - base) / n < 40, (current - base) / n
+        assert fp.table(None, ["v00000-a1"], None, 5, 15).count.sum() == 75
