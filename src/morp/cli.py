@@ -80,7 +80,6 @@ REFINE_OPTS = [
 ]
 CORRECT_OPTS = [
     ("epochs", int, 15, "correction epochs (default: 15)"),
-    ("lambda", float, 0.70, "consensus-target blend weight (default: 0.70)"),
     ("capacity", int, 32, "memory bank capacity (default: 32)"),
     ("u", int, 5, "predictions per query per epoch (default: 5)"),
 ]
@@ -236,8 +235,7 @@ def _adjust_params(cfg) -> AdjustParams:
 
 
 def _correction_params(cfg) -> CorrectionParams:
-    return CorrectionParams(epochs=cfg["epochs"], lam=cfg["lambda"],
-                            capacity=cfg["capacity"],
+    return CorrectionParams(epochs=cfg["epochs"], capacity=cfg["capacity"],
                             predictions_per_query=cfg["u"], seed=cfg["seed"])
 
 
@@ -407,6 +405,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _print_error({"code": "io_error", "message": str(exc),
                              "context": {"path": exc.filename}})
+    except MemoryError as exc:
+        # a last resort: inputs too large for this machine's memory
+        return _print_error({"code": "out_of_memory",
+                             "message": str(exc) or "out of memory",
+                             "context": {}})
 
 
 if __name__ == "__main__":

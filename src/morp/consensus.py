@@ -17,11 +17,11 @@ at a time.
 and :func:`select_insert` do the same for one annotation and are the
 reference the tests hold the arrays to.
 
-The :class:`CorrectionTrace` keeps each epoch's inserted, consensus and
-prediction arrays as columns and formats the JSON lines of a whole
-epoch at once; :class:`TraceRecord` is the per-(epoch, annotation) view
-of the same data, and ``json.dumps`` of its :meth:`~TraceRecord.to_json_obj`
-is the line format the writer reproduces byte for byte.
+The :class:`CorrectionTrace` is built once from the run's arrays and
+formats its JSON lines a block of one epoch's annotations at a time;
+:class:`TraceRecord` is the per-(epoch, annotation) view of the same
+data, and ``json.dumps`` of its :meth:`~TraceRecord.to_json_obj` is the
+line format the writer reproduces byte for byte.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,19 +137,23 @@ def select_insert(preds) -> ScoredBoundary:
     return preds[best]
 
 
+# The most epochs a run may ask for: a run holds (epochs, annotations,
+# U) prediction arrays, so the bound keeps an absurd --epochs a
+# contract violation instead of a hang or a MemoryError.
+MAX_EPOCHS = 2 ** 16
+
+
 @dataclass(frozen=True)
 class CorrectionParams:
     epochs: int = 15
-    lam: float = 0.7
     capacity: int = 32
     predictions_per_query: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ContractViolation("epochs must be >= 1", epochs=self.epochs)
-        if not (0.0 <= self.lam <= 1.0):
-            raise ContractViolation("lambda must lie in [0, 1]", value=self.lam)
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ContractViolation(f"epochs must lie in [1, {MAX_EPOCHS}]",
+                                    epochs=self.epochs)
         if self.capacity < 1:
             raise ContractViolation("capacity must be >= 1")
         if self.predictions_per_query < 1:
@@ -169,8 +172,6 @@ class TraceRecord:
     inserted: tuple
     consensus: tuple
     bank_size: int
-    consensus_weight: float
-    refined_weight: float
     predictions: tuple  # ((start, end, confidence), ...) for all U
 
     def to_json_obj(self):
@@ -180,89 +181,83 @@ class TraceRecord:
             "inserted": list(self.inserted),
             "consensus": list(self.consensus),
             "bank_size": self.bank_size,
-            "consensus_weight": self.consensus_weight,
-            "refined_weight": self.refined_weight,
             "predictions": [list(p) for p in self.predictions],
         }
 
 
-class _TraceEpoch(NamedTuple):
-    epoch: int
-    bank_size: int
-    inserted: np.ndarray   # (A, 2) start, end
-    consensus: np.ndarray  # (A, 2) start, end
-    predictions: EpochPredictions
-
-
 class CorrectionTrace:
-    """The bank updates of a correction run, kept as per-epoch columns.
+    """The bank updates of a correction run, kept as the run's arrays.
 
-    The annotation ids and the two blend weights are stored once; each
-    epoch adds its bank size, its (A, 2) inserted and consensus arrays
-    and its :class:`EpochPredictions`, where row i belongs to
-    ``annotation_ids[i]``.  :attr:`records` rebuilds the equivalent
-    :class:`TraceRecord` list on demand, and :meth:`write` formats the
-    columns without it.
+    Built once from the annotation ids, each epoch's bank size, the
+    (epochs, A, 2) inserted and consensus boundaries and the (epochs, A,
+    W) :class:`EpochPredictions` table, where row i of every epoch
+    belongs to ``annotation_ids[i]``; the arrays are stored, not copied.
+    :attr:`records` rebuilds the equivalent :class:`TraceRecord` list on
+    demand, and :meth:`write` formats the arrays without it.
     """
 
-    def __init__(self, annotation_ids, consensus_weight, refined_weight):
+    def __init__(self, annotation_ids, bank_size, inserted, consensus,
+                 predictions: EpochPredictions):
         self.annotation_ids = list(annotation_ids)
-        self.consensus_weight = consensus_weight
-        self.refined_weight = refined_weight
-        self.epochs = []
-
-    def add_epoch(self, epoch: int, bank_size: int, inserted, consensus,
-                  predictions: EpochPredictions) -> None:
-        """Append one epoch's columns; the arrays are stored, not copied."""
-        self.epochs.append(_TraceEpoch(
-            epoch, bank_size, np.asarray(inserted), np.asarray(consensus),
-            EpochPredictions(*map(np.asarray, predictions))))
+        self.bank_size = np.asarray(bank_size)
+        self.inserted = np.asarray(inserted)
+        self.consensus = np.asarray(consensus)
+        self.predictions = EpochPredictions(*map(np.asarray, predictions))
 
     @property
     def records(self):
         """One :class:`TraceRecord` per (epoch, annotation), built anew."""
         return [
-            TraceRecord(ep.epoch, aid, tuple(ins), tuple(con), ep.bank_size,
-                        self.consensus_weight, self.refined_weight, preds)
-            for ep in self.epochs
+            TraceRecord(j, aid, tuple(ins), tuple(con), size, preds)
+            for j, size in enumerate(self.bank_size.tolist(), 1)
             for aid, ins, con, preds in zip(
-                self.annotation_ids, ep.inserted.tolist(),
-                ep.consensus.tolist(), ep.predictions.tuples())
+                self.annotation_ids, self.inserted[j - 1].tolist(),
+                self.consensus[j - 1].tolist(),
+                self.predictions.epoch(j).tuples())
         ]
 
     def write(self, path):
         """Serialize as JSON-lines, one record per (epoch, annotation).
 
         The lines are the bytes of ``json.dumps(record.to_json_obj())``
-        for each of :attr:`records`, formatted an epoch at a time from
-        ``.tolist()`` columns: ids are JSON-encoded once, numbers are the
-        ``repr`` of the same Python ints and floats.  The file appears
-        whole or not at all: it is written beside ``path`` and then moved
-        over it.
+        for each of :attr:`records`, formatted ``TRACE_ROWS`` annotations
+        of an epoch at a time from ``.tolist()`` columns: ids are
+        JSON-encoded once, numbers are the ``repr`` of the same Python
+        ints and floats.  The file appears whole or not at all: it is
+        written beside ``path`` and then moved over it.
         """
         ids = [json.dumps(aid) for aid in self.annotation_ids]
-        weights = (f'"consensus_weight": {json.dumps(self.consensus_weight)}, '
-                   f'"refined_weight": {json.dumps(self.refined_weight)}, ')
         with atomic_write(path) as fh:
-            for ep in self.epochs:
-                fh.write(_format_epoch(ep, ids, weights))
+            for j, size in enumerate(self.bank_size.tolist()):
+                for lo in range(0, len(ids), TRACE_ROWS):
+                    rows = slice(lo, lo + TRACE_ROWS)
+                    fh.write(_format_rows(
+                        j + 1, size, ids[rows], self.inserted[j, rows],
+                        self.consensus[j, rows],
+                        *(a[j, rows] for a in self.predictions)))
 
 
-def _format_epoch(ep: _TraceEpoch, ids, weights) -> str:
-    """The JSON lines of one trace epoch, one per annotation."""
-    head = f'{{"epoch": {ep.epoch}, "annotation_id": '
-    tail = f', "bank_size": {ep.bank_size}, {weights}"predictions": [['
-    preds = ep.predictions
-    width = preds.start.shape[1]
-    triples = list(map("{}, {}, {!r}".format, preds.start.ravel().tolist(),
-                       preds.end.ravel().tolist(),
-                       preds.confidence.ravel().tolist()))
+# Annotations per formatted block of trace lines.  A block's text is
+# built from Python ints, floats and strings; formatting a whole epoch
+# of a 2400-annotation replay at once raised the peak RSS of `morp
+# correct --predictions` by about 0.8 MB (2-CPU x86-64 Linux host).
+TRACE_ROWS = 256
+
+
+def _format_rows(epoch, bank_size, ids, inserted, consensus, start, end,
+                 confidence, count) -> str:
+    """The JSON lines of a block of one trace epoch, one per annotation."""
+    head = f'{{"epoch": {epoch}, "annotation_id": '
+    tail = f', "bank_size": {bank_size}, "predictions": [['
+    width = start.shape[1]
+    triples = list(map("{}, {}, {!r}".format, start.ravel().tolist(),
+                       end.ravel().tolist(), confidence.ravel().tolist()))
     return "".join([
         f'{head}{aid}, "inserted": [{i0}, {i1}], "consensus": [{c0}, {c1}]'
         f'{tail}{"], [".join(triples[lo:lo + k])}]]}}\n'
         for aid, (i0, i1), (c0, c1), lo, k in zip(
-            ids, ep.inserted.tolist(), ep.consensus.tolist(),
-            range(0, len(triples), width), preds.count.tolist())
+            ids, inserted.tolist(), consensus.tolist(),
+            range(0, len(triples), width), count.tolist())
     ])
 
 
@@ -330,10 +325,9 @@ def run_correction(manifest: CorpusManifest, predictor,
     U = params.predictions_per_query
     seeds = [annotation_seed(params.seed, i) for i in ids]
     proposals = predictor.table(manifest, ids, seeds, U, params.epochs)
-    epochs = [proposals.epoch(j) for j in range(1, params.epochs + 1)]
     T = table.timeline[order]
-    for j, preds in enumerate(epochs, 1):
-        _check_predictions(preds, U, T, ids, j)
+    for j in range(1, params.epochs + 1):
+        _check_predictions(proposals.epoch(j), U, T, ids, j)
 
     # select_insert per (epoch, row): the earliest of the most confident
     best = np.where(proposals.valid(), proposals.confidence,
@@ -346,14 +340,17 @@ def run_correction(manifest: CorpusManifest, predictor,
                         (table.end_f, proposals.end))], axis=-1)
     # inserts a bank holds beside the seed; a capacity-1 bank holds none
     held = params.capacity - 1
-    all_rows = np.arange(len(order))
-    trace = CorrectionTrace(ids, params.lam, 1.0 - params.lam)
-    for j, preds in enumerate(epochs, 1):
+    bank_size = []
+    picks = np.empty((params.epochs, len(order)), dtype=np.int64)
+    for j in range(1, params.epochs + 1):
         cols = np.array([0, *range(max(1, j + 1 - held), j + 1)])
-        pick = cols[consensus_picks(bounds[:, cols, 0], bounds[:, cols, 1])]
-        consensus = bounds[all_rows, pick]
-        trace.add_epoch(j, len(cols), bounds[:, j], consensus, preds)
+        picks[j - 1] = cols[consensus_picks(bounds[:, cols, 0],
+                                            bounds[:, cols, 1])]
+        bank_size.append(len(cols))
+    consensus = bounds[np.arange(len(order)), picks]  # (epochs, A, 2)
 
-    corrected = manifest.with_boundaries(order, consensus[:, 0],
-                                         consensus[:, 1], "corrected")
-    return corrected, trace
+    corrected = manifest.with_boundaries(order, consensus[-1, :, 0],
+                                         consensus[-1, :, 1], "corrected")
+    return corrected, CorrectionTrace(ids, bank_size,
+                                      bounds[:, 1:].swapaxes(0, 1),
+                                      consensus, proposals)

@@ -88,18 +88,17 @@ def _check_delta(delta):
 
 
 class EpochPredictions(NamedTuple):
-    """One epoch of predictions for A annotations, as padded arrays.
+    """A run's predictions for A annotations over E epochs, as padded arrays.
 
-    Row i holds ``count[i]`` predictions, best first, in columns
-    ``[0, count[i])`` of the (A, W) ``start``/``end`` (int64 frames) and
-    ``confidence`` (float64) arrays; the columns past ``count[i]`` are
-    padding and carry no meaning.  The width W is at least 1 and at
-    least every count; a predictor makes it :meth:`width`, no wider than U
-    or than the most predictions a row can hold, so memory follows the
-    output, not U.
-
-    A table of epochs stacks them on a leading axis: (E, A, W) arrays
-    and an (E, A) count, of which :meth:`epoch` takes one epoch.
+    Predictors return this table: (E, A, W) ``start``/``end`` (int64
+    frames) and ``confidence`` (float64) arrays and an (E, A) ``count``;
+    :meth:`epoch` takes one epoch of it as (A, W) views.  Row i of an
+    epoch holds ``count[i]`` predictions, best first, in columns
+    ``[0, count[i])``; the columns past ``count[i]`` are padding and
+    carry no meaning.  The width W is at least 1 and at least every
+    count; a predictor makes it :meth:`width`, no wider than U or than
+    the most predictions a row can hold, so memory follows the output,
+    not U.
     """
 
     start: np.ndarray
@@ -113,13 +112,12 @@ class EpochPredictions(NamedTuple):
         return max(1, min(U, widest))
 
     @classmethod
-    def empty(cls, A, W: int) -> "EpochPredictions":
-        """Zeros for A rows, or for a table when A is an (E, A) shape."""
-        A = A if isinstance(A, tuple) else (A,)
-        return cls(np.zeros((*A, W), dtype=np.int64),
-                   np.zeros((*A, W), dtype=np.int64),
-                   np.zeros((*A, W), dtype=np.float64),
-                   np.zeros(A, dtype=np.int64))
+    def empty(cls, shape, W: int) -> "EpochPredictions":
+        """A table of zeros for the (E, A) shape."""
+        return cls(np.zeros((*shape, W), dtype=np.int64),
+                   np.zeros((*shape, W), dtype=np.int64),
+                   np.zeros((*shape, W), dtype=np.float64),
+                   np.zeros(shape, dtype=np.int64))
 
     def epoch(self, j: int) -> "EpochPredictions":
         """Epoch j, counted from 1, of a table: views of its rows."""
@@ -712,6 +710,7 @@ class FilePredictor:
         # a sentinel above every key keeps searchsorted inside the array
         self._key = np.append(key[last], 2 ** 63 - 1)
         self._row = rows[last]
+        self._last_epoch = int(key[-1]) // n if len(key) else 0
 
     def _parse(self, line, lineno):
         """((epoch, annotation_id), starts, ends, confidences) of one line."""
@@ -754,8 +753,13 @@ class FilePredictor:
         """The first U predictions of each of ``ids``' records, for
         epochs 1 to ``epochs``.  Every record is looked up, epoch by
         epoch, before any is gathered; the manifest and the seeds go
-        unused, so no feature file is read."""
-        rows = self._rows(ids, range(1, epochs + 1))
+        unused, so no feature file is read.
+
+        No epoch past the highest one in the file has a record, so the
+        lookup stops at the first such epoch: it finds the same first
+        missing record without an (epochs, ids) key array."""
+        looked = min(epochs, self._last_epoch + 1) if ids else epochs
+        rows = self._rows(ids, range(1, looked + 1))
         first = self._offsets[rows]
         count = np.minimum(self._offsets[rows + 1] - first, U)
         cols = np.arange(EpochPredictions.width(U, self._widest))

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from morp.cli import main
+from morp.consensus import MAX_EPOCHS
 
 
 def run(capsys, *argv):
@@ -70,6 +71,19 @@ class TestSynth:
         ref3 = make_corpus(tmp_path, capsys, "ref3", seed=3)
         assert filecmp.cmp(tmp_path / "flag_wins" / "manifest.json", ref3,
                            shallow=False)
+
+    def test_integer_from_config(self, tmp_path, capsys):
+        # a config file's "p_idle": 0 arrives as the int 0, and the
+        # manifest's spec writes it as json.dumps does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_idle": 0}))
+        code, _, err = run(capsys, "--config", str(cfg), "synth", "--out",
+                           str(tmp_path / "c"), "--videos", "4", "--frames",
+                           "32", "--dim", "4")
+        assert code == 0, err
+        text = (tmp_path / "c" / "manifest.json").read_text()
+        assert json.loads(text)["synth"]["spec"]["p_idle"] == 0
+        assert '"p_idle": 0,' in text
 
     def test_float_option_same_from_each_source(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -174,21 +188,26 @@ class TestPipeline:
             body(tmp_path / "whole" / "sep_refined.json.report.json")
         assert body(pipe / "corrected.json") == body(corrected)
 
-    def test_integer_lambda_from_config(self, tmp_path, capsys):
-        # a config file's "lambda": 1 arrives as the int 1, and the trace
-        # writes it as json.dumps does
+    def test_lambda_is_not_an_option(self, tmp_path, capsys, monkeypatch):
+        # no stage reads a blend weight: a config file's "lambda" and
+        # MORP_LAMBDA change no byte, and --lambda is a usage error
         manifest = make_corpus(tmp_path, capsys)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lambda": 1}))
-        out_dir = tmp_path / "lam1"
-        code, _, err = run(capsys, "--config", str(cfg), "pipeline",
-                           "--manifest", str(manifest), "--out-dir",
-                           str(out_dir), "--epochs", "2")
+        argv = ["pipeline", "--manifest", str(manifest), "--epochs", "2"]
+        code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path / "a"))
         assert code == 0, err
-        lines = (out_dir / "trace.jsonl").read_text().splitlines()
-        assert lines
-        for line in lines:
-            assert '"consensus_weight": 1, "refined_weight": 0.0, ' in line
+        monkeypatch.setenv("MORP_LAMBDA", "0.5")
+        code, _, err = run(capsys, "--config", str(cfg), *argv,
+                           "--out-dir", str(tmp_path / "b"))
+        assert code == 0, err
+        names = ["refined.json", "refine_report.json", "corrected.json",
+                 "trace.jsonl"]
+        assert filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", names,
+                                shallow=False)[0] == names
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path / "c"), "--lambda", "0.5"])
+        assert exc.value.code == 2
 
     def test_lone_surrogate_annotation_id(self, tmp_path, capsys):
         # JSON can escape a lone surrogate, and the id seeds proposals
@@ -313,6 +332,22 @@ class TestCorrectReplay:
         assert obj["context"]["epoch"] == 2
         assert obj["context"][field] == bad[field]
         assert not (tmp_path / "c.json").exists()
+
+    def test_missing_epoch_past_the_file(self, tmp_path, capsys):
+        # a 3-epoch file asked for the most epochs a run may have: the
+        # first id's epoch 4 is the first record missing
+        refined = refine_corpus_file(tmp_path, capsys)
+        preds = tmp_path / "preds.jsonl"
+        anns = write_replay(preds, refined, epochs=3)
+        code, _, err = run(capsys, "correct", "--manifest", str(refined),
+                           "--out-manifest", str(tmp_path / "c.json"),
+                           "--predictions", str(preds),
+                           "--epochs", str(MAX_EPOCHS))
+        assert code == 1
+        obj = TestErrors.one_error(err)
+        assert obj["code"] == "predictor_error"
+        assert obj["context"] == {"annotation_id": anns[0].annotation_id,
+                                  "epoch": 4}
 
     @pytest.mark.parametrize("line", [
         '{"epoch": 1, "annotation_id": "x", "predictions": [}',
@@ -669,6 +704,53 @@ class TestErrors:
         obj = self.one_error(proc.stderr)
         assert obj["code"] == "truncation_error"
         assert obj["context"]["expected_rows"] == 2 ** 32 - 1
+
+    @pytest.mark.parametrize("epochs", [MAX_EPOCHS + 1, 10 ** 12])
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_epochs_past_the_bound(self, tmp_path, capsys, epochs, replay):
+        """Too many epochs end `morp correct` with exit 1 and one
+        contract_violation line, before any per-epoch work, for either
+        predictor.  Run in a subprocess under a 1.5 GB address-space
+        limit and a timeout, so a run that allocates or loops per epoch
+        fails instead of taking the machine."""
+        import resource
+        import subprocess
+        import sys
+
+        refined = refine_corpus_file(tmp_path, capsys)
+        argv = [sys.executable, "-m", "morp.cli", "correct", "--manifest",
+                str(refined), "--out-manifest", str(tmp_path / "c.json"),
+                "--epochs", str(epochs)]
+        if replay:
+            write_replay(tmp_path / "preds.jsonl", refined, epochs=3)
+            argv += ["--predictions", str(tmp_path / "preds.jsonl")]
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=60, preexec_fn=limit)
+        assert proc.returncode == 1
+        obj = self.one_error(proc.stderr)
+        assert obj["code"] == "contract_violation"
+        assert obj["context"] == {"epochs": epochs}
+        assert not (tmp_path / "c.json").exists()
+
+    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+        from morp.cli import COMMANDS
+
+        def fail(args, config):
+            raise MemoryError
+
+        monkeypatch.setitem(COMMANDS, "stats", fail)
+        code, out, err = run(capsys, "stats", "--manifest", "m.json")
+        assert code == 1
+        assert out == ""
+        assert self.one_error(err) == {"code": "out_of_memory",
+                                       "message": "out of memory",
+                                       "context": {}}
 
     @staticmethod
     def one_error(err):

@@ -383,9 +383,8 @@ class TestRunCorrection:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2 * len(refined.annotations)
         rec = json.loads(lines[0])
-        assert set(rec) >= {"epoch", "annotation_id", "inserted", "consensus",
-                            "bank_size", "consensus_weight", "refined_weight",
-                            "predictions"}
+        assert list(rec) == ["epoch", "annotation_id", "inserted", "consensus",
+                             "bank_size", "predictions"]
 
 
 def replay_manifest(rng, n, ids=None):
@@ -461,8 +460,6 @@ def reference_correction(manifest, predictor, params):
                 inserted=pick.boundary.as_tuple(),
                 consensus=consensus.as_tuple(),
                 bank_size=len(bank.instances),
-                consensus_weight=params.lam,
-                refined_weight=1.0 - params.lam,
                 predictions=tuple((p.boundary.start, p.boundary.end,
                                    p.confidence) for p in preds)))
     final = {aid: select_consensus(bank) for aid, bank in banks.items()}
@@ -487,7 +484,7 @@ class TestBatchedCorrection:
         rng = np.random.default_rng(seed)
         manifest = replay_manifest(rng, n)
         params = CorrectionParams(epochs=epochs, capacity=capacity,
-                                  predictions_per_query=U, lam=0.6)
+                                  predictions_per_query=U)
         with tempfile.TemporaryDirectory() as tmp:
             path = write_predictions(Path(tmp) / "p.jsonl", manifest, epochs,
                                      rng)
@@ -673,28 +670,51 @@ ODD_CONFIDENCES = [5e-324, 1e-05, 0.1 + 0.2, 0.0, -0.0, 1.0]
 class TestTraceFormat:
     """CorrectionTrace.write is byte-equal to json.dumps of every record."""
 
-    def test_add_epoch_takes_lists(self):
+    def test_constructor_takes_lists(self):
         from morp.consensus import CorrectionTrace
 
-        trace = CorrectionTrace(["a", "b"], 0.7, 0.3)
-        trace.add_epoch(1, 2, [[0, 4], [1, 3]], [[0, 5], [1, 3]],
-                        EpochPredictions([[0, 9], [1, 9]], [[4, 9], [3, 9]],
-                                         [[0.5, 0.0], [1.0, 0.0]], [1, 1]))
+        trace = CorrectionTrace(
+            ["a", "b"], [2, 3], [[[0, 4], [1, 3]], [[0, 4], [2, 3]]],
+            [[[0, 5], [1, 3]], [[0, 4], [1, 3]]],
+            EpochPredictions([[[0, 9], [1, 9]], [[0, 9], [2, 1]]],
+                             [[[4, 9], [3, 9]], [[4, 9], [3, 2]]],
+                             [[[0.5, 0.0], [1.0, 0.0]],
+                              [[0.5, 0.0], [0.75, 0.25]]],
+                             [[1, 1], [1, 2]]))
         assert trace.records == [
-            TraceRecord(1, "a", (0, 4), (0, 5), 2, 0.7, 0.3, ((0, 4, 0.5),)),
-            TraceRecord(1, "b", (1, 3), (1, 3), 2, 0.7, 0.3, ((1, 3, 1.0),)),
+            TraceRecord(1, "a", (0, 4), (0, 5), 2, ((0, 4, 0.5),)),
+            TraceRecord(1, "b", (1, 3), (1, 3), 2, ((1, 3, 1.0),)),
+            TraceRecord(2, "a", (0, 4), (0, 4), 3, ((0, 4, 0.5),)),
+            TraceRecord(2, "b", (2, 3), (1, 3), 3,
+                        ((2, 3, 0.75), (1, 2, 0.25))),
         ]
+
+    def test_write_in_blocks(self, tmp_path, monkeypatch):
+        # blocks of 2 annotations: an epoch of 7 ends in a short block
+        import json
+
+        import morp.consensus
+        from morp.predictor import FilePredictor
+
+        monkeypatch.setattr(morp.consensus, "TRACE_ROWS", 2)
+        rng = np.random.default_rng(5)
+        manifest = replay_manifest(rng, 7, ODD_IDS)
+        path = write_predictions(tmp_path / "p.jsonl", manifest, 3, rng)
+        _, trace = run_correction(manifest, FilePredictor(path),
+                                  CorrectionParams(epochs=3))
+        trace.write(tmp_path / "trace.jsonl")
+        assert (tmp_path / "trace.jsonl").read_bytes() == "".join(
+            json.dumps(r.to_json_obj()) + "\n"
+            for r in trace.records).encode("ascii")
 
     @settings(max_examples=80, deadline=None)
     @given(ids=st.lists(st.sampled_from(ODD_IDS) | st.text(max_size=5),
                         min_size=1, max_size=7, unique=True),
-           lam=st.sampled_from([0.7, 1.0, 1, 0, 0.25]),
            capacity=st.integers(1, 4), epochs=st.integers(1, 7),
            U=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-    @example(ids=ODD_IDS, lam=1, capacity=2, epochs=6, U=3, seed=0)
-    @example(ids=ODD_IDS, lam=0.7, capacity=3, epochs=7, U=1, seed=1)
-    def test_write_matches_json_dumps(self, ids, lam, capacity, epochs, U,
-                                      seed):
+    @example(ids=ODD_IDS, capacity=2, epochs=6, U=3, seed=0)
+    @example(ids=ODD_IDS, capacity=3, epochs=7, U=1, seed=1)
+    def test_write_matches_json_dumps(self, ids, capacity, epochs, U, seed):
         import json
         import tempfile
         from pathlib import Path
@@ -703,7 +723,7 @@ class TestTraceFormat:
 
         rng = np.random.default_rng(seed)
         manifest = replay_manifest(rng, len(ids), ids)
-        params = CorrectionParams(epochs=epochs, lam=lam, capacity=capacity,
+        params = CorrectionParams(epochs=epochs, capacity=capacity,
                                   predictions_per_query=U)
         with tempfile.TemporaryDirectory() as tmp:
             # up to U + 1 predictions, so some rows hold fewer than U
@@ -717,6 +737,5 @@ class TestTraceFormat:
         records = trace.records
         assert len(records) == epochs * len(ids)
         assert records[-1].bank_size == min(capacity, epochs + 1)
-        assert type(records[0].consensus_weight) is type(lam)
         expected = "".join(json.dumps(r.to_json_obj()) + "\n" for r in records)
         assert written == expected.encode("ascii")

@@ -585,11 +585,11 @@ class TestAtomicWrites:
         from morp.predictor import EpochPredictions
 
         manifest = read_manifest(write_fixture_corpus(tmp_path))
-        trace = CorrectionTrace(["a0"], 0.7, 0.3)
-        for epoch in (1, 2, 3):
-            trace.add_epoch(epoch, 2, [[0, 1]], [[0, 1]], EpochPredictions(
-                np.array([[0]]), np.array([[1]]), np.array([[1.0]]),
-                np.array([1])))
+        bounds = np.tile([0, 1], (3, 1, 1))  # 3 epochs of one annotation
+        trace = CorrectionTrace(["a0"], [2, 2, 2], bounds, bounds,
+                                EpochPredictions(
+                                    bounds[..., :1], bounds[..., 1:],
+                                    np.ones((3, 1, 1)), np.ones((3, 1), int)))
         return {
             "manifest": lambda p: write_manifest(manifest, p),
             "trace": trace.write,
