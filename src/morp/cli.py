@@ -18,13 +18,13 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .consensus import CorrectionParams, run_correction
+from .consensus import CorrectionParams, check_adjusted, run_correction
 from .errors import ConfigError, MorpError
 from .featstore import read_manifest, write_manifest
 from .metrics import corpus_stats, write_json
 from .pipeline import evaluate_manifest, run_pipeline, sweep
-from .predictor import FilePredictor, SlidingWindowPredictor
-from .refine import AdjustParams, CleanParams, refine_corpus
+from .predictor import FilePredictor, sliding_windows
+from .refine import AdjustParams, CleanParams, compute_tracks, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
 
@@ -275,12 +275,16 @@ def _cmd_refine(args, cfg):
 
 def _cmd_correct(args, cfg):
     manifest = read_manifest(args.manifest)
+    params = _correction_params(cfg)
     if args.predictions:
         predictor = FilePredictor(args.predictions)
-    else:
-        predictor = SlidingWindowPredictor(cfg["delta"])
-    corrected, trace = run_correction(manifest, predictor,
-                                      _correction_params(cfg))
+    else:  # a corpus that cannot be corrected gets no proposals
+        check_adjusted(manifest)
+        predictor = sliding_windows(
+            compute_tracks(manifest), sorted(manifest.annotations.ids),
+            params.seed, cfg["delta"], params.predictions_per_query,
+            params.epochs)
+    corrected, trace = run_correction(manifest, predictor, params)
     del manifest, predictor  # freed before the writers build their text
     prov = _provenance(cfg)
     trace_path = args.trace or args.out_manifest + ".trace.jsonl"

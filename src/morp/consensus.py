@@ -8,11 +8,11 @@ pick replaces the annotation's boundary.
 
 :func:`run_correction` works on arrays over all annotations: it asks the
 predictor for the run's whole (epochs, A, W) table of predictions in one
-``table`` call, takes every epoch's insert with one argmax over the
-table's padded confidences, and lays each annotation's seed and inserts
-out as one row.  An epoch's banks are then a window of those columns,
-and the consensus is taken on (rows, n, n) IoU tensors, a block of rows
-at a time.
+``table(ids, U, epochs)`` call, takes every epoch's insert with one
+argmax over the table's padded confidences, and lays each annotation's
+seed and inserts out as one row.  An epoch's banks are then a window of
+those columns, and the consensus is taken on (rows, n, n) IoU tensors, a
+block of rows at a time.
 :class:`MemoryBank`, :func:`consensus_scores`, :func:`select_consensus`
 and :func:`select_insert` do the same for one annotation and are the
 reference the tests hold the arrays to.
@@ -27,7 +27,6 @@ line format the writer reproduces byte for byte.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from .core import Boundary, ScoredBoundary
 from .errors import ContractViolation, PredictorError
 from .featstore import CorpusManifest, atomic_write
-from .predictor import EpochPredictions
+from .predictor import MAX_EPOCHS, EpochPredictions
 
 
 @dataclass
@@ -137,12 +136,6 @@ def select_insert(preds) -> ScoredBoundary:
     return preds[best]
 
 
-# The most epochs a run may ask for: a run holds (epochs, annotations,
-# U) prediction arrays, so the bound keeps an absurd --epochs a
-# contract violation instead of a hang or a MemoryError.
-MAX_EPOCHS = 2 ** 16
-
-
 @dataclass(frozen=True)
 class CorrectionParams:
     epochs: int = 15
@@ -156,8 +149,11 @@ class CorrectionParams:
                                     epochs=self.epochs)
         if self.capacity < 1:
             raise ContractViolation("capacity must be >= 1")
-        if self.predictions_per_query < 1:
-            raise ContractViolation("predictions_per_query must be >= 1")
+        # the prediction counts are an int64 column
+        if not 1 <= self.predictions_per_query < 2 ** 63:
+            raise ContractViolation(
+                "predictions_per_query must lie in [1, 2**63)",
+                predictions_per_query=self.predictions_per_query)
         if self.seed < 0:
             raise ContractViolation("seed must be a nonnegative integer")
 
@@ -261,16 +257,6 @@ def _format_rows(epoch, bank_size, ids, inserted, consensus, start, end,
     ])
 
 
-def annotation_seed(base_seed: int, annotation_id: str) -> int:
-    """Stable per-annotation seed derivation.
-
-    A lone surrogate, which a JSON ``\\ud800`` escape parses to, is
-    encoded as is; every other id hashes its UTF-8 bytes.
-    """
-    return (base_seed ^ zlib.crc32(annotation_id.encode(
-        "utf-8", "surrogatepass"))) & 0xFFFFFFFF
-
-
 def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
     """Raise PredictorError for the first annotation whose predictions
     are not 1..U boundaries 0 <= start < end <= T with confidences in [0, 1]."""
@@ -292,6 +278,17 @@ def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
                          confidence=float(c[i, k]), timeline_len=int(T[i]))
 
 
+def check_adjusted(manifest: CorpusManifest):
+    """Raise ContractViolation unless every annotation is ``adjusted``."""
+    table = manifest.annotations
+    if not set(table.status) <= {"adjusted"}:
+        i = next(i for i, s in enumerate(table.status) if s != "adjusted")
+        raise ContractViolation(
+            "run_correction expects adjusted annotations",
+            annotation_id=table.ids[i], status=table.status[i],
+        )
+
+
 def run_correction(manifest: CorpusManifest, predictor,
                    params: CorrectionParams):
     """Run the epoch loop over a refined corpus.
@@ -300,31 +297,25 @@ def run_correction(manifest: CorpusManifest, predictor,
     epoch and annotation, the predictor's highest-confidence proposal is
     inserted into the annotation's bank, the consensus pick is computed
     and recorded in the trace.  The corrected boundary is the consensus
-    pick of the final epoch.  Fully deterministic given params.seed;
-    results do not depend on the processing order.
+    pick of the final epoch.  Fully deterministic given the
+    predictions; results do not depend on the processing order.
 
     The annotations are sorted by id, and the predictions come from one
-    ``predictor.table(manifest, ids, seeds, U, epochs)`` call, as an
+    ``predictor.table(ids, U, epochs)`` call, as an
     :class:`EpochPredictions` table whose epoch j row i belongs to
-    ``ids[i]``; ``seeds[i]`` is its :func:`annotation_seed`.  Every
-    epoch's predictions are checked, in epoch order, before any is used.
+    ``ids[i]``.  Every epoch's predictions are checked, in epoch order,
+    before any is used.
     Each annotation's seed and inserts form one row of (A, 1 + epochs)
     boundaries, and epoch j's bank is its seed and its last inserts up
     to epoch j, as many as the capacity leaves room for
     (:class:`MemoryBank`'s eviction); the picks are row-wise argmaxes.
     """
+    check_adjusted(manifest)
     table = manifest.annotations
-    if not set(table.status) <= {"adjusted"}:
-        i = next(i for i, s in enumerate(table.status) if s != "adjusted")
-        raise ContractViolation(
-            "run_correction expects adjusted annotations",
-            annotation_id=table.ids[i], status=table.status[i],
-        )
     order = sorted(range(len(table)), key=table.ids.__getitem__)
     ids = [table.ids[i] for i in order]
     U = params.predictions_per_query
-    seeds = [annotation_seed(params.seed, i) for i in ids]
-    proposals = predictor.table(manifest, ids, seeds, U, params.epochs)
+    proposals = predictor.table(ids, U, params.epochs)
     T = table.timeline[order]
     for j in range(1, params.epochs + 1):
         _check_predictions(proposals.epoch(j), U, T, ids, j)

@@ -1,16 +1,20 @@
-"""Manifest-level orchestration: end-to-end runs, evaluation and sweeps."""
+"""Manifest-level orchestration: end-to-end runs, evaluation and sweeps.
+
+A run, and each corpus of a sweep, computes its tracks once and
+corrects every clean ratio's refined corpus from one proposal table.
+"""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
 
-from .consensus import CorrectionParams, annotation_seed, run_correction
+from .consensus import CorrectionParams, run_correction
 from .core import Boundary, iou
 from .errors import ContractViolation
 from .featstore import CorpusManifest, check_seconds, derive_boundary_frames
 from .metrics import MetricReport, _align, metric_report
-from .predictor import ProposalBatch, SlidingWindowPredictor, TablePredictor
+from .predictor import sliding_windows
 from .refine import AdjustParams, CleanParams, compute_tracks, refine_corpus
 from .synth import SynthSpec, generate_corpus
 
@@ -48,18 +52,27 @@ def evaluate_manifest(manifest: CorpusManifest,
     return metric_report(preds, gts, thresholds)
 
 
+def _corrections(manifest: CorpusManifest, cleans, adjust_params, p):
+    """Per clean params of ``cleans``, in order: (refined,
+    refine_report, corrected, trace) of ``manifest``."""
+    tracks = compute_tracks(manifest)
+    runs = [refine_corpus(manifest, clean, adjust_params, tracks=tracks)
+            for clean in cleans]
+    predictor = sliding_windows(
+        tracks, sorted(set().union(*(r.annotations.ids for r, _ in runs))),
+        p.seed, adjust_params.delta, p.predictions_per_query, p.epochs)
+    for refined, report in runs:
+        yield (refined, report, *run_correction(refined, predictor, p))
+
+
 def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
                  adjust_params: AdjustParams, correction_params: CorrectionParams):
     """refine + correct; returns (refined, refine_report, corrected, trace).
 
     The similarity tracks are computed once and shared by both stages.
     """
-    tracks = compute_tracks(manifest)
-    refined, report = refine_corpus(manifest, clean_params, adjust_params,
-                                    tracks=tracks)
-    predictor = SlidingWindowPredictor(adjust_params.delta, tracks)
-    corrected, trace = run_correction(refined, predictor, correction_params)
-    return refined, report, corrected, trace
+    return next(_corrections(manifest, [clean_params], adjust_params,
+                             correction_params))
 
 
 def corpus_quality(original: CorpusManifest, final: CorpusManifest) -> float:
@@ -132,10 +145,8 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
     first corpus is generated.
 
     Each value's quality is what :func:`run_pipeline` and
-    :func:`corpus_quality` give.  A proposal depends on neither the
-    cleaning ratio nor the memory bank, so each corpus gets its tracks
-    and one proposal table, over every annotation some value keeps, and
-    each value's correction takes its kept annotations' rows of it.
+    :func:`corpus_quality` give; a corpus is refined and corrected for
+    all values of its size at once.
     """
     if knob not in ("clean_ratio", "corpus_size"):
         raise ContractViolation("unknown sweep knob", knob=knob)
@@ -158,19 +169,10 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
             manifest = generate_corpus(
                 specs[seed, size],
                 os.path.join(work_dir, f"sweep_seed{seed}_n{size}"))
-            tracks = compute_tracks(manifest)
-            refined = {i: refine_corpus(manifest, cleans[i], adjust_params,
-                                        tracks=tracks)[0]
-                       for i, n in enumerate(sizes) if n == size}
-            ids = sorted(set().union(*(r.annotations.ids
-                                       for r in refined.values())))
-            table = ProposalBatch(
-                [tracks[i] for i in ids],
-                [annotation_seed(seed, i) for i in ids], adjust_params.delta,
-            ).propose(params.predictions_per_query, params.epochs)
-            predictor = TablePredictor(ids, table)
-            for i, r in refined.items():
-                corrected, _ = run_correction(r, predictor, params)
+            at = [i for i, n in enumerate(sizes) if n == size]
+            runs = _corrections(manifest, [cleans[i] for i in at],
+                                adjust_params, params)
+            for i, (_, _, corrected, _) in zip(at, runs):
                 row[i] = corpus_quality(manifest, corrected)
         per_seed[seed] = row
     metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)

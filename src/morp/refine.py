@@ -125,6 +125,14 @@ class CleanParams:
                                     ratio=self.ratio)
 
 
+def check_delta(delta):
+    """Raise ContractViolation unless 1 <= delta < 2**32: a feature
+    header's frame count is a uint32, so no timeline is longer, and a
+    boundary moved by delta stays inside int64."""
+    if not 1 <= delta < 2 ** 32:
+        raise ContractViolation("delta must lie in [1, 2**32)", delta=delta)
+
+
 @dataclass(frozen=True)
 class AdjustParams:
     """Step size and thresholds for iterative boundary adjustment."""
@@ -138,8 +146,7 @@ class AdjustParams:
     def __post_init__(self):
         if self.min_len is None:
             object.__setattr__(self, "min_len", self.delta)
-        if self.delta < 1:
-            raise ContractViolation("delta must be >= 1", delta=self.delta)
+        check_delta(self.delta)
         if not (0 < self.alpha1 < self.alpha2):
             raise ContractViolation("thresholds must satisfy 0 < alpha1 < alpha2",
                                     alpha1=self.alpha1, alpha2=self.alpha2)

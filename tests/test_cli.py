@@ -12,7 +12,7 @@ import os
 import pytest
 
 from morp.cli import main
-from morp.consensus import MAX_EPOCHS
+from morp.predictor import MAX_EPOCHS
 
 
 def run(capsys, *argv):
@@ -223,8 +223,8 @@ class TestPipeline:
         assert trace.count('"annotation_id": "lone \\ud800"') == 2
 
     def test_tracks_computed_once(self, tmp_path, capsys, monkeypatch):
+        import morp.cli
         import morp.pipeline
-        import morp.predictor
         import morp.refine
 
         calls = []
@@ -234,11 +234,23 @@ class TestPipeline:
             calls.append(len(manifest.annotations))
             return original(manifest)
 
-        for module in (morp.pipeline, morp.predictor, morp.refine):
+        for module in (morp.cli, morp.pipeline, morp.refine):
             monkeypatch.setattr(module, "compute_tracks", counted)
         manifest = make_corpus(tmp_path, capsys)
-        run_pipeline_dir(tmp_path, capsys, manifest)
+        out_dir = run_pipeline_dir(tmp_path, capsys, manifest)
         assert calls == [12]  # 6 videos x 2 annotations, read once
+        # `morp correct` without --predictions: once, for the kept ones
+        refined = out_dir / "refined.json"
+        code, _, err = run(capsys, "correct", "--manifest", str(refined),
+                           "--out-manifest", str(tmp_path / "c.json"))
+        assert code == 0, err
+        assert calls == [12, 8]
+        # a corpus that is not refined is rejected before any track
+        code, _, err = run(capsys, "correct", "--manifest", str(manifest),
+                           "--out-manifest", str(tmp_path / "raw.json"))
+        assert code == 1
+        assert json.loads(err)["code"] == "contract_violation"
+        assert calls == [12, 8]
 
 
 def refine_corpus_file(tmp_path, capsys):
@@ -601,6 +613,25 @@ class TestErrors:
         assert exit_code == 1
         assert self.one_error(err)["code"] == code
         assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("command,flag,value,context", [
+        # s + delta would wrap int64 into a negative index
+        ("refine", "--delta", 2 ** 63 - 1, {"delta": 2 ** 63 - 1}),
+        ("pipeline", "--delta", 2 ** 63, {"delta": 2 ** 63}),
+        ("pipeline", "--delta", 2 ** 32, {"delta": 2 ** 32}),
+        ("pipeline", "--u", 2 ** 63, {"predictions_per_query": 2 ** 63}),
+    ])
+    def test_step_and_width_past_int64(self, tmp_path, capsys, command,
+                                       flag, value, context):
+        manifest = make_corpus(tmp_path, capsys)
+        out = ["--out-manifest", str(tmp_path / "r.json")] \
+            if command == "refine" else ["--out-dir", str(tmp_path / "run")]
+        code, _, err = run(capsys, command, "--manifest", str(manifest),
+                           *out, flag, str(value))
+        assert code == 1
+        obj = self.one_error(err)
+        assert obj["code"] == "contract_violation"
+        assert obj["context"] == context
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--out", "c", "--seed", "-1"],

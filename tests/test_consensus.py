@@ -9,13 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import annotation_table
 from morp.core import Boundary, ScoredBoundary
 from morp.errors import ContractViolation, PredictorError
-from morp.predictor import EpochPredictions
+from morp.predictor import EpochPredictions, annotation_seed, sliding_windows
 from morp.consensus import (
     CONSENSUS_ROWS,
     CorrectionParams,
     MemoryBank,
     TraceRecord,
-    annotation_seed,
     consensus_picks,
     consensus_scores,
     run_correction,
@@ -229,7 +228,7 @@ class EchoPredictor:
     def __init__(self, bounds):
         self.bounds = bounds
 
-    def table(self, manifest, ids, seeds, U, epochs):
+    def table(self, ids, U, epochs):
         out = EpochPredictions.empty((epochs, len(ids)), U)
         out.start[:, :, 0] = [self.bounds[i].start for i in ids]
         out.end[:, :, 0] = [self.bounds[i].end for i in ids]
@@ -278,7 +277,7 @@ class TestRunCorrection:
         class WrongTimeline:
             """Ends one annotation's prediction past its timeline."""
 
-            def table(self, manifest, ids, seeds, U, epochs):
+            def table(self, ids, U, epochs):
                 out = EpochPredictions.empty((epochs, len(ids)), U)
                 out.end[:, :, 0] = [5, 999] + [5] * (len(ids) - 2)
                 out.confidence[:, :, 0] = 1.0
@@ -292,9 +291,8 @@ class TestRunCorrection:
         assert err.value.context["end"] == 999
 
     def test_one_table_call_per_run(self, tmp_path):
-        """run_correction asks for one table, over the sorted ids, their
-        annotation seeds, U and the run's epoch count, and traces each of
-        its epochs in order."""
+        """run_correction asks for one table, over the sorted ids, U and
+        the run's epoch count, and traces each of its epochs in order."""
         refined = make_refined_corpus(tmp_path)
         table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
                  for a in refined.annotations}
@@ -302,14 +300,14 @@ class TestRunCorrection:
         calls = []
 
         class Recorder:
-            def table(self, manifest, ids, seeds, U, epochs):
-                calls.append((list(ids), list(seeds), U, epochs))
-                return echo.table(manifest, ids, seeds, U, epochs)
+            def table(self, ids, U, epochs):
+                calls.append((list(ids), U, epochs))
+                return echo.table(ids, U, epochs)
 
         params = CorrectionParams(epochs=3, seed=11, predictions_per_query=4)
         _, trace = run_correction(refined, Recorder(), params)
         ids = sorted(table)
-        assert calls == [(ids, [annotation_seed(11, i) for i in ids], 4, 3)]
+        assert calls == [(ids, 4, 3)]
         assert [r.epoch for r in trace.records] == \
             [e for e in (1, 2, 3) for _ in ids]
 
@@ -317,7 +315,7 @@ class TestRunCorrection:
         refined = make_refined_corpus(tmp_path)
 
         class TooMany:
-            def table(self, manifest, ids, seeds, U, epochs):
+            def table(self, ids, U, epochs):
                 out = EpochPredictions.empty((epochs, len(ids)), U)
                 out.end[:] = 5
                 out.confidence[:] = 0.5
@@ -332,27 +330,32 @@ class TestRunCorrection:
         assert err.value.context["U"] == 3
 
     def test_schedule_independence(self, tmp_path):
-        """Reversing the manifest's annotation order changes nothing."""
+        """Reversing the manifest's annotation order changes nothing,
+        though a table built in that order is then gathered by id."""
         from dataclasses import replace
 
-        from morp.predictor import SlidingWindowPredictor
+        from morp.refine import compute_tracks
 
         def by_id(manifest):
             return sorted(manifest.annotations, key=lambda a: a.annotation_id)
+
+        def windows(manifest):
+            return sliding_windows(compute_tracks(manifest),
+                                   manifest.annotations.ids, 5, 5, 5, 3)
 
         refined = make_refined_corpus(tmp_path, n_videos=6)
         n = len(refined.annotations)
         reordered = replace(refined, annotations=refined.annotations.take(
             range(n - 1, -1, -1)))
         p = CorrectionParams(epochs=3, seed=5)
-        out1, tr1 = run_correction(refined, SlidingWindowPredictor(5), p)
-        out2, tr2 = run_correction(reordered, SlidingWindowPredictor(5), p)
+        out1, tr1 = run_correction(refined, windows(refined), p)
+        out2, tr2 = run_correction(reordered, windows(reordered), p)
         assert by_id(out1) == by_id(out2)
         assert [r.to_json_obj() for r in tr1.records] == \
             [r.to_json_obj() for r in tr2.records]
 
     def test_batched_proposals_match_per_annotation_loop(self, tmp_path):
-        from morp.predictor import SlidingWindowPredictor, propose
+        from morp.predictor import propose
         from morp.refine import compute_tracks
 
         refined = make_refined_corpus(tmp_path, n_videos=6, seed=2)
@@ -364,7 +367,9 @@ class TestRunCorrection:
                 seed = annotation_seed(7, annotation_id)
                 return propose(tracks[annotation_id], U, epoch, seed, 3)
 
-        out, trace = run_correction(refined, SlidingWindowPredictor(3), p)
+        ids = sorted(refined.annotations.ids)
+        out, trace = run_correction(
+            refined, sliding_windows(tracks, ids, 7, 3, 6, 4), p)
         final, records = reference_correction(refined, OneAtATime(), p)
         assert {a.annotation_id: a.boundary_frames
                 for a in out.annotations} == final
@@ -583,37 +588,43 @@ class TestBatchedCorrection:
         assert err.value.context["annotation_id"] == anns[0].annotation_id
         assert err.value.context["end"] == 10 ** 6
 
-    def test_sliding_window_uses_the_tracks_it_holds(self, tmp_path):
-        """Given tracks, the predictor reads no feature file: it needs no
-        manifest, and its table is the one it computes from the files."""
-        from morp.predictor import SlidingWindowPredictor
+    def test_sliding_windows_is_the_batch_over_annotation_seeds(
+            self, tmp_path):
+        """sliding_windows is the ProposalBatch table over the tracks of
+        its ids, each seeded by its annotation seed, and a run over
+        exactly those ids takes that very table."""
+        from morp.predictor import ProposalBatch
         from morp.refine import compute_tracks
 
         refined = make_refined_corpus(tmp_path)
+        tracks = compute_tracks(refined)
         ids = sorted(a.annotation_id for a in refined.annotations)
-        seeds = [annotation_seed(3, i) for i in ids]
-        held = SlidingWindowPredictor(4, compute_tracks(refined)).table(
-            None, ids, seeds, 5, 3)
-        read = SlidingWindowPredictor(4).table(refined, ids, seeds, 5, 3)
-        for a, b_ in zip(held, read):
+        predictor = sliding_windows(tracks, ids, 3, 4, 5, 3)
+        want = ProposalBatch([tracks[i] for i in ids],
+                             [annotation_seed(3, i) for i in ids],
+                             4).propose(5, 3)
+        got = predictor.table(ids, 5, 3)
+        for a, b_ in zip(got, want):
             np.testing.assert_array_equal(a, b_)
+        assert all(a is b_ for a, b_ in zip(got, predictor.table(ids, 5, 3)))
 
     @pytest.mark.parametrize("kind", ["sliding_window", "file"])
     def test_epochs_of_a_table_share_no_memory(self, tmp_path, kind):
         """The trace stores each epoch's arrays of the table, so no
         epoch's arrays may be the memory of another's."""
-        from morp.predictor import FilePredictor, SlidingWindowPredictor
+        from morp.predictor import FilePredictor
+        from morp.refine import compute_tracks
 
         refined = make_refined_corpus(tmp_path)
+        ids = sorted(a.annotation_id for a in refined.annotations)
         if kind == "file":
             path = write_predictions(tmp_path / "p.jsonl", refined, 2,
                                      np.random.default_rng(0))
             predictor = FilePredictor(path)
         else:
-            predictor = SlidingWindowPredictor(5)
-        ids = sorted(a.annotation_id for a in refined.annotations)
-        seeds = [annotation_seed(0, i) for i in ids]
-        table = predictor.table(refined, ids, seeds, 5, 2)
+            predictor = sliding_windows(compute_tracks(refined), ids, 0, 5,
+                                        5, 2)
+        table = predictor.table(ids, 5, 2)
         first, second = table.epoch(1), table.epoch(2)
         for a, b_ in zip(first, second):
             assert not np.shares_memory(a, b_)

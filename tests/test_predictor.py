@@ -8,17 +8,17 @@ from morp.core import iou
 from morp.errors import ContractViolation, PredictorError
 from morp.predictor import (
     BLOCK_ROWS,
+    MAX_EPOCHS,
     WINDOW_FRACTIONS,
     FilePredictor,
     ProposalBatch,
-    SlidingWindowPredictor,
     TablePredictor,
     _jitter_offsets,
     _replica_draws,
     _support_candidates,
     propose,
 )
-from morp.refine import SimilarityTrack
+from morp.refine import AdjustParams, SimilarityTrack
 
 
 def track_from_mapped(mapped):
@@ -26,12 +26,14 @@ def track_from_mapped(mapped):
 
 
 class TestDelta:
-    @pytest.mark.parametrize("delta", [0, -1])
+    # a timeline is at most 2**32 - 1 frames long, as a feature header's
+    # uint32 frame count is, and so is a step
+    @pytest.mark.parametrize("delta", [0, -1, 2 ** 32, 2 ** 63])
     def test_validation(self, delta):
         t = track_from_mapped(np.full(10, 0.5))
         for make in (lambda: propose(t, 1, 1, 0, delta),
                      lambda: ProposalBatch([t], [0], delta),
-                     lambda: SlidingWindowPredictor(delta)):
+                     lambda: AdjustParams(delta=delta)):
             with pytest.raises(ContractViolation) as err:
                 make()
             assert err.value.context == {"delta": delta}
@@ -346,12 +348,14 @@ class TestProposalBatch:
         ids = [f"a{i:02d}" for i in range(len(tracks))]
         table = ProposalBatch(tracks, seeds, 2).propose(4, 6)
         kept = sorted(rng.choice(len(tracks), size=13, replace=False).tolist())
-        gather = TablePredictor(ids, table).table(
-            None, [ids[i] for i in kept], None, 4, 6)
+        predictor = TablePredictor(ids, table)
+        gather = predictor.table([ids[i] for i in kept], 4, 6)
         part = ProposalBatch([tracks[i] for i in kept],
                              [seeds[i] for i in kept], 2).propose(4, 6)
         for epoch in range(1, 7):
             assert gather.epoch(epoch).tuples() == part.epoch(epoch).tuples()
+        # all the ids in order: the stored arrays themselves, no copy
+        assert all(a is b for a, b in zip(predictor.table(ids, 4, 6), table))
 
     @pytest.mark.parametrize("epoch", [0, 4])
     def test_epoch_outside_the_table(self, epoch):
@@ -427,7 +431,7 @@ class TestFilePredictor:
                              for s, e, c in preds]}) for j, a, preds in recs))
         fp = FilePredictor(path)
         t = track_from_mapped(np.full(16, 0.5))
-        got = fp.table(None, ["a1", "a0"], None, 2, 1).epoch(1)
+        got = fp.table(["a1", "a0"], 2, 1).epoch(1)
         assert got.count.tolist() == [2, 2]
         assert got.tuples() == [
             tuple((p.boundary.start, p.boundary.end, p.confidence)
@@ -436,14 +440,14 @@ class TestFilePredictor:
         assert got.tuples() == [((6, 8, 0.3), (6, 8, 0.3)),
                                 ((2, 9, 0.8), (0, 4, 0.2))]
         with pytest.raises(PredictorError) as err:
-            fp.table(None, ["a0", "a1"], None, 2, 2)
+            fp.table(["a0", "a1"], 2, 2)
         assert err.value.context == {"annotation_id": "a1", "epoch": 2}
-        assert fp.table(None, [], None, 3, 1).start.shape == (1, 0, 3)
+        assert fp.table([], 3, 1).start.shape == (1, 0, 3)
         # a huge U: as wide as the longest record, not U
-        huge = fp.table(None, ["a1", "a0"], None, 10 ** 6, 1)
+        huge = fp.table(["a1", "a0"], 10 ** 6, 1)
         assert huge.start.shape == (1, 2, 3)
         assert huge.epoch(1).tuples() == \
-            fp.table(None, ["a1", "a0"], None, 3, 1).epoch(1).tuples()
+            fp.table(["a1", "a0"], 3, 1).epoch(1).tuples()
 
     @pytest.mark.parametrize("line", [
         '{"epoch": 1, "annotation_id": "a0", "predictions": [',  # bad JSON
@@ -564,23 +568,27 @@ class TestFilePredictorOracle:
                    if (j, aid) not in records]
         if missing:
             with pytest.raises(PredictorError) as err:
-                fp.table(None, ids, None, U, epochs)
+                fp.table(ids, U, epochs)
             j, aid = missing[0]
             assert err.value.context == {"annotation_id": aid, "epoch": j}
             return
-        table = fp.table(None, ids, None, U, epochs)
+        table = fp.table(ids, U, epochs)
         for j in range(1, epochs + 1):
             assert table.epoch(j).tuples() == [
                 tuple(records[(j, aid)][:U]) for aid in ids]
 
     def test_unreached_epochs_match_no_lookup(self, tmp_path):
+        """Only epochs 1 to MAX_EPOCHS, which a run can ask for, are
+        indexed."""
         fp = self.write(tmp_path, [replay_line(j, "a0", [(1, 2, 0.5)])
-                                   for j in REPLAY_EPOCHS])
+                                   for j in REPLAY_EPOCHS +
+                                   [MAX_EPOCHS, MAX_EPOCHS + 1]])
         t = track_from_mapped(np.full(16, 0.5))
-        for j in (-1, 0, 1, 2 ** 62):
+        for j in (-1, 0, 1, MAX_EPOCHS + 1, 2 ** 62):
             with pytest.raises(PredictorError) as err:
                 fp.for_annotation("a0", t, U=5, epoch=j)
             assert err.value.context == {"annotation_id": "a0", "epoch": j}
+        assert len(fp.for_annotation("a0", t, U=5, epoch=MAX_EPOCHS)) == 1
 
     @pytest.mark.parametrize("lines, line, value", [
         # a start overflow on a later line before an end overflow
@@ -639,4 +647,4 @@ class TestFilePredictorOracle:
         n = s.size
         assert (peak - base) / n < 64, (peak - base) / n
         assert (current - base) / n < 40, (current - base) / n
-        assert fp.table(None, ["v00000-a1"], None, 5, 15).count.sum() == 75
+        assert fp.table(["v00000-a1"], 5, 15).count.sum() == 75
