@@ -273,19 +273,26 @@ def _cmd_refine(args, cfg):
     return 0
 
 
+def _proposals(args, manifest, params, delta):
+    """The run's prediction table, over the manifest's sorted ids.  A bad
+    --predictions file is reported before an unrefined corpus, and that
+    before a missing record; the parsed file is freed on return."""
+    replay = FilePredictor(args.predictions) if args.predictions else None
+    check_adjusted(manifest)
+    ids = sorted(manifest.annotations.ids)
+    U, epochs = params.predictions_per_query, params.epochs
+    if args.predictions:
+        return replay.table(ids, U, epochs)
+    return sliding_windows(compute_tracks(manifest), ids, params.seed, delta,
+                           U, epochs)
+
+
 def _cmd_correct(args, cfg):
     manifest = read_manifest(args.manifest)
     params = _correction_params(cfg)
-    if args.predictions:
-        predictor = FilePredictor(args.predictions)
-    else:  # a corpus that cannot be corrected gets no proposals
-        check_adjusted(manifest)
-        predictor = sliding_windows(
-            compute_tracks(manifest), sorted(manifest.annotations.ids),
-            params.seed, cfg["delta"], params.predictions_per_query,
-            params.epochs)
-    corrected, trace = run_correction(manifest, predictor, params)
-    del manifest, predictor  # freed before the writers build their text
+    corrected, trace = run_correction(
+        manifest, _proposals(args, manifest, params, cfg["delta"]), params)
+    del manifest  # freed before the writers build their text
     prov = _provenance(cfg)
     trace_path = args.trace or args.out_manifest + ".trace.jsonl"
     _parent_dirs(args.out_manifest, trace_path)
@@ -298,10 +305,12 @@ def _cmd_correct(args, cfg):
 
 def _cmd_pipeline(args, cfg):
     manifest = read_manifest(args.manifest)
-    os.makedirs(args.out_dir, exist_ok=True)
     refined, report, corrected, trace = run_pipeline(
         manifest, CleanParams(cfg["clean_ratio"]), _adjust_params(cfg),
         _correction_params(cfg))
+    # made once the run has passed every check, so a rejected run leaves
+    # no directory behind
+    os.makedirs(args.out_dir, exist_ok=True)
     prov = _provenance(cfg)
     write_manifest(replace(refined, provenance=prov),
                    os.path.join(args.out_dir, "refined.json"))

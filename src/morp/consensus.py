@@ -1,18 +1,17 @@
 """Memory-consensus correction of adjusted pseudo boundaries.
 
 Each annotation owns an ordered memory bank seeded with its adjusted
-boundary.  Every epoch the predictor's most confident proposal is
-inserted, and the bank instance with the highest summed IoU against the
-rest becomes the consensus pick.  After the final epoch the consensus
-pick replaces the annotation's boundary.
+boundary.  Every epoch its most confident prediction is inserted, and
+the bank instance with the highest summed IoU against the rest becomes
+the consensus pick.  After the final epoch the consensus pick replaces
+the annotation's boundary.
 
-:func:`run_correction` works on arrays over all annotations: it asks the
-predictor for the run's whole (epochs, A, W) table of predictions in one
-``table(ids, U, epochs)`` call, takes every epoch's insert with one
-argmax over the table's padded confidences, and lays each annotation's
-seed and inserts out as one row.  An epoch's banks are then a window of
-those columns, and the consensus is taken on (rows, n, n) IoU tensors, a
-block of rows at a time.
+:func:`run_correction` works on arrays over all annotations: it takes
+the run's whole (epochs, A, W) table of predictions, takes every
+epoch's insert with one argmax over its padded confidences, and lays
+each annotation's seed and inserts out as one row.  An epoch's banks
+are then a window of those columns, and the consensus is taken on
+(rows, n, n) IoU tensors, a block of rows at a time.
 :class:`MemoryBank`, :func:`consensus_scores`, :func:`select_consensus`
 and :func:`select_insert` do the same for one annotation and are the
 reference the tests hold the arrays to.
@@ -289,22 +288,22 @@ def check_adjusted(manifest: CorpusManifest):
         )
 
 
-def run_correction(manifest: CorpusManifest, predictor,
+def run_correction(manifest: CorpusManifest, proposals: EpochPredictions,
                    params: CorrectionParams):
     """Run the epoch loop over a refined corpus.
 
     Every annotation must arrive with status ``adjusted``.  For each
-    epoch and annotation, the predictor's highest-confidence proposal is
-    inserted into the annotation's bank, the consensus pick is computed
-    and recorded in the trace.  The corrected boundary is the consensus
+    epoch and annotation, the highest-confidence prediction is inserted
+    into the annotation's bank, the consensus pick is computed and
+    recorded in the trace.  The corrected boundary is the consensus
     pick of the final epoch.  Fully deterministic given the
     predictions; results do not depend on the processing order.
 
-    The annotations are sorted by id, and the predictions come from one
-    ``predictor.table(ids, U, epochs)`` call, as an
-    :class:`EpochPredictions` table whose epoch j row i belongs to
-    ``ids[i]``.  Every epoch's predictions are checked, in epoch order,
-    before any is used.
+    ``proposals`` is an :class:`EpochPredictions` table over
+    ``params.epochs`` epochs whose row i of each epoch belongs to the
+    i-th of the manifest's annotation ids, sorted; another shape is a
+    ContractViolation.  Every epoch's predictions are checked, in epoch
+    order, before any is used.
     Each annotation's seed and inserts form one row of (A, 1 + epochs)
     boundaries, and epoch j's bank is its seed and its last inserts up
     to epoch j, as many as the capacity leaves room for
@@ -315,7 +314,10 @@ def run_correction(manifest: CorpusManifest, predictor,
     order = sorted(range(len(table)), key=table.ids.__getitem__)
     ids = [table.ids[i] for i in order]
     U = params.predictions_per_query
-    proposals = predictor.table(ids, U, params.epochs)
+    if proposals.count.shape != (params.epochs, len(order)):
+        raise ContractViolation("prediction table does not match the run",
+                                expected=[params.epochs, len(order)],
+                                actual=list(proposals.count.shape))
     T = table.timeline[order]
     for j in range(1, params.epochs + 1):
         _check_predictions(proposals.epoch(j), U, T, ids, j)

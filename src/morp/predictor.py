@@ -18,7 +18,7 @@ The mean-contrast margin keeps the intended ordering (the window hugging
 the relevant support scores highest) without that length bias.
 
 Two entry points compute the same proposals.  :func:`propose` handles
-one track at one epoch.  :class:`ProposalBatch` computes a correction
+one track at one epoch.  :func:`proposal_table` computes a correction
 run's whole table at once: a proposal depends on the track, its seed,
 the epoch and ``delta``, never on the memory bank, so every (track,
 epoch) pair is one row.  The rows of the tracks that share a timeline
@@ -53,13 +53,12 @@ are the same.
 Correction takes a whole run's predictions at once, as
 :class:`EpochPredictions`: padded start/end/confidence arrays over all
 epochs and annotations, at most U columns wide, plus a per-row count.
-A predictor has one method, ``table(ids, U, epochs)``, which returns
-that (epochs, annotations, W) table for epochs 1 to ``epochs``; row i
-of each epoch belongs to ``ids[i]``.  :class:`TablePredictor` serves a
-table computed beforehand, such as :func:`sliding_windows`' over a
-corpus' tracks, to runs over any of its ids; :class:`FilePredictor`
-gathers it from a JSON-lines file it parses once, and needs only each
-annotation's timeline length, never its features.
+:func:`sliding_windows` computes that (epochs, annotations, W) table
+from a corpus' tracks; :class:`FilePredictor` parses a JSON-lines file
+once and its :meth:`~FilePredictor.table` gathers the table from it,
+needing only each annotation's timeline length, never its features.
+Row i of each epoch belongs to the i-th of the ids the table was made
+for.
 """
 
 from __future__ import annotations
@@ -99,15 +98,15 @@ def annotation_seed(base_seed: int, annotation_id: str) -> int:
 class EpochPredictions(NamedTuple):
     """A run's predictions for A annotations over E epochs, as padded arrays.
 
-    Predictors return this table: (E, A, W) ``start``/``end`` (int64
+    Correction takes this table: (E, A, W) ``start``/``end`` (int64
     frames) and ``confidence`` (float64) arrays and an (E, A) ``count``;
     :meth:`epoch` takes one epoch of it as (A, W) views.  Row i of an
     epoch holds ``count[i]`` predictions, best first, in columns
     ``[0, count[i])``; the columns past ``count[i]`` are padding and
     carry no meaning.  The width W is at least 1 and at least every
-    count; a predictor makes it :meth:`width`, no wider than U or than
-    the most predictions a row can hold, so memory follows the output,
-    not U.
+    count; :func:`proposal_table` and :meth:`FilePredictor.table` make
+    it :meth:`width`, no wider than U or than the most predictions a row
+    can hold, so memory follows the output, not U.
     """
 
     start: np.ndarray
@@ -395,7 +394,7 @@ class _LengthGroup:
     and are cut into blocks, so a group of few tracks fills its blocks
     with epochs.
 
-    A block takes its rows' jitter offsets, which :class:`ProposalBatch`
+    A block takes its rows' jitter offsets, which :func:`proposal_table`
     draws per epoch for all tracks at once with :func:`_jitter_offsets`
     (``default_rng`` redraws only the rows whose bounded draw was
     rejected).  It scores the candidates in place in one (rows,
@@ -560,82 +559,55 @@ class _LengthGroup:
         out.count[epoch, self.tracks[pos]] = np.minimum(count, U)
 
 
-class ProposalBatch:
-    """:func:`propose` over a fixed list of tracks, every epoch in one call.
+def proposal_table(tracks, seeds, delta: int, U: int,
+                   epochs: int) -> EpochPredictions:
+    """:func:`propose` over a list of tracks, every epoch in one call.
 
-    ``propose(U, epochs)`` returns a table: :class:`EpochPredictions`
-    whose :meth:`~EpochPredictions.epoch` ``j`` row i holds exactly what
-    ``propose(tracks[i], U, j, seeds[i], delta)`` returns, for j from 1
-    to ``epochs``.  Support runs are found once, at construction.
+    Returns :class:`EpochPredictions` whose :meth:`~EpochPredictions.epoch`
+    ``j`` row i holds exactly what ``propose(tracks[i], U, j, seeds[i],
+    delta)`` returns, for j from 1 to ``epochs``.  Each track's support
+    runs are found once.
     """
-
-    def __init__(self, tracks, seeds, delta: int):
-        check_delta(delta)
-        tracks = list(tracks)
-        seeds = np.asarray([int(seed) & 0xFFFFFFFF for seed in seeds],
-                           dtype=np.int64)
-        if len(seeds) != len(tracks):
-            raise ContractViolation("need one seed per track",
-                                    tracks=len(tracks), seeds=len(seeds))
-        self.delta = delta
-        self._prefixes = [track.prefix for track in tracks]
-        support = [_support_candidates(track) for track in tracks]
-        by_len = {}
-        for i, track in enumerate(tracks):
-            by_len.setdefault(track.num_frames, []).append(i)
-        self._groups = [_LengthGroup(T, group, support, delta)
-                        for T, group in by_len.items()]
-        self._seeds = seeds
-        self._widest = max((g.n_candidates for g in self._groups), default=0)
-
-    def propose(self, U: int, epochs: int) -> EpochPredictions:
-        if U < 1 or epochs < 1:
-            raise ContractViolation("U and epochs must be >= 1", U=U,
-                                    epochs=epochs)
-        # a group with fewer usable fractions takes a prefix of each row's
-        # draws, as propose's scalar draws are a prefix of the size-F draw
-        offsets = np.stack([_jitter_offsets(self._seeds, epoch, self.delta,
-                                            len(WINDOW_FRACTIONS))
-                            for epoch in range(1, epochs + 1)])
-        out = EpochPredictions.empty((epochs, len(self._seeds)),
-                                     EpochPredictions.width(U, self._widest))
-        for group in self._groups:
-            group.propose(U, self._prefixes, offsets, out)
-        return out
+    check_delta(delta)
+    tracks = list(tracks)
+    seeds = np.asarray([int(seed) & 0xFFFFFFFF for seed in seeds],
+                       dtype=np.int64)
+    if len(seeds) != len(tracks):
+        raise ContractViolation("need one seed per track",
+                                tracks=len(tracks), seeds=len(seeds))
+    if U < 1 or epochs < 1:
+        raise ContractViolation("U and epochs must be >= 1", U=U,
+                                epochs=epochs)
+    support = [_support_candidates(track) for track in tracks]
+    by_len = {}
+    for i, track in enumerate(tracks):
+        by_len.setdefault(track.num_frames, []).append(i)
+    groups = [_LengthGroup(T, group, support, delta)
+              for T, group in by_len.items()]
+    prefixes = [track.prefix for track in tracks]
+    # the blocks read only the groups and the prefix sums; dropping the
+    # rest, 600 track views among it, first lowered the traced peak of
+    # `morp pipeline` at 500 videos x 128 frames by 0.13 MB
+    del tracks, support, by_len
+    # a group with fewer usable fractions takes a prefix of each row's
+    # draws, as propose's scalar draws are a prefix of the size-F draw
+    offsets = np.stack([_jitter_offsets(seeds, epoch, delta,
+                                        len(WINDOW_FRACTIONS))
+                        for epoch in range(1, epochs + 1)])
+    widest = max((g.n_candidates for g in groups), default=0)
+    out = EpochPredictions.empty((epochs, len(seeds)),
+                                 EpochPredictions.width(U, widest))
+    for group in groups:
+        group.propose(U, prefixes, offsets, out)
+    return out
 
 
-class TablePredictor:
-    """Serves correction runs the rows of one :class:`ProposalBatch`
-    table, computed for the ``ids`` of a corpus at the runs' seed, U and
-    epoch count.
-
-    A run over any subset of ``ids`` gathers its rows, which equal a
-    table computed for that subset, so runs that keep different
-    annotations of one corpus share one table.
-    """
-
-    def __init__(self, ids, table: EpochPredictions):
-        self._ids = list(ids)
-        self._row = {aid: r for r, aid in enumerate(self._ids)}
-        self._table = table
-
-    def table(self, ids, U, epochs) -> EpochPredictions:
-        # a run over exactly the table's ids, in order, takes the stored
-        # table: gathering a copy raised the peak RSS of `morp pipeline`
-        # at 500 videos x 128 frames by 0.23 MB (2-CPU x86-64 Linux host)
-        if list(ids) == self._ids:
-            return self._table
-        rows = [self._row[aid] for aid in ids]
-        return EpochPredictions(*(a[:, rows] for a in self._table))
-
-
-def sliding_windows(tracks, ids, seed, delta, U, epochs) -> TablePredictor:
-    """The default predictor: the :class:`ProposalBatch` table over the
+def sliding_windows(tracks, ids, seed, delta, U, epochs) -> EpochPredictions:
+    """The default predictions: the :func:`proposal_table` over the
     tracks of ``ids``, each seeded by its :func:`annotation_seed`."""
-    table = ProposalBatch([tracks[i] for i in ids],
+    return proposal_table([tracks[i] for i in ids],
                           [annotation_seed(seed, i) for i in ids],
-                          delta).propose(U, epochs)
-    return TablePredictor(ids, table)
+                          delta, U, epochs)
 
 
 class FilePredictor:

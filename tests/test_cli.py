@@ -386,6 +386,34 @@ class TestCorrectReplay:
         assert obj["context"]["line"] == 3
 
 
+    def test_error_order(self, tmp_path, capsys):
+        """A malformed file is reported before the corpus is checked, an
+        unrefined corpus before any record is looked up, and a missing
+        record after that."""
+        refined = refine_corpus_file(tmp_path, capsys)
+        raw = tmp_path / "corpus" / "manifest.json"
+        preds = tmp_path / "preds.jsonl"
+        write_replay(preds, refined, epochs=1)
+
+        def correct(manifest):
+            code, _, err = run(capsys, "correct", "--manifest", str(manifest),
+                               "--out-manifest", str(tmp_path / "c.json"),
+                               "--predictions", str(preds), "--epochs", "2")
+            assert code == 1
+            obj = TestErrors.one_error(err)
+            return obj["code"], obj["message"]
+
+        # epoch 2 has no record, for the raw corpus' ids or the refined
+        assert correct(raw) == ("contract_violation",
+                                "run_correction expects adjusted annotations")
+        assert correct(refined) == (
+            "predictor_error", "no prediction record for annotation/epoch")
+        preds.write_text("not json\n" + preds.read_text())
+        assert correct(raw) == ("predictor_error",
+                                "malformed prediction record")
+        assert not (tmp_path / "c.json").exists()
+
+
 class TestColumnarPath:
     def test_no_annotation_records_built(self, tmp_path, capsys,
                                          monkeypatch):
@@ -632,6 +660,18 @@ class TestErrors:
         obj = self.one_error(err)
         assert obj["code"] == "contract_violation"
         assert obj["context"] == context
+
+    @pytest.mark.parametrize("flag,value", [("--delta", 2 ** 63 - 1),
+                                            ("--epochs", 0)])
+    def test_rejected_pipeline_makes_no_out_dir(self, tmp_path, capsys, flag,
+                                                value):
+        manifest = make_corpus(tmp_path, capsys)
+        code, _, err = run(capsys, "pipeline", "--manifest", str(manifest),
+                           "--out-dir", str(tmp_path / "run"), flag,
+                           str(value))
+        assert code == 1
+        assert self.one_error(err)["code"] == "contract_violation"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--out", "c", "--seed", "-1"],

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import annotation_table
 from morp.core import Boundary, ScoredBoundary
 from morp.errors import ContractViolation, PredictorError
-from morp.predictor import EpochPredictions, annotation_seed, sliding_windows
+from morp.predictor import (
+    EpochPredictions,
+    FilePredictor,
+    annotation_seed,
+    proposal_table,
+    sliding_windows,
+)
 from morp.consensus import (
     CONSENSUS_ROWS,
     CorrectionParams,
@@ -221,27 +227,31 @@ def make_refined_corpus(tmp_path, n_videos=4, seed=0):
     return refined
 
 
-class EchoPredictor:
-    """Predicts a fixed boundary per annotation, with confidence 1, every
-    epoch."""
+def echo_table(bounds, epochs, U=5):
+    """Predicts a fixed boundary per annotation id of ``bounds``, with
+    confidence 1, every epoch; rows in sorted id order."""
+    ids = sorted(bounds)
+    out = EpochPredictions.empty((epochs, len(ids)), U)
+    out.start[:, :, 0] = [bounds[i].start for i in ids]
+    out.end[:, :, 0] = [bounds[i].end for i in ids]
+    out.confidence[:, :, 0] = 1.0
+    out.count[:] = 1
+    return out
 
-    def __init__(self, bounds):
-        self.bounds = bounds
 
-    def table(self, ids, U, epochs):
-        out = EpochPredictions.empty((epochs, len(ids)), U)
-        out.start[:, :, 0] = [self.bounds[i].start for i in ids]
-        out.end[:, :, 0] = [self.bounds[i].end for i in ids]
-        out.confidence[:, :, 0] = 1.0
-        out.count[:] = 1
-        return out
+def replayed(path, manifest, params):
+    """The run's table replayed from a prediction file, over the
+    manifest's sorted ids."""
+    return FilePredictor(path).table(sorted(manifest.annotations.ids),
+                                     params.predictions_per_query,
+                                     params.epochs)
 
 
 class TestRunCorrection:
     def test_echoing_seed_is_identity(self, tmp_path):
         refined = make_refined_corpus(tmp_path)
         table = {a.annotation_id: a.boundary_frames for a in refined.annotations}
-        out, _ = run_correction(refined, EchoPredictor(table),
+        out, _ = run_correction(refined, echo_table(table, 1),
                                 CorrectionParams(epochs=1))
         for ann in out.annotations:
             assert ann.boundary_frames == table[ann.annotation_id]
@@ -251,7 +261,7 @@ class TestRunCorrection:
         refined = make_refined_corpus(tmp_path)
         target = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
                   for a in refined.annotations}
-        out, _ = run_correction(refined, EchoPredictor(target),
+        out, _ = run_correction(refined, echo_table(target, 2),
                                 CorrectionParams(epochs=2))
         for ann in out.annotations:
             assert ann.boundary_frames == target[ann.annotation_id]
@@ -268,70 +278,70 @@ class TestRunCorrection:
         spec = SynthSpec(n_videos=2, num_frames=32, dim=8, seed=0)
         raw = generate_corpus(spec, str(tmp_path / "raw"))
         with pytest.raises(ContractViolation):
-            run_correction(raw, EchoPredictor({}), CorrectionParams(epochs=1))
+            run_correction(raw, EpochPredictions.empty(
+                (1, len(raw.annotations)), 5), CorrectionParams(epochs=1))
 
     def test_predictor_error_identifies_annotation_and_epoch(self, tmp_path):
         refined = make_refined_corpus(tmp_path)
         ids = sorted(a.annotation_id for a in refined.annotations)
 
-        class WrongTimeline:
-            """Ends one annotation's prediction past its timeline."""
-
-            def table(self, ids, U, epochs):
-                out = EpochPredictions.empty((epochs, len(ids)), U)
-                out.end[:, :, 0] = [5, 999] + [5] * (len(ids) - 2)
-                out.confidence[:, :, 0] = 1.0
-                out.count[:] = 1
-                return out
-
+        # ends one annotation's prediction past its timeline
+        wrong_timeline = EpochPredictions.empty((1, len(ids)), 5)
+        wrong_timeline.end[:, :, 0] = [5, 999] + [5] * (len(ids) - 2)
+        wrong_timeline.confidence[:, :, 0] = 1.0
+        wrong_timeline.count[:] = 1
         with pytest.raises(PredictorError) as err:
-            run_correction(refined, WrongTimeline(), CorrectionParams(epochs=1))
+            run_correction(refined, wrong_timeline, CorrectionParams(epochs=1))
         assert err.value.context["annotation_id"] == ids[1]
         assert err.value.context["epoch"] == 1
         assert err.value.context["end"] == 999
 
-    def test_one_table_call_per_run(self, tmp_path):
-        """run_correction asks for one table, over the sorted ids, U and
-        the run's epoch count, and traces each of its epochs in order."""
+    @pytest.mark.parametrize("epochs,extra_rows", [
+        (4, 0),   # more epochs than the run
+        (1, 0),   # fewer epochs than the run
+        (2, -1),  # a row short
+        (2, 1),   # a row over
+    ])
+    def test_table_shape_must_match_the_run(self, tmp_path, epochs,
+                                            extra_rows):
+        """A table over other epochs or rows than the run's is one
+        ContractViolation naming both shapes; the run's own shape runs
+        and traces each of its epochs in order."""
         refined = make_refined_corpus(tmp_path)
-        table = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
-                 for a in refined.annotations}
-        echo = EchoPredictor(table)
-        calls = []
-
-        class Recorder:
-            def table(self, ids, U, epochs):
-                calls.append((list(ids), U, epochs))
-                return echo.table(ids, U, epochs)
-
-        params = CorrectionParams(epochs=3, seed=11, predictions_per_query=4)
-        _, trace = run_correction(refined, Recorder(), params)
-        ids = sorted(table)
-        assert calls == [(ids, 4, 3)]
+        bounds = {a.annotation_id: Boundary(2, 8, a.boundary_frames.timeline_len)
+                  for a in refined.annotations}
+        ids = sorted(bounds)
+        params = CorrectionParams(epochs=2, predictions_per_query=4)
+        _, trace = run_correction(refined, echo_table(bounds, 2, U=4), params)
         assert [r.epoch for r in trace.records] == \
-            [e for e in (1, 2, 3) for _ in ids]
+            [e for e in (1, 2) for _ in ids]
+
+        rows = ids[:len(ids) + extra_rows] + \
+            [f"extra{k}" for k in range(extra_rows)]
+        table = echo_table({aid: bounds.get(aid, Boundary(2, 8, 32))
+                            for aid in rows}, epochs, U=4)
+        with pytest.raises(ContractViolation) as err:
+            run_correction(refined, table, params)
+        assert err.value.context == {"expected": [2, len(ids)],
+                                     "actual": [epochs, len(rows)]}
 
     def test_too_many_predictions_rejected(self, tmp_path):
         refined = make_refined_corpus(tmp_path)
 
-        class TooMany:
-            def table(self, ids, U, epochs):
-                out = EpochPredictions.empty((epochs, len(ids)), U)
-                out.end[:] = 5
-                out.confidence[:] = 0.5
-                out.count[:] = U + 1
-                return out
-
+        too_many = EpochPredictions.empty((1, len(refined.annotations)), 3)
+        too_many.end[:] = 5
+        too_many.confidence[:] = 0.5
+        too_many.count[:] = 4
         with pytest.raises(PredictorError) as err:
-            run_correction(refined, TooMany(),
+            run_correction(refined, too_many,
                            CorrectionParams(epochs=1, predictions_per_query=3))
         assert "bad prediction count" in err.value.message
         assert err.value.context["count"] == 4
         assert err.value.context["U"] == 3
 
     def test_schedule_independence(self, tmp_path):
-        """Reversing the manifest's annotation order changes nothing,
-        though a table built in that order is then gathered by id."""
+        """Reversing the manifest's annotation order changes nothing:
+        correction reads the table's rows in sorted id order."""
         from dataclasses import replace
 
         from morp.refine import compute_tracks
@@ -341,7 +351,8 @@ class TestRunCorrection:
 
         def windows(manifest):
             return sliding_windows(compute_tracks(manifest),
-                                   manifest.annotations.ids, 5, 5, 5, 3)
+                                   sorted(manifest.annotations.ids),
+                                   5, 5, 5, 3)
 
         refined = make_refined_corpus(tmp_path, n_videos=6)
         n = len(refined.annotations)
@@ -380,8 +391,8 @@ class TestRunCorrection:
 
         refined = make_refined_corpus(tmp_path)
         _, trace = run_correction(refined,
-                                  EchoPredictor({a.annotation_id: a.boundary_frames
-                                                 for a in refined.annotations}),
+                                  echo_table({a.annotation_id: a.boundary_frames
+                                              for a in refined.annotations}, 2),
                                   CorrectionParams(epochs=2))
         path = tmp_path / "trace.jsonl"
         trace.write(path)
@@ -484,7 +495,6 @@ class TestBatchedCorrection:
         import tempfile
         from pathlib import Path
 
-        from morp.predictor import FilePredictor
 
         rng = np.random.default_rng(seed)
         manifest = replay_manifest(rng, n)
@@ -493,7 +503,8 @@ class TestBatchedCorrection:
         with tempfile.TemporaryDirectory() as tmp:
             path = write_predictions(Path(tmp) / "p.jsonl", manifest, epochs,
                                      rng)
-            out, trace = run_correction(manifest, FilePredictor(path), params)
+            out, trace = run_correction(
+                manifest, replayed(path, manifest, params), params)
             final, records = reference_correction(manifest,
                                                   FilePredictor(path), params)
         assert trace.records == records
@@ -505,7 +516,6 @@ class TestBatchedCorrection:
                                                                 tmp_path):
         import json
 
-        from morp.predictor import FilePredictor
 
         refined = make_refined_corpus(tmp_path)
         anns = sorted(refined.annotations, key=lambda a: a.annotation_id)
@@ -521,8 +531,8 @@ class TestBatchedCorrection:
         path = tmp_path / "p.jsonl"
         path.write_text("\n".join(lines))
         with pytest.raises(PredictorError) as err:
-            run_correction(refined, FilePredictor(path),
-                           CorrectionParams(epochs=2))
+            params = CorrectionParams(epochs=2)
+            run_correction(refined, replayed(path, refined, params), params)
         assert err.value.context["annotation_id"] == anns[1].annotation_id
         assert err.value.context["epoch"] == 2
         assert err.value.context["confidence"] == 1.5
@@ -531,7 +541,6 @@ class TestBatchedCorrection:
                                                               tmp_path):
         import json
 
-        from morp.predictor import FilePredictor
 
         refined = make_refined_corpus(tmp_path)
         anns = sorted(refined.annotations, key=lambda a: a.annotation_id)
@@ -546,8 +555,8 @@ class TestBatchedCorrection:
         path = tmp_path / "p.jsonl"
         path.write_text("\n".join(lines))
         with pytest.raises(PredictorError) as err:
-            run_correction(refined, FilePredictor(path),
-                           CorrectionParams(epochs=2))
+            params = CorrectionParams(epochs=2)
+            run_correction(refined, replayed(path, refined, params), params)
         assert "bad prediction count" in err.value.message
         assert err.value.context["annotation_id"] == anns[2].annotation_id
         assert err.value.context["epoch"] == 2
@@ -560,7 +569,6 @@ class TestBatchedCorrection:
         is reported ahead of an out-of-range prediction in epoch 1."""
         import json
 
-        from morp.predictor import FilePredictor
 
         refined = make_refined_corpus(tmp_path)
         anns = sorted(refined.annotations, key=lambda a: a.annotation_id)
@@ -577,42 +585,36 @@ class TestBatchedCorrection:
         path = tmp_path / "p.jsonl"
         path.write_text("\n".join(lines))
         with pytest.raises(PredictorError) as err:
-            run_correction(refined, FilePredictor(path),
-                           CorrectionParams(epochs=2))
+            params = CorrectionParams(epochs=2)
+            run_correction(refined, replayed(path, refined, params), params)
         assert "no prediction record" in err.value.message
         assert err.value.context == {"annotation_id": anns[1].annotation_id,
                                      "epoch": 2}
         with pytest.raises(PredictorError) as err:
-            run_correction(refined, FilePredictor(path),
-                           CorrectionParams(epochs=1))
+            params = CorrectionParams(epochs=1)
+            run_correction(refined, replayed(path, refined, params), params)
         assert err.value.context["annotation_id"] == anns[0].annotation_id
         assert err.value.context["end"] == 10 ** 6
 
     def test_sliding_windows_is_the_batch_over_annotation_seeds(
             self, tmp_path):
-        """sliding_windows is the ProposalBatch table over the tracks of
-        its ids, each seeded by its annotation seed, and a run over
-        exactly those ids takes that very table."""
-        from morp.predictor import ProposalBatch
+        """sliding_windows is the proposal_table over the tracks of its
+        ids, each seeded by its annotation seed."""
         from morp.refine import compute_tracks
 
         refined = make_refined_corpus(tmp_path)
         tracks = compute_tracks(refined)
         ids = sorted(a.annotation_id for a in refined.annotations)
-        predictor = sliding_windows(tracks, ids, 3, 4, 5, 3)
-        want = ProposalBatch([tracks[i] for i in ids],
-                             [annotation_seed(3, i) for i in ids],
-                             4).propose(5, 3)
-        got = predictor.table(ids, 5, 3)
+        got = sliding_windows(tracks, ids, 3, 4, 5, 3)
+        want = proposal_table([tracks[i] for i in ids],
+                              [annotation_seed(3, i) for i in ids], 4, 5, 3)
         for a, b_ in zip(got, want):
             np.testing.assert_array_equal(a, b_)
-        assert all(a is b_ for a, b_ in zip(got, predictor.table(ids, 5, 3)))
 
     @pytest.mark.parametrize("kind", ["sliding_window", "file"])
     def test_epochs_of_a_table_share_no_memory(self, tmp_path, kind):
         """The trace stores each epoch's arrays of the table, so no
         epoch's arrays may be the memory of another's."""
-        from morp.predictor import FilePredictor
         from morp.refine import compute_tracks
 
         refined = make_refined_corpus(tmp_path)
@@ -620,11 +622,9 @@ class TestBatchedCorrection:
         if kind == "file":
             path = write_predictions(tmp_path / "p.jsonl", refined, 2,
                                      np.random.default_rng(0))
-            predictor = FilePredictor(path)
+            table = FilePredictor(path).table(ids, 5, 2)
         else:
-            predictor = sliding_windows(compute_tracks(refined), ids, 0, 5,
-                                        5, 2)
-        table = predictor.table(ids, 5, 2)
+            table = sliding_windows(compute_tracks(refined), ids, 0, 5, 5, 2)
         first, second = table.epoch(1), table.epoch(2)
         for a, b_ in zip(first, second):
             assert not np.shares_memory(a, b_)
@@ -633,7 +633,6 @@ class TestBatchedCorrection:
         import json
 
         from morp.featstore import CorpusManifest, VideoEntry
-        from morp.predictor import FilePredictor
 
         videos = (VideoEntry("short", 10.0, 10, "short.vmrp"),
                   VideoEntry("long", 40.0, 40, "long.vmrp"))
@@ -649,7 +648,7 @@ class TestBatchedCorrection:
                 {"epoch": 1, "annotation_id": aid,
                  "predictions": [{"start": 0, "end": end, "confidence": 1.0}]})
                 for aid, end in (("a", end_a), ("b", 40))))
-            return FilePredictor(path)
+            return FilePredictor(path).table(["a", "b"], 5, 1)
 
         out, _ = run_correction(manifest, replay(10), CorrectionParams(epochs=1))
         assert [a.boundary_frames for a in out.annotations] == \
@@ -705,14 +704,14 @@ class TestTraceFormat:
         import json
 
         import morp.consensus
-        from morp.predictor import FilePredictor
 
         monkeypatch.setattr(morp.consensus, "TRACE_ROWS", 2)
         rng = np.random.default_rng(5)
         manifest = replay_manifest(rng, 7, ODD_IDS)
         path = write_predictions(tmp_path / "p.jsonl", manifest, 3, rng)
-        _, trace = run_correction(manifest, FilePredictor(path),
-                                  CorrectionParams(epochs=3))
+        params = CorrectionParams(epochs=3)
+        _, trace = run_correction(manifest, replayed(path, manifest, params),
+                                  params)
         trace.write(tmp_path / "trace.jsonl")
         assert (tmp_path / "trace.jsonl").read_bytes() == "".join(
             json.dumps(r.to_json_obj()) + "\n"
@@ -730,7 +729,6 @@ class TestTraceFormat:
         import tempfile
         from pathlib import Path
 
-        from morp.predictor import FilePredictor
 
         rng = np.random.default_rng(seed)
         manifest = replay_manifest(rng, len(ids), ids)
@@ -742,7 +740,8 @@ class TestTraceFormat:
             path = write_predictions(Path(tmp) / "p.jsonl", manifest, epochs,
                                      rng, max_count=U + 1,
                                      confidences=ODD_CONFIDENCES)
-            _, trace = run_correction(manifest, FilePredictor(path), params)
+            _, trace = run_correction(
+                manifest, replayed(path, manifest, params), params)
             trace.write(Path(tmp) / "trace.jsonl")
             written = (Path(tmp) / "trace.jsonl").read_bytes()
         records = trace.records

@@ -43,3 +43,40 @@ def test_sweep_equals_run_pipeline_per_value(tmp_path, knob, values):
     assert result.per_seed == per_seed
     assert result.metric == [sum(per_seed[s][i] for s in seeds) / len(seeds)
                              for i in range(len(values))]
+
+
+def test_subset_rows_of_a_superset_table(tmp_path, monkeypatch):
+    """_corrections computes one table over the union of its runs' kept
+    ids.  A run over a kept subset gets that subset's rows, which equal
+    the table computed for the subset alone, and is what lets a sweep
+    share one table; a run over all the ids, in order, gets the stored
+    arrays themselves, no copy."""
+    import morp.pipeline as pipeline
+    from morp.predictor import sliding_windows
+    from morp.refine import compute_tracks
+
+    manifest = generate_corpus(SynthSpec(n_videos=8, num_frames=48, dim=8),
+                               str(tmp_path / "c"))
+    p = CorrectionParams(epochs=6, predictions_per_query=4, seed=2)
+    tables, given = [], []
+    correct = pipeline.run_correction
+
+    def computed(*args):
+        tables.append(sliding_windows(*args))
+        return tables[-1]
+
+    def recorded(refined, proposals, params):
+        given.append((sorted(refined.annotations.ids), proposals))
+        return correct(refined, proposals, params)
+
+    monkeypatch.setattr(pipeline, "sliding_windows", computed)
+    monkeypatch.setattr(pipeline, "run_correction", recorded)
+    list(pipeline._corrections(manifest, [CleanParams(0.5), CleanParams(0.0)],
+                               AdjustParams(delta=2), p))
+    (table,) = tables
+    (kept, part), (ids, whole) = given
+    assert set(kept) < set(ids)
+    alone = sliding_windows(compute_tracks(manifest), kept, 2, 2, 4, 6)
+    for epoch in range(1, 7):
+        assert part.epoch(epoch).tuples() == alone.epoch(epoch).tuples()
+    assert all(a is b for a, b in zip(whole, table))

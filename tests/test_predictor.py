@@ -11,12 +11,11 @@ from morp.predictor import (
     MAX_EPOCHS,
     WINDOW_FRACTIONS,
     FilePredictor,
-    ProposalBatch,
-    TablePredictor,
     _jitter_offsets,
     _replica_draws,
     _support_candidates,
     propose,
+    proposal_table,
 )
 from morp.refine import AdjustParams, SimilarityTrack
 
@@ -32,7 +31,7 @@ class TestDelta:
     def test_validation(self, delta):
         t = track_from_mapped(np.full(10, 0.5))
         for make in (lambda: propose(t, 1, 1, 0, delta),
-                     lambda: ProposalBatch([t], [0], delta),
+                     lambda: proposal_table([t], [0], delta, 1, 1),
                      lambda: AdjustParams(delta=delta)):
             with pytest.raises(ContractViolation) as err:
                 make()
@@ -207,20 +206,20 @@ class TestJitterOffsets:
                                   np.array(want))
 
 
-class TestProposalBatch:
-    """ProposalBatch must return exactly what per-track propose returns."""
+class TestProposalTable:
+    """proposal_table must return exactly what per-track propose returns."""
 
     @settings(max_examples=300)
     @given(corpora(), deltas, st.integers(1, 40), st.integers(1, 20))
     def test_matches_propose(self, corpus, delta, U, epoch):
         tracks, seeds = corpus
-        batch = ProposalBatch(tracks, seeds, delta)
         # float equality compares confidences exactly
-        assert batch.propose(U, epoch).epoch(epoch).tuples() == \
+        assert proposal_table(tracks, seeds, delta, U, epoch).epoch(
+            epoch).tuples() == \
             oracle(tracks, seeds, U, epoch, delta)
 
     def test_offset_draw_matches_scalar_draws(self):
-        """The batch draws each track's F jitter offsets with one size-F
+        """The table draws each track's F jitter offsets with one size-F
         call; propose draws them one at a time.  NumPy does not document
         that the two agree, so check it over many seeds."""
         rng = np.random.default_rng(0)
@@ -236,7 +235,7 @@ class TestProposalBatch:
         rng = np.random.default_rng(0)
         tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(8)]
         seeds = rng.integers(0, 2 ** 32, size=8).tolist()
-        table = ProposalBatch(tracks, seeds, 5).propose(5, 15)
+        table = proposal_table(tracks, seeds, 5, 5, 15)
         for epoch in (1, 2, 15):
             assert table.epoch(epoch).tuples() == \
                 oracle(tracks, seeds, 5, epoch, 5)
@@ -246,7 +245,7 @@ class TestProposalBatch:
         lengths = [32, 48] * BLOCK_ROWS
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
         seeds = list(range(len(tracks)))
-        assert ProposalBatch(tracks, seeds, 5).propose(5, 3).epoch(3).tuples() == \
+        assert proposal_table(tracks, seeds, 5, 5, 3).epoch(3).tuples() == \
             oracle(tracks, seeds, 5, 3, 5)
 
     def test_more_than_one_pairwise_block_of_survivors(self):
@@ -257,14 +256,14 @@ class TestProposalBatch:
                   for T in (512, 512, 600, 700)]
         tracks.append(track_from_mapped(np.full(512, 0.3)))
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        got = ProposalBatch(tracks, seeds, 1).propose(1000, 4).epoch(4)
+        got = proposal_table(tracks, seeds, 1, 1000, 4).epoch(4)
         assert got.count.max() > 128
         assert got.tuples() == oracle(tracks, seeds, 1000, 4, 1)
 
     def test_u_above_survivor_count(self):
         rng = np.random.default_rng(3)
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in (17, 40, 64)]
-        got = ProposalBatch(tracks, [5, 6, 7], 5).propose(300, 2).epoch(2)
+        got = proposal_table(tracks, [5, 6, 7], 5, 300, 2).epoch(2)
         assert (got.count < 300).all()
         assert got.tuples() == oracle(tracks, [5, 6, 7], 300, 2, 5)
 
@@ -272,7 +271,7 @@ class TestProposalBatch:
     def test_flat_tracks(self, delta):
         tracks = [track_from_mapped(np.full(T, v))
                   for T, v in ((128, 0.5), (128, 0.0), (64, 1.0), (300, 0.7))]
-        table = ProposalBatch(tracks, [1, 2, 3, 4], delta).propose(7, 9)
+        table = proposal_table(tracks, [1, 2, 3, 4], delta, 7, 9)
         for epoch in (1, 9):
             assert table.epoch(epoch).tuples() == \
                 oracle(tracks, [1, 2, 3, 4], 7, epoch, delta)
@@ -285,14 +284,14 @@ class TestProposalBatch:
         peak = np.zeros(100)
         peak[:2] = (1.0, 0.7)
         tracks = [many, track_from_mapped(peak)]
-        got = ProposalBatch(tracks, [1, 2], 5).propose(10, 3).epoch(3)
+        got = proposal_table(tracks, [1, 2], 5, 10, 3).epoch(3)
         assert got.tuples() == oracle(tracks, [1, 2], 10, 3, 5)
 
     def test_rejected_jitter_draw(self):
         rng = np.random.default_rng(4)
         tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(3)]
         seeds = [11, REJECTED_SEED, 2 ** 32 + REJECTED_SEED]
-        assert ProposalBatch(tracks, seeds, 5).propose(40, 1).epoch(1).tuples() == \
+        assert proposal_table(tracks, seeds, 5, 40, 1).epoch(1).tuples() == \
             oracle(tracks, seeds, 40, 1, 5)
 
     def test_huge_u_is_no_wider_than_the_candidates(self):
@@ -301,7 +300,7 @@ class TestProposalBatch:
         rng = np.random.default_rng(5)
         tracks = [track_from_mapped(rng.uniform(0, 1, T))
                   for T in (64, 64, 40)]
-        got = ProposalBatch(tracks, [1, 2, 3], 5).propose(10 ** 6, 1).epoch(1)
+        got = proposal_table(tracks, [1, 2, 3], 5, 10 ** 6, 1).epoch(1)
         assert got.tuples() == oracle(tracks, [1, 2, 3], 10 ** 6, 1, 5)
         # the unjittered windows of the longest track, one every 5 frames;
         # jitter can only merge clipped starts
@@ -311,14 +310,14 @@ class TestProposalBatch:
         assert got.count.max() <= got.start.shape[1] <= windows + support
 
     def test_u_must_be_positive(self):
-        batch = ProposalBatch([track_from_mapped(np.full(10, 0.5))], [0], 5)
+        tracks = [track_from_mapped(np.full(10, 0.5))]
         with pytest.raises(ContractViolation):
-            batch.propose(0, 1)
+            proposal_table(tracks, [0], 5, 0, 1)
         with pytest.raises(ContractViolation):
-            batch.propose(1, 0)
+            proposal_table(tracks, [0], 5, 1, 0)
 
     def test_empty(self):
-        assert ProposalBatch([], [], 5).propose(5, 1).epoch(1).tuples() == []
+        assert proposal_table([], [], 5, 5, 1).epoch(1).tuples() == []
 
     def test_mixed_lengths_match_propose(self):
         """Rows are (track, epoch) pairs: each timeline length lays its
@@ -331,36 +330,16 @@ class TestProposalBatch:
         rng.shuffle(lengths)
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        table = ProposalBatch(tracks, seeds, 5).propose(5, 15)
+        table = proposal_table(tracks, seeds, 5, 5, 15)
         assert table.count.shape == (15, len(tracks))
         for epoch in range(1, 16):
             assert table.epoch(epoch).tuples() == \
                 oracle(tracks, seeds, 5, epoch, 5)
 
-    def test_subset_rows_of_a_superset_table(self):
-        """A kept subset's rows, gathered from a table over more tracks,
-        equal the table of that subset, which is what lets a sweep share
-        one table."""
-        rng = np.random.default_rng(8)
-        lengths = rng.choice([16, 33, 64], size=40).tolist()
-        tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
-        seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        ids = [f"a{i:02d}" for i in range(len(tracks))]
-        table = ProposalBatch(tracks, seeds, 2).propose(4, 6)
-        kept = sorted(rng.choice(len(tracks), size=13, replace=False).tolist())
-        predictor = TablePredictor(ids, table)
-        gather = predictor.table([ids[i] for i in kept], 4, 6)
-        part = ProposalBatch([tracks[i] for i in kept],
-                             [seeds[i] for i in kept], 2).propose(4, 6)
-        for epoch in range(1, 7):
-            assert gather.epoch(epoch).tuples() == part.epoch(epoch).tuples()
-        # all the ids in order: the stored arrays themselves, no copy
-        assert all(a is b for a, b in zip(predictor.table(ids, 4, 6), table))
-
     @pytest.mark.parametrize("epoch", [0, 4])
     def test_epoch_outside_the_table(self, epoch):
-        table = ProposalBatch([track_from_mapped(np.full(10, 0.5))], [0],
-                              5).propose(5, 3)
+        table = proposal_table([track_from_mapped(np.full(10, 0.5))], [0],
+                               5, 5, 3)
         with pytest.raises(ContractViolation):
             table.epoch(epoch)
 
@@ -385,12 +364,12 @@ class TestSplitLengthGroup:
             lengths.insert(i, 96)
         tracks = [plateau(T) for T in lengths]
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        batch = ProposalBatch(tracks, seeds, 5)
-        table = batch.propose(5, 15)
+        table = proposal_table(tracks, seeds, 5, 5, 15)
         for epoch in (1, 15):
             got = table.epoch(epoch)
             assert got.tuples() == oracle(tracks, seeds, 5, epoch, 5)
-        survivors = batch.propose(200, 1).count[0, np.array(lengths) == 128]
+        survivors = proposal_table(tracks, seeds, 5, 200, 1).count[
+            0, np.array(lengths) == 128]
         assert 30 <= np.median(survivors) <= 38
 
 
