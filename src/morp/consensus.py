@@ -257,10 +257,10 @@ def _format_rows(epoch, bank_size, ids, inserted, consensus, start, end,
 
 
 def _check_predictions(preds: EpochPredictions, U, T, annotation_ids, epoch):
-    """Raise PredictorError for the first annotation whose predictions
-    are not 1..U boundaries 0 <= start < end <= T with confidences in [0, 1]."""
+    """Raise PredictorError for the first annotation with no predictions
+    or one not a boundary 0 <= start < end <= T with confidence in [0, 1]."""
     s, e, c = preds.start, preds.end, preds.confidence
-    bad_count = (preds.count < 1) | (preds.count > U)
+    bad_count = preds.count < 1
     bad = preds.valid() & ~((s >= 0) & (s < e) & (e <= T[:, None]) &
                             (c >= 0.0) & (c <= 1.0))
     rows = np.flatnonzero(bad_count | bad.any(axis=1))
@@ -301,9 +301,9 @@ def run_correction(manifest: CorpusManifest, proposals: EpochPredictions,
 
     ``proposals`` is an :class:`EpochPredictions` table over
     ``params.epochs`` epochs whose row i of each epoch belongs to the
-    i-th of the manifest's annotation ids, sorted; another shape is a
-    ContractViolation.  Every epoch's predictions are checked, in epoch
-    order, before any is used.
+    i-th of the manifest's annotation ids, sorted; another shape, or a
+    row of more than U predictions, is a ContractViolation.  Every
+    epoch's predictions are checked, in epoch order, before any is used.
     Each annotation's seed and inserts form one row of (A, 1 + epochs)
     boundaries, and epoch j's bank is its seed and its last inserts up
     to epoch j, as many as the capacity leaves room for
@@ -318,6 +318,13 @@ def run_correction(manifest: CorpusManifest, proposals: EpochPredictions,
         raise ContractViolation("prediction table does not match the run",
                                 expected=[params.epochs, len(order)],
                                 actual=list(proposals.count.shape))
+    # predictors cut rows to U: a longer row is a table for another run
+    over = np.argwhere(proposals.count > U)
+    if len(over):
+        j, i = over[0].tolist()
+        raise ContractViolation("prediction row longer than U",
+                                annotation_id=ids[i], epoch=j + 1,
+                                count=int(proposals.count[j, i]), U=U)
     T = table.timeline[order]
     for j in range(1, params.epochs + 1):
         _check_predictions(proposals.epoch(j), U, T, ids, j)

@@ -27,8 +27,8 @@ length T are laid out epoch after epoch and cut into blocks of at most
 block enumerates, scores, ranks and NMS-suppresses its rows with array
 operations.  Per row it performs the same elementwise arithmetic as
 :func:`propose`, so its output equals :func:`propose`'s bit for bit; the
-tests keep :func:`propose` as the reference.  Two steps differ in form
-only:
+tests keep :func:`propose` as the reference.  Three steps differ in
+form only:
 
 - The jitter offsets of every track are drawn at once per epoch by
   :func:`_jitter_offsets`, a numpy replica of ``default_rng([seed,
@@ -39,16 +39,17 @@ only:
   and takes ``exp`` and the row sum on one contiguous (rows, n) array per
   survivor count n, which sums each row as pairwise as the 1-D sum of
   its n survivors does.
+- NMS tests ``inter / union > NMS_IOU`` in integers, as ``3 * inter >
+  len_i + len_j``.  With ``NMS_IOU`` = 1/2 and frames below 2**53 the
+  division rounds correctly, so the two tests agree on every pair, and
+  a negative overlap, which :func:`propose` clips to 0, fails both.
 
 A block's memory is bounded by how many (rows, candidates) arrays are
 alive at once, so the block path computes in place: the contrast margin
 is built up in one scores array with ``out=`` and in-place operators,
-each candidate array is released once its rank-ordered copy exists, and
-each NMS step writes the intersection into the gathered copy of the
-later ranks' ends and builds the union in the gathered copy of their
-lengths.  Each element still goes through :func:`propose`'s
-floating-point operations in :func:`propose`'s order, so the results
-are the same.
+and each candidate array is released once its rank-ordered copy exists.
+Each score still goes through :func:`propose`'s floating-point
+operations in :func:`propose`'s order, so the results are the same.
 
 Correction takes a whole run's predictions at once, as
 :class:`EpochPredictions`: padded start/end/confidence arrays over all
@@ -376,10 +377,10 @@ def _jitter_offsets(seeds, epoch, jitter, F):
 # rows of one timeline length.  Larger blocks pay the per-rank-position
 # NMS loop overhead fewer times but hold larger (rows, candidates)
 # arrays.  On `morp pipeline` at 500 videos x 128 frames (600 kept
-# tracks, 119 candidates each), 128- and 256-row blocks both peaked at
-# 43.0 MB RSS, and 256 rows ran the pipeline 14% faster.  384-row
-# blocks peaked at 43.7 MB and 600-row blocks at 45.3 MB, for at most 4%
-# less wall time than 256 rows (2-CPU x86-64 Linux host, NumPy 2.4).
+# tracks, 119 candidates each; medians of 5 runs), 128- and 256-row
+# blocks peaked at 41.3 and 41.2 MB RSS, and 256 rows ran 12% faster.  At
+# 384 and 600 rows the peak was 42.1 and 43.6 MB, for 4% and 13% less
+# wall time than 256 rows (2-CPU x86-64 Linux host, NumPy 2.4).
 BLOCK_ROWS = 256
 
 
@@ -397,15 +398,14 @@ class _LengthGroup:
     A block takes its rows' jitter offsets, which :func:`proposal_table`
     draws per epoch for all tracks at once with :func:`_jitter_offsets`
     (``default_rng`` redraws only the rows whose bounded draw was
-    rejected).  It scores the candidates in place in one (rows,
-    candidates) array, gathers starts, ends, the alive mask and the
-    scores into rank order, dropping each unsorted array as soon as its
-    sorted copy exists, and runs the NMS loop over rank positions.  Each
-    step of that loop gathers the later ranks of the rows alive at it
-    once and computes the intersection and union into those copies.  The
-    softmax then packs each row's survivors to the left and works on one
-    contiguous array per survivor count, so every row's sum rounds as
-    :func:`propose`'s 1-D sum does.
+    rejected), and a stack of its rows' prefix sums.  It scores the
+    candidates in place in one (rows, candidates) array, gathers starts,
+    ends, the alive mask and the scores into rank order, dropping each
+    unsorted array as soon as its sorted copy exists, and runs the NMS
+    loop over rank positions; each step tests the later ranks of the rows
+    alive at it in integers.  The softmax then packs each row's survivors
+    to the left and works on one contiguous array per survivor count, so
+    every row's sum rounds as :func:`propose`'s 1-D sum does.
     """
 
     def __init__(self, T, tracks, support, delta):
@@ -437,16 +437,14 @@ class _LengthGroup:
         """Write propose(track, U, epoch, seed, delta) of every (track,
         epoch) row of the group into out, given every track's prefix sums
         and the (epochs, tracks, fractions) jitter offsets."""
-        # stacked per group and dropped after it: a stack of every group
-        # at once would duplicate every track's prefix array
-        prefix = np.stack([prefixes[i] for i in self.tracks.tolist()])
         n = len(self.tracks)
         rows = n * len(offsets)
         for lo in range(0, rows, BLOCK_ROWS):
             epoch, pos = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, rows)),
                                    n)
-            self._block(U, prefix, pos, epoch,
-                        offsets[epoch, self.tracks[pos], :self.n_fractions],
+            track = self.tracks[pos]
+            self._block(U, np.stack([prefixes[i] for i in track.tolist()]),
+                        pos, epoch, offsets[epoch, track, :self.n_fractions],
                         out)
 
     def _candidates(self, pos, offsets):
@@ -470,13 +468,12 @@ class _LengthGroup:
 
     def _block(self, U, prefix, pos, epoch, offsets, out: EpochPredictions):
         """Write the rows (track at group position pos[r], epoch index
-        epoch[r]) into out."""
+        epoch[r], prefix sums prefix[r]) into out."""
         T = self.T
         starts, ends, valid = self._candidates(pos, offsets)
 
         # _contrast_margin, elementwise over the block and in place:
         # scores holds inside, then inside_mean, then the margin
-        prefix = prefix[pos]
         scores = np.take_along_axis(prefix, ends, axis=1)
         scores -= np.take_along_axis(prefix, starts, axis=1)
         outside = np.subtract(prefix[:, T, None], scores)
@@ -505,23 +502,16 @@ class _LengthGroup:
         e = np.take_along_axis(ends, order, axis=1)
         del ends, order
         length = e - s
-        # hi and lo start as gathered copies of the later ranks' ends and
-        # starts, and hi becomes the intersection; lo is released before
-        # union is gathered and built in place
+        # propose's IoU test in integers, unclipped (module docstring)
         for i in range(s.shape[1] - 1):
             rows = np.flatnonzero(alive[:, i])
             if rows.size == 0:
                 continue
-            hi = e[rows, i + 1:]
-            lo = s[rows, i + 1:]
-            np.minimum(hi, e[rows, i, None], out=hi)
-            np.maximum(lo, s[rows, i, None], out=lo)
-            inter = np.maximum(np.subtract(hi, lo, out=hi), 0, out=hi)
-            del lo
-            union = length[rows, i + 1:]
-            union += length[rows, i, None]
-            union -= inter
-            alive[rows, i + 1:] &= ~(inter / union > NMS_IOU)
+            inter = np.minimum(e[rows, i + 1:], e[rows, i, None])
+            inter -= np.maximum(s[rows, i + 1:], s[rows, i, None])
+            inter *= 3
+            alive[rows, i + 1:] &= \
+                inter <= length[rows, i + 1:] + length[rows, i, None]
         del length
 
         # propose's softmax over each row's survivors.  The survivors are

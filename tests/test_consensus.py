@@ -326,18 +326,38 @@ class TestRunCorrection:
                                      "actual": [epochs, len(rows)]}
 
     def test_too_many_predictions_rejected(self, tmp_path):
+        """A row longer than U is a table made for another run: one
+        ContractViolation naming the first such row, raised before an
+        earlier epoch's out-of-range prediction is reported."""
         refined = make_refined_corpus(tmp_path)
+        ids = sorted(refined.annotations.ids)
 
-        too_many = EpochPredictions.empty((1, len(refined.annotations)), 3)
+        too_many = EpochPredictions.empty((2, len(ids)), 4)
         too_many.end[:] = 5
         too_many.confidence[:] = 0.5
-        too_many.count[:] = 4
-        with pytest.raises(PredictorError) as err:
+        too_many.count[:] = 3
+        too_many.confidence[0, 0, 0] = 1.5
+        too_many.count[1, 1:] = 4
+        with pytest.raises(ContractViolation) as err:
             run_correction(refined, too_many,
-                           CorrectionParams(epochs=1, predictions_per_query=3))
-        assert "bad prediction count" in err.value.message
-        assert err.value.context["count"] == 4
-        assert err.value.context["U"] == 3
+                           CorrectionParams(epochs=2, predictions_per_query=3))
+        assert err.value.context == {"annotation_id": ids[1], "epoch": 2,
+                                     "count": 4, "U": 3}
+
+    def test_table_for_a_larger_u_rejected(self, tmp_path):
+        """sliding_windows' table for U = 6 given to a U = 5 run."""
+        from morp.refine import compute_tracks
+
+        refined = make_refined_corpus(tmp_path)
+        ids = sorted(refined.annotations.ids)
+        table = sliding_windows(compute_tracks(refined), ids, 0, 5, 6, 2)
+        assert table.count.max() == 6
+        j, i = divmod(int(np.argmax(table.count.ravel() == 6)), len(ids))
+        with pytest.raises(ContractViolation) as err:
+            run_correction(refined, table,
+                           CorrectionParams(epochs=2, predictions_per_query=5))
+        assert err.value.context == {"annotation_id": ids[i], "epoch": j + 1,
+                                     "count": 6, "U": 5}
 
     def test_schedule_independence(self, tmp_path):
         """Reversing the manifest's annotation order changes nothing:

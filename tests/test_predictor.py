@@ -9,6 +9,7 @@ from morp.errors import ContractViolation, PredictorError
 from morp.predictor import (
     BLOCK_ROWS,
     MAX_EPOCHS,
+    NMS_IOU,
     WINDOW_FRACTIONS,
     FilePredictor,
     _jitter_offsets,
@@ -204,6 +205,53 @@ class TestJitterOffsets:
             want = [rng_offsets(int(s), epoch, jitter, 8) for s in seeds]
             assert np.array_equal(_jitter_offsets(seeds, epoch, jitter, 8),
                                   np.array(want))
+
+
+def float_suppress(s1, e1, s2, e2):
+    """propose's NMS test on int64 frames: IoU above NMS_IOU."""
+    inter = np.maximum(np.minimum(e1, e2) - np.maximum(s1, s2), 0)
+    return inter / ((e1 - s1) + (e2 - s2) - inter) > NMS_IOU
+
+
+def int_suppress(s1, e1, s2, e2):
+    """The proposal blocks' NMS test: 3 * overlap above the lengths' sum."""
+    return 3 * (np.minimum(e1, e2) - np.maximum(s1, s2)) > \
+        (e1 - s1) + (e2 - s2)
+
+
+# a (start, end) interval with 0 <= start < end <= 2**32
+frames_2_32 = st.lists(st.integers(0, 2 ** 32), min_size=2, max_size=2,
+                       unique=True).map(sorted)
+
+
+class TestIntegerSuppression:
+    """The blocks' integer NMS test equals propose's float one."""
+
+    def test_threshold_is_one_half(self):
+        # the integer form is inter / union > 1/2 and holds for no other
+        assert NMS_IOU == 0.5
+
+    def test_every_pair_up_to_64_frames(self):
+        """All 2,080 intervals with endpoints in [0, 64], every ordered
+        pair of them: 4,326,400 pairs."""
+        s, e = (a.astype(np.int64) for a in np.triu_indices(65, 1))
+        assert len(s) == 2080
+        for lo in range(0, len(s), 160):
+            s1, e1 = s[lo:lo + 160, None], e[lo:lo + 160, None]
+            assert np.array_equal(int_suppress(s1, e1, s, e),
+                                  float_suppress(s1, e1, s, e))
+
+    @settings(max_examples=300)
+    @given(frames_2_32, frames_2_32)
+    @example((0, 2), (0, 4))                                # IoU exactly 1/2
+    @example((0, 2 ** 32), (1, 2 ** 31 + 1))                # 1/2 at 2**32
+    @example((0, 2 ** 32), (0, 2 ** 31 + 1))                # just above 1/2
+    @example((0, 2 ** 31), (2 ** 31, 2 ** 32))              # touching
+    @example((0, 1), (2 ** 32 - 1, 2 ** 32))                # far apart
+    def test_endpoints_up_to_2_32(self, first, second):
+        (s1, e1), (s2, e2) = (np.asarray(p, dtype=np.int64)
+                              for p in (first, second))
+        assert int_suppress(s1, e1, s2, e2) == float_suppress(s1, e1, s2, e2)
 
 
 class TestProposalTable:
