@@ -7,9 +7,9 @@ the consensus pick.  After the final epoch the consensus pick replaces
 the annotation's boundary.
 
 :func:`run_correction` works on arrays over all annotations: it takes
-the run's whole (epochs, A, W) table of predictions, takes every
-epoch's insert with one argmax over its padded confidences, and lays
-each annotation's seed and inserts out as one row.  An epoch's banks
+the run's whole (epochs, A, W) table of predictions, takes each
+epoch's insert with an argmax over that epoch's padded confidences, and
+lays each annotation's seed and inserts out as one row.  An epoch's banks
 are then a window of those columns, and the consensus is taken on
 (rows, n, n) IoU tensors, a block of rows at a time.
 :class:`MemoryBank`, :func:`consensus_scores`, :func:`select_consensus`
@@ -303,7 +303,9 @@ def run_correction(manifest: CorpusManifest, proposals: EpochPredictions,
     ``params.epochs`` epochs whose row i of each epoch belongs to the
     i-th of the manifest's annotation ids, sorted; another shape, or a
     row of more than U predictions, is a ContractViolation.  Every
-    epoch's predictions are checked, in epoch order, before any is used.
+    epoch's predictions are checked, in epoch order, before its inserts
+    are taken from its (A, W) views, so no (epochs, A, W) temporary is
+    made and the first bad epoch raises before any bank is formed.
     Each annotation's seed and inserts form one row of (A, 1 + epochs)
     boundaries, and epoch j's bank is its seed and its last inserts up
     to epoch j, as many as the capacity leaves room for
@@ -326,18 +328,18 @@ def run_correction(manifest: CorpusManifest, proposals: EpochPredictions,
                                 annotation_id=ids[i], epoch=j + 1,
                                 count=int(proposals.count[j, i]), U=U)
     T = table.timeline[order]
-    for j in range(1, params.epochs + 1):
-        _check_predictions(proposals.epoch(j), U, T, ids, j)
-
-    # select_insert per (epoch, row): the earliest of the most confident
-    best = np.where(proposals.valid(), proposals.confidence,
-                    -np.inf).argmax(axis=-1)[..., None]
+    rows = np.arange(len(order))
     # (A, 1 + epochs, 2): each annotation's seed, then its inserts
-    bounds = np.stack([
-        np.column_stack([seed[order],
-                         np.take_along_axis(a, best, axis=-1)[..., 0].T])
-        for seed, a in ((table.start_f, proposals.start),
-                        (table.end_f, proposals.end))], axis=-1)
+    bounds = np.empty((len(order), 1 + params.epochs, 2), dtype=np.int64)
+    bounds[:, 0, 0] = table.start_f[order]
+    bounds[:, 0, 1] = table.end_f[order]
+    for j in range(1, params.epochs + 1):
+        preds = proposals.epoch(j)
+        _check_predictions(preds, U, T, ids, j)
+        # select_insert per row: the earliest of the most confident
+        best = np.where(preds.valid(), preds.confidence, -np.inf).argmax(1)
+        bounds[:, j, 0] = preds.start[rows, best]
+        bounds[:, j, 1] = preds.end[rows, best]
     # inserts a bank holds beside the seed; a capacity-1 bank holds none
     held = params.capacity - 1
     bank_size = []

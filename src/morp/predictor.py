@@ -719,15 +719,23 @@ class FilePredictor:
 
         No epoch past the highest one in the file has a record, so the
         lookup stops at the first such epoch: it finds the same first
-        missing record without an (epochs, ids) key array."""
+        missing record without an (epochs, ids) key array.  The records
+        are gathered into the table an epoch at a time."""
         looked = min(epochs, self._last_epoch + 1) if ids else epochs
         rows = self._rows(ids, range(1, looked + 1))
         first = self._offsets[rows]
-        count = np.minimum(self._offsets[rows + 1] - first, U)
-        cols = np.arange(EpochPredictions.width(U, self._widest))
-        idx = np.where(cols < count[..., None], first[..., None] + cols, -1)
-        return EpochPredictions(self._start[idx], self._end[idx],
-                                self._confidence[idx], count)
+        out = EpochPredictions.empty(rows.shape,
+                                     EpochPredictions.width(U, self._widest))
+        np.minimum(self._offsets[rows + 1] - first, U, out=out.count)
+        del rows
+        cols = np.arange(out.start.shape[-1])
+        for j, (count, lo) in enumerate(zip(out.count, first)):
+            # one epoch's (A, W) gather at a time
+            idx = np.where(cols < count[:, None], lo[:, None] + cols, -1)
+            for column, a in zip((self._start, self._end, self._confidence),
+                                 out):
+                column.take(idx, out=a[j])
+        return out
 
     def for_annotation(self, annotation_id, track, U, epoch):
         row = self._rows([annotation_id], [epoch])[0, 0]

@@ -10,8 +10,9 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from morp.cli import main
+from morp.cli import _sha256_hex, main
 from morp.predictor import MAX_EPOCHS
 
 
@@ -561,6 +562,82 @@ class TestSweep:
             "--videos", "6", "--frames", "64", "--dim", "8", "--epochs", "2")
         assert code == 0, err
         assert calls == corpora
+
+
+class TestProvenance:
+    @given(st.binary(max_size=300))
+    @example(b"")
+    @example(b"\0" * 55)  # the last length that pads into one block
+    @example(b"\0" * 56)
+    @example(b"\xff" * 63)
+    @example(b"\xff" * 64)
+    @example(b"a" * 119)
+    @example(b"a" * 120)
+    @example(json.dumps({"note": "vidéo 動画 ✓", "seed": 0},
+                        ensure_ascii=False, sort_keys=True).encode())
+    def test_sha256_matches_hashlib(self, data):
+        import hashlib
+
+        assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    # config hashes written by the hashlib-based digest the Python one
+    # replaced, for the same flags and defaults
+    @pytest.mark.parametrize("command, argv, artifact, golden", [
+        ("refine", ["--clean-ratio", "0.3", "--delta", "4"],
+         "refined.json", "48368a50b94f2661"),
+        ("pipeline", ["--epochs", "2", "--u", "3"], "corrected.json",
+         "6fd6db0c17439a63"),
+    ])
+    def test_config_hash_is_unchanged(self, tmp_path, capsys, command, argv,
+                                      artifact, golden):
+        manifest = make_corpus(tmp_path, capsys)
+        out = tmp_path / "out"
+        target = (["--out-manifest", str(out / "refined.json")]
+                  if command == "refine" else ["--out-dir", str(out)])
+        code, _, err = run(capsys, command, "--manifest", str(manifest),
+                           *target, "--seed", "3", *argv)
+        assert code == 0, err
+        prov = json.loads((out / artifact).read_text())["provenance"]
+        assert prov["config_hash"] == golden
+
+    @staticmethod
+    def loaded(code):
+        """Which of _hashlib and numpy.random a new Python process that
+        runs ``code`` has imported."""
+        import subprocess
+        import sys
+
+        probe = ("\nimport json, sys\nprint(json.dumps([m for m in "
+                 "('_hashlib', 'numpy.random') if m in sys.modules]))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code + probe],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_no_command_loads_openssl(self, tmp_path):
+        """No morp command loads OpenSSL's _hashlib unless the NumPy
+        modules it imports do on their own: `import numpy` alone, or with
+        numpy.random, which imports secrets and so hmac."""
+        corpus, refined = tmp_path / "c", tmp_path / "r" / "refined.json"
+        commands = [
+            ["synth", "--out", str(corpus), "--videos", "6", "--frames",
+             "64", "--dim", "8"],
+            ["refine", "--manifest", str(corpus / "manifest.json"),
+             "--out-manifest", str(refined)],
+            ["correct", "--manifest", str(refined), "--out-manifest",
+             str(tmp_path / "c.json"), "--epochs", "2"],
+            ["pipeline", "--manifest", str(corpus / "manifest.json"),
+             "--out-dir", str(tmp_path / "p"), "--epochs", "2"],
+        ]
+        bare = {False: self.loaded("import numpy"),
+                True: self.loaded("import numpy, numpy.random")}
+        for argv in commands:
+            mods = self.loaded(f"from morp.cli import main\n"
+                               f"assert main({argv!r}) == 0")
+            baseline = bare["numpy.random" in mods]
+            assert "_hashlib" not in mods - baseline, argv[0]
 
 
 class TestErrors:
