@@ -19,16 +19,17 @@ the relevant support scores highest) without that length bias.
 
 Two entry points compute the same proposals.  :func:`propose` handles
 one track at one epoch.  :func:`proposal_table` computes a correction
-run's whole table at once: a proposal depends on the track, its seed,
-the epoch and ``delta``, never on the memory bank, so every (track,
-epoch) pair is one row.  The rows of the tracks that share a timeline
-length T are laid out epoch after epoch and cut into blocks of at most
-``BLOCK_ROWS`` rows; each track's support runs are found once, and each
-block enumerates, scores, ranks and NMS-suppresses its rows with array
-operations.  Per row it performs the same elementwise arithmetic as
-:func:`propose`, so its output equals :func:`propose`'s bit for bit; the
-tests keep :func:`propose` as the reference.  Three steps differ in
-form only:
+run's whole table at once from a corpus' tracks: a proposal depends on
+the track, its seed, the epoch and ``delta``, never on the memory bank,
+so every (track, epoch) pair is one row.  The rows of the tracks that
+share a timeline length T are laid out epoch after epoch and cut into
+blocks of at most ``BLOCK_ROWS`` rows; each track's support runs are
+found once in its mapped row, and each block gathers its prefix rows
+from the corpus' block of length T, then enumerates, scores, ranks and
+NMS-suppresses them with array operations.  Per row it performs the
+same elementwise arithmetic as :func:`propose`, so its output equals
+:func:`propose`'s bit for bit; the tests keep :func:`propose` as the
+reference.  Three steps differ in form only:
 
 - The jitter offsets of every track are drawn at once per epoch by
   :func:`_jitter_offsets`, a numpy replica of ``default_rng([seed,
@@ -147,15 +148,15 @@ class EpochPredictions(NamedTuple):
                 for i, k in enumerate(self.count.tolist())]
 
 
-def _support_candidates(track: SimilarityTrack):
-    """Maximal runs of high mapped similarity, at a few track-relative levels.
+def _support_candidates(mapped: np.ndarray):
+    """Maximal runs of high mapped similarity, at a few track-relative
+    levels, in a track's 1-D mapped values.
 
     Sliding windows alone quantize proposal lengths to the
     ``WINDOW_FRACTIONS``; thresholded "actionness" runs recover moment
     supports at native length, which is what lets consensus correction
     end up more precise than the coarse adjustment stage.
     """
-    mapped = track.mapped
     lo, hi = float(mapped.min()), float(mapped.max())
     if hi - lo < 1e-9:
         return []
@@ -178,7 +179,7 @@ def _enumerate_windows(track: SimilarityTrack, epoch: int, seed: int,
     T = track.num_frames
     rng = np.random.default_rng([seed & 0xFFFFFFFF, epoch])
     starts, ends = [], []
-    support = _support_candidates(track)
+    support = _support_candidates(track.mapped)
     if support:
         s, e = zip(*support)
         starts.append(np.asarray(s, dtype=np.int64))
@@ -386,7 +387,9 @@ BLOCK_ROWS = 256
 
 class _LengthGroup:
     """The tracks of one timeline length T, whose (track, epoch) rows are
-    computed in blocks of up to BLOCK_ROWS.
+    computed in blocks of up to BLOCK_ROWS: the ``columns`` of a table
+    over manifest rows ``rows`` of a corpus, whose tracks are rows
+    ``block_rows`` of the corpus' blocks of length T.
 
     Holds what no row changes: the tracks' support runs padded to a
     common width, and the unjittered sliding-window starts of every
@@ -398,7 +401,8 @@ class _LengthGroup:
     A block takes its rows' jitter offsets, which :func:`proposal_table`
     draws per epoch for all tracks at once with :func:`_jitter_offsets`
     (``default_rng`` redraws only the rows whose bounded draw was
-    rejected), and a stack of its rows' prefix sums.  It scores the
+    rejected), and its rows' prefix sums, one row gather from the
+    corpus' (n, T + 1) prefix block of length T.  It scores the
     candidates in place in one (rows, candidates) array, gathers starts,
     ends, the alive mask and the scores into rank order, dropping each
     unsorted array as soon as its sorted copy exists, and runs the NMS
@@ -408,15 +412,18 @@ class _LengthGroup:
     every row's sum rounds as :func:`propose`'s 1-D sum does.
     """
 
-    def __init__(self, T, tracks, support, delta):
-        self.T = T
-        self.tracks = np.asarray(tracks, dtype=np.int64)
-        width = max(len(support[i]) for i in tracks)
-        self.sup_start = np.zeros((len(tracks), width), dtype=np.int64)
-        self.sup_end = np.ones((len(tracks), width), dtype=np.int64)
-        self.sup_valid = np.zeros((len(tracks), width), dtype=bool)
-        for r, i in enumerate(tracks):
-            for k, (s, e) in enumerate(support[i]):
+    def __init__(self, T, columns, rows, corpus, delta):
+        self.T, self.columns = T, columns
+        self.block_rows = corpus.row[rows[columns]]
+        self.prefix, mapped = corpus.blocks[T], corpus.mapped[T]
+        support = [_support_candidates(mapped[r])
+                   for r in self.block_rows.tolist()]
+        width = max(map(len, support))
+        self.sup_start = np.zeros((len(columns), width), dtype=np.int64)
+        self.sup_end = np.ones((len(columns), width), dtype=np.int64)
+        self.sup_valid = np.zeros((len(columns), width), dtype=bool)
+        for r, runs in enumerate(support):
+            for k, (s, e) in enumerate(runs):
                 self.sup_start[r, k], self.sup_end[r, k] = s, e
                 self.sup_valid[r, k] = True
 
@@ -433,18 +440,17 @@ class _LengthGroup:
         # the most candidates, and so survivors, a row can have
         self.n_candidates = width + len(self.win_base)
 
-    def propose(self, U, prefixes, offsets, out: EpochPredictions):
+    def propose(self, U, offsets, out: EpochPredictions):
         """Write propose(track, U, epoch, seed, delta) of every (track,
-        epoch) row of the group into out, given every track's prefix sums
-        and the (epochs, tracks, fractions) jitter offsets."""
-        n = len(self.tracks)
+        epoch) row of the group into out, given the (epochs, columns,
+        fractions) jitter offsets."""
+        n = len(self.columns)
         rows = n * len(offsets)
         for lo in range(0, rows, BLOCK_ROWS):
             epoch, pos = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, rows)),
                                    n)
-            track = self.tracks[pos]
-            self._block(U, np.stack([prefixes[i] for i in track.tolist()]),
-                        pos, epoch, offsets[epoch, track, :self.n_fractions],
+            self._block(U, self.prefix[self.block_rows[pos]], pos, epoch,
+                        offsets[epoch, self.columns[pos], :self.n_fractions],
                         out)
 
     def _candidates(self, pos, offsets):
@@ -542,43 +548,37 @@ class _LengthGroup:
 
         top = slot < U
         r, c, slot, row = r[top], c[top], slot[top], row[top]
-        at = epoch[row], self.tracks[pos[row]], slot
+        at = epoch[row], self.columns[pos[row]], slot
         out.start[at] = s[row, c]
         out.end[at] = e[row, c]
         out.confidence[at] = conf[r, slot]
-        out.count[epoch, self.tracks[pos]] = np.minimum(count, U)
+        out.count[epoch, self.columns[pos]] = np.minimum(count, U)
 
 
-def proposal_table(tracks, seeds, delta: int, U: int,
+def proposal_table(tracks, rows, seeds, delta: int, U: int,
                    epochs: int) -> EpochPredictions:
-    """:func:`propose` over a list of tracks, every epoch in one call.
+    """:func:`propose` over manifest rows ``rows`` of a corpus'
+    :class:`~morp.refine.CorpusTracks`, every epoch in one call.
 
     Returns :class:`EpochPredictions` whose :meth:`~EpochPredictions.epoch`
-    ``j`` row i holds exactly what ``propose(tracks[i], U, j, seeds[i],
-    delta)`` returns, for j from 1 to ``epochs``.  Each track's support
-    runs are found once.
+    ``j`` row i holds exactly what ``propose`` returns for the track of
+    row ``rows[i]`` at epoch j, seed ``seeds[i]`` and ``delta``, for j
+    from 1 to ``epochs``.  Each track's support runs are found once.
     """
     check_delta(delta)
-    tracks = list(tracks)
+    rows = np.asarray(rows, dtype=np.int64)
     seeds = np.asarray([int(seed) & 0xFFFFFFFF for seed in seeds],
                        dtype=np.int64)
-    if len(seeds) != len(tracks):
+    if len(seeds) != len(rows):
         raise ContractViolation("need one seed per track",
-                                tracks=len(tracks), seeds=len(seeds))
+                                tracks=len(rows), seeds=len(seeds))
     if U < 1 or epochs < 1:
         raise ContractViolation("U and epochs must be >= 1", U=U,
                                 epochs=epochs)
-    support = [_support_candidates(track) for track in tracks]
-    by_len = {}
-    for i, track in enumerate(tracks):
-        by_len.setdefault(track.num_frames, []).append(i)
-    groups = [_LengthGroup(T, group, support, delta)
-              for T, group in by_len.items()]
-    prefixes = [track.prefix for track in tracks]
-    # the blocks read only the groups and the prefix sums; dropping the
-    # rest, 600 track views among it, first lowered the traced peak of
-    # `morp pipeline` at 500 videos x 128 frames by 0.13 MB
-    del tracks, support, by_len
+    frames = tracks.frames[rows]
+    # not np.unique: its first call imports numpy.ma, about 0.4 MB of RSS
+    groups = [_LengthGroup(T, np.flatnonzero(frames == T), rows, tracks, delta)
+              for T in dict.fromkeys(frames.tolist())]
     # a group with fewer usable fractions takes a prefix of each row's
     # draws, as propose's scalar draws are a prefix of the size-F draw
     offsets = np.stack([_jitter_offsets(seeds, epoch, delta,
@@ -588,14 +588,14 @@ def proposal_table(tracks, seeds, delta: int, U: int,
     out = EpochPredictions.empty((epochs, len(seeds)),
                                  EpochPredictions.width(U, widest))
     for group in groups:
-        group.propose(U, prefixes, offsets, out)
+        group.propose(U, offsets, out)
     return out
 
 
 def sliding_windows(tracks, ids, seed, delta, U, epochs) -> EpochPredictions:
     """The default predictions: the :func:`proposal_table` over the
     tracks of ``ids``, each seeded by its :func:`annotation_seed`."""
-    return proposal_table([tracks[i] for i in ids],
+    return proposal_table(tracks, tracks.positions(ids),
                           [annotation_seed(seed, i) for i in ids],
                           delta, U, epochs)
 
@@ -618,10 +618,12 @@ class FilePredictor:
     for, matches no lookup.  Blank lines are skipped and still counted.
 
     Errors name the path and, for a bad line, its number: a line that
-    is not such a record, or text that is not UTF-8, ends the parse at
-    once; a start or end outside int64 is reported after the last line,
-    the first such start ahead of the first such end.  :meth:`table`
-    gathers a run's epochs for a list of annotations, and
+    is not such a record, whose epoch, starts and ends are JSON integers
+    and confidences JSON numbers (a bool, a string or a float where an
+    integer belongs is not coerced), or text that is not UTF-8, ends the
+    parse at once; a start or end outside int64 is reported after the
+    last line, the first such start ahead of the first such end.
+    :meth:`table` gathers a run's epochs for a list of annotations, and
     :meth:`for_annotation` one annotation's list.  Neither reads any
     feature: boundaries are checked against the annotation's timeline
     length by the caller.
@@ -679,15 +681,21 @@ class FilePredictor:
         """((epoch, annotation_id), starts, ends, confidences) of one line."""
         try:
             rec = json.loads(line)
-            key = (int(rec["epoch"]), rec["annotation_id"])
+            key = (rec["epoch"], rec["annotation_id"])
             preds = rec["predictions"]
             if not isinstance(key[1], str):
                 raise TypeError("annotation_id must be a string")
             if not isinstance(preds, list):
                 raise TypeError("predictions must be a list")
-            return (key, [int(p["start"]) for p in preds],
-                    [int(p["end"]) for p in preds],
-                    [float(p["confidence"]) for p in preds])
+            starts = [p["start"] for p in preds]
+            ends = [p["end"] for p in preds]
+            confs = [p["confidence"] for p in preds]
+            if type(key[0]) is not int or \
+                    not {int}.issuperset(map(type, starts + ends)):
+                raise TypeError("epoch, start and end must be integers")
+            if not {int, float}.issuperset(map(type, confs)):
+                raise TypeError("confidence must be a number")
+            return key, starts, ends, list(map(float, confs))
         except KeyError as exc:
             detail = f"missing key {exc}"
         except (TypeError, ValueError, OverflowError) as exc:

@@ -15,10 +15,11 @@ and the tracks of all annotations whose video has T frames are rows of
 one (annotations, T) block, clipped and mapped in place, so no raw
 cosines are kept.  :func:`frame_similarities` is the single-query form
 of the same arithmetic, bit for bit.  The pipeline and correction keep
-these mapped blocks beside the prefix sums, because proposals read the
-mapped values; standalone refinement reads only prefix sums, so it
-keeps nothing else: each track's cosines are written where its prefix
-sums go and turned into them in place.
+these mapped blocks beside the per-length prefix blocks, because
+proposals find their support runs in the mapped rows and gather their
+prefix sums from the blocks by row; standalone refinement reads only
+prefix sums, so it keeps nothing else: each track's cosines are written
+where its prefix sums go and turned into them in place.
 
 :func:`refine_corpus` scores and adjusts the annotation columns of a
 manifest against these tracks: :func:`batch_contrast` and
@@ -31,7 +32,6 @@ all boundaries of a corpus at once, whatever their timeline lengths.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -354,46 +354,33 @@ class RefineReport:
             fh.write(text)
 
 
-class CorpusTracks(Mapping):
-    """The similarity tracks of a corpus, by annotation id.
+class CorpusTracks:
+    """The similarity tracks of a corpus, by manifest row.
 
     The tracks of all annotations on timelines of T frames are the rows
-    of ``mapped[T]``, an (n, T) block of mapped values.  Their prefix
-    sums lie in one flat array, ``prefix``: an (n, T + 1) block for each
-    T, one after the other.  Row i of the manifest the tracks were
-    computed for, annotation ``ids[i]``, is row ``row[i]`` of the mapped
-    block of ``frames[i]`` frames, and its prefix sums start at
-    ``prefix[base[i]]``.  Looking up an id returns a
-    :class:`SimilarityTrack` of views.  Ids iterate in the order their
-    rows were filled.
+    of ``mapped[T]``, an (n, T) block of mapped values, and of
+    ``blocks[T]``, the (n, T + 1) block of their prefix sums.  The prefix
+    blocks lie one after the other in one flat array, ``prefix``.  Row i
+    of the manifest the tracks were computed for is row ``row[i]`` of the
+    blocks of ``frames[i]`` frames, and its prefix sums start at
+    ``prefix[base[i]]``.  :meth:`positions` finds the manifest rows of
+    annotation ids.
 
     Tracks that :func:`refine_corpus` builds for itself keep only the
-    prefix sums: their ``mapped`` is None, and they are not looked up by
-    id.  Those of :func:`compute_tracks`, which the pipeline and
-    correction use, keep both.
+    prefix sums: their ``mapped`` is None.  Those of
+    :func:`compute_tracks`, which the pipeline and correction use, keep
+    both.
     """
 
-    def __init__(self, ids, mapped, prefix, frames, row, base, filled):
-        self.mapped, self.prefix = mapped, prefix
+    def __init__(self, ids, mapped, prefix, blocks, frames, row, base):
+        self.mapped, self.prefix, self.blocks = mapped, prefix, blocks
         self.frames, self.row, self.base = frames, row, base
-        self._position = {ids[i]: i for i in filled}
+        self._position = {aid: i for i, aid in enumerate(ids)}
 
     def positions(self, ids) -> np.ndarray:
         """The manifest rows of the given ids."""
         return np.fromiter(map(self._position.__getitem__, ids),
                            dtype=np.int64, count=len(ids))
-
-    def __getitem__(self, annotation_id) -> SimilarityTrack:
-        i = self._position[annotation_id]
-        T, b = int(self.frames[i]), self.base[i]
-        return SimilarityTrack(mapped=self.mapped[T][self.row[i]],
-                               prefix=self.prefix[b:b + T + 1])
-
-    def __iter__(self):
-        return iter(self._position)
-
-    def __len__(self):
-        return len(self._position)
 
 
 def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
@@ -481,8 +468,7 @@ def _tracks(manifest: CorpusManifest, keep_mapped: bool) -> CorpusTracks:
         for r in range(0, len(p), step):
             np.cumsum(block[r:r + step], axis=1, out=p[r:r + step, 1:])
     return CorpusTracks(table.ids, mapped if keep_mapped else None, prefix,
-                        frames, rows, base,
-                        [i for v in order for i in by_video[v]])
+                        blocks, frames, rows, base)
 
 
 def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,

@@ -35,3 +35,42 @@ def annotation_table(videos, annotations):
                      s, e, *frames, video.num_frames, a.get("status", "raw"),
                      a.get("error_tag"), a.get("gt_boundary_seconds")))
     return AnnotationTable.from_rows(rows)
+
+
+def corpus_tracks(tracks):
+    """A CorpusTracks over ``tracks``, a list of SimilarityTracks: track
+    i is manifest row i, with annotation id ``str(i)``, and each
+    timeline length's blocks hold its tracks in list order."""
+    import numpy as np
+
+    from morp.refine import CorpusTracks
+
+    by_len = {}
+    for i, t in enumerate(tracks):
+        by_len.setdefault(t.num_frames, []).append(i)
+    frames = np.array([t.num_frames for t in tracks], dtype=np.int64)
+    row = np.zeros(len(tracks), dtype=np.int64)
+    base = np.zeros(len(tracks), dtype=np.int64)
+    prefix = np.empty(sum(T + 1 for T in frames.tolist()))
+    mapped, blocks, offset = {}, {}, 0
+    for T, members in by_len.items():
+        mapped[T] = np.stack([tracks[i].mapped for i in members])
+        blocks[T] = prefix[offset:offset + len(members) * (T + 1)].reshape(
+            len(members), T + 1)
+        blocks[T][:] = [tracks[i].prefix for i in members]
+        row[members] = np.arange(len(members))
+        base[members] = offset + row[members] * (T + 1)
+        offset += len(members) * (T + 1)
+    return CorpusTracks([str(i) for i in range(len(tracks))], mapped, prefix,
+                        blocks, frames, row, base)
+
+
+def track_of(tracks, annotation_id):
+    """The SimilarityTrack of an annotation id in a CorpusTracks: views
+    of its mapped values and prefix sums."""
+    from morp.refine import SimilarityTrack
+
+    i = tracks.positions([annotation_id])[0]
+    T, b = int(tracks.frames[i]), tracks.base[i]
+    return SimilarityTrack(mapped=tracks.mapped[T][tracks.row[i]],
+                           prefix=tracks.prefix[b:b + T + 1])

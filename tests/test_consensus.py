@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import annotation_table
+from conftest import annotation_table, corpus_tracks, track_of
 from morp.core import Boundary, ScoredBoundary
 from morp.errors import ContractViolation, PredictorError
 from morp.predictor import (
@@ -396,7 +396,8 @@ class TestRunCorrection:
         class OneAtATime:
             def for_annotation(self, annotation_id, track, U, epoch):
                 seed = annotation_seed(7, annotation_id)
-                return propose(tracks[annotation_id], U, epoch, seed, 3)
+                return propose(track_of(tracks, annotation_id), U, epoch,
+                               seed, 3)
 
         ids = sorted(refined.annotations.ids)
         out, trace = run_correction(
@@ -626,7 +627,8 @@ class TestBatchedCorrection:
         tracks = compute_tracks(refined)
         ids = sorted(a.annotation_id for a in refined.annotations)
         got = sliding_windows(tracks, ids, 3, 4, 5, 3)
-        want = proposal_table([tracks[i] for i in ids],
+        want = proposal_table(corpus_tracks([track_of(tracks, i)
+                                             for i in ids]), range(len(ids)),
                               [annotation_seed(3, i) for i in ids], 4, 5, 3)
         for a, b_ in zip(got, want):
             np.testing.assert_array_equal(a, b_)

@@ -2,11 +2,17 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from morp.consensus import CorrectionParams
+from conftest import annotation_table
+from morp.consensus import CorrectionParams, run_correction
+from morp.featstore import (CorpusManifest, FrameFeatureMatrix, VideoEntry,
+                            write_feature_file)
 from morp.pipeline import corpus_quality, run_pipeline, sweep
-from morp.refine import AdjustParams, CleanParams
+from morp.predictor import sliding_windows
+from morp.refine import (AdjustParams, CleanParams, compute_tracks,
+                         refine_corpus)
 from morp.synth import SynthSpec, generate_corpus
 
 
@@ -80,3 +86,57 @@ def test_subset_rows_of_a_superset_table(tmp_path, monkeypatch):
     for epoch in range(1, 7):
         assert part.epoch(epoch).tuples() == alone.epoch(epoch).tuples()
     assert all(a is b for a, b in zip(whole, table))
+
+
+def test_two_lengths_match_the_separate_stages(tmp_path):
+    """A corpus on 32- and 48-frame timelines whose manifest order,
+    video-id order and annotation-id order all differ.  The pipeline
+    reads the proposals' tracks by row of the raw manifest's tracks;
+    refine then correct computes them for the refined manifest, where
+    every row sits elsewhere.  Both must correct alike."""
+    rng = np.random.default_rng(0)
+    queries = rng.standard_normal((5, 8)).astype(np.float32)
+    write_feature_file(FrameFeatureMatrix(queries), str(tmp_path / "q.vmrp"))
+    videos, anns = [], []
+    for k, (vid, T) in enumerate([("v2", 48), ("v0", 32), ("v3", 32),
+                                  ("v1", 48)]):
+        frames = rng.standard_normal((T, 8)).astype(np.float32)
+        for j in range(3):
+            ref = (k + j) % len(queries)
+            s = int(rng.integers(0, T - 12))
+            e = s + int(rng.integers(6, 12))
+            # the query's moment stands out of the noise
+            frames[s:e] += 2.0 * queries[ref]
+            lo = int(rng.integers(0, s + 1))
+            anns.append({"annotation_id": f"a{(7 * (3 * k + j)) % 12:02d}",
+                         "video_id": vid, "query_feature_ref": ref,
+                         "boundary_seconds": (float(lo), float(e))})
+        write_feature_file(FrameFeatureMatrix(frames),
+                           str(tmp_path / f"{vid}.vmrp"))
+        videos.append(VideoEntry(vid, float(T), T, f"{vid}.vmrp"))
+    manifest = CorpusManifest(1, tuple(videos), "q.vmrp",
+                              annotation_table(videos, anns),
+                              base_dir=str(tmp_path))
+    ids = manifest.annotations.ids
+    assert ids != sorted(ids)
+    assert [a["video_id"] for a in anns] != sorted(a["video_id"] for a in anns)
+    clean, adjust = CleanParams(0.25), AdjustParams(delta=3)
+    p = CorrectionParams(epochs=4, predictions_per_query=3, seed=1)
+
+    _, _, corrected, trace = run_pipeline(manifest, clean, adjust, p)
+    refined, _ = refine_corpus(manifest, clean, adjust)
+    kept = sorted(refined.annotations.ids)
+    want, want_trace = run_correction(refined, sliding_windows(
+        compute_tracks(refined), kept, p.seed, adjust.delta,
+        p.predictions_per_query, p.epochs), p)
+
+    assert sorted(set(refined.annotations.timeline.tolist())) == [32, 48]
+    got, exp = corrected.annotations, want.annotations
+    assert got.ids == exp.ids
+    assert np.array_equal(got.start_f, exp.start_f)
+    assert np.array_equal(got.end_f, exp.end_f)
+    assert trace.annotation_ids == want_trace.annotation_ids
+    for name in ("bank_size", "inserted", "consensus"):
+        assert np.array_equal(getattr(trace, name), getattr(want_trace, name))
+    for a, b in zip(trace.predictions, want_trace.predictions):
+        assert np.array_equal(a, b)

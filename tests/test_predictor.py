@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import corpus_tracks
 from morp.core import iou
 from morp.errors import ContractViolation, PredictorError
 from morp.predictor import (
@@ -32,7 +33,8 @@ class TestDelta:
     def test_validation(self, delta):
         t = track_from_mapped(np.full(10, 0.5))
         for make in (lambda: propose(t, 1, 1, 0, delta),
-                     lambda: proposal_table([t], [0], delta, 1, 1),
+                     lambda: proposal_table(*every_row([t]), [0], delta,
+                                            1, 1),
                      lambda: AdjustParams(delta=delta)):
             with pytest.raises(ContractViolation) as err:
                 make()
@@ -128,6 +130,12 @@ class TestPropose:
             assert after[0] >= after[1]
 
 
+def every_row(tracks):
+    """The CorpusTracks of a list of tracks and all its rows, in order:
+    proposal_table's first two arguments for propose over the list."""
+    return corpus_tracks(tracks), range(len(tracks))
+
+
 def oracle(tracks, seeds, U, epoch, delta):
     """Per-track propose over a corpus.  Each track's proposals are a
     tuple of (start, end, confidence), the form of
@@ -139,7 +147,8 @@ def oracle(tracks, seeds, U, epoch, delta):
 
 @st.composite
 def corpora(draw):
-    """Tracks of mixed lengths, some flat, some with tied values."""
+    """Tracks of mixed lengths, some flat, some with tied values, their
+    seeds, and a permuted subset of their rows."""
     n = draw(st.integers(1, 12))
     tracks = []
     for _ in range(n):
@@ -154,7 +163,8 @@ def corpora(draw):
             mapped = np.full(T, 0.25)
         tracks.append(track_from_mapped(mapped))
     seeds = draw(st.lists(st.integers(0, 2 ** 40), min_size=n, max_size=n))
-    return tracks, seeds
+    rows = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    return tracks, seeds, rows
 
 
 # 40 strides past every sampled T but 64
@@ -260,11 +270,14 @@ class TestProposalTable:
     @settings(max_examples=300)
     @given(corpora(), deltas, st.integers(1, 40), st.integers(1, 20))
     def test_matches_propose(self, corpus, delta, U, epoch):
-        tracks, seeds = corpus
+        """Row i of the table is manifest row rows[i], which sits at
+        another position of its timeline length's blocks."""
+        tracks, seeds, rows = corpus
+        seeds = [seeds[r] for r in rows]
         # float equality compares confidences exactly
-        assert proposal_table(tracks, seeds, delta, U, epoch).epoch(
-            epoch).tuples() == \
-            oracle(tracks, seeds, U, epoch, delta)
+        assert proposal_table(corpus_tracks(tracks), rows, seeds, delta, U,
+                              epoch).epoch(epoch).tuples() == \
+            oracle([tracks[r] for r in rows], seeds, U, epoch, delta)
 
     def test_offset_draw_matches_scalar_draws(self):
         """The table draws each track's F jitter offsets with one size-F
@@ -283,7 +296,7 @@ class TestProposalTable:
         rng = np.random.default_rng(0)
         tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(8)]
         seeds = rng.integers(0, 2 ** 32, size=8).tolist()
-        table = proposal_table(tracks, seeds, 5, 5, 15)
+        table = proposal_table(*every_row(tracks), seeds, 5, 5, 15)
         for epoch in (1, 2, 15):
             assert table.epoch(epoch).tuples() == \
                 oracle(tracks, seeds, 5, epoch, 5)
@@ -293,7 +306,8 @@ class TestProposalTable:
         lengths = [32, 48] * BLOCK_ROWS
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
         seeds = list(range(len(tracks)))
-        assert proposal_table(tracks, seeds, 5, 5, 3).epoch(3).tuples() == \
+        assert proposal_table(*every_row(tracks), seeds, 5, 5, 3).epoch(
+            3).tuples() == \
             oracle(tracks, seeds, 5, 3, 5)
 
     def test_more_than_one_pairwise_block_of_survivors(self):
@@ -304,14 +318,15 @@ class TestProposalTable:
                   for T in (512, 512, 600, 700)]
         tracks.append(track_from_mapped(np.full(512, 0.3)))
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        got = proposal_table(tracks, seeds, 1, 1000, 4).epoch(4)
+        got = proposal_table(*every_row(tracks), seeds, 1, 1000, 4).epoch(4)
         assert got.count.max() > 128
         assert got.tuples() == oracle(tracks, seeds, 1000, 4, 1)
 
     def test_u_above_survivor_count(self):
         rng = np.random.default_rng(3)
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in (17, 40, 64)]
-        got = proposal_table(tracks, [5, 6, 7], 5, 300, 2).epoch(2)
+        got = proposal_table(*every_row(tracks), [5, 6, 7], 5, 300,
+                             2).epoch(2)
         assert (got.count < 300).all()
         assert got.tuples() == oracle(tracks, [5, 6, 7], 300, 2, 5)
 
@@ -319,7 +334,7 @@ class TestProposalTable:
     def test_flat_tracks(self, delta):
         tracks = [track_from_mapped(np.full(T, v))
                   for T, v in ((128, 0.5), (128, 0.0), (64, 1.0), (300, 0.7))]
-        table = proposal_table(tracks, [1, 2, 3, 4], delta, 7, 9)
+        table = proposal_table(*every_row(tracks), [1, 2, 3, 4], delta, 7, 9)
         for epoch in (1, 9):
             assert table.epoch(epoch).tuples() == \
                 oracle(tracks, [1, 2, 3, 4], 7, epoch, delta)
@@ -332,14 +347,15 @@ class TestProposalTable:
         peak = np.zeros(100)
         peak[:2] = (1.0, 0.7)
         tracks = [many, track_from_mapped(peak)]
-        got = proposal_table(tracks, [1, 2], 5, 10, 3).epoch(3)
+        got = proposal_table(*every_row(tracks), [1, 2], 5, 10, 3).epoch(3)
         assert got.tuples() == oracle(tracks, [1, 2], 10, 3, 5)
 
     def test_rejected_jitter_draw(self):
         rng = np.random.default_rng(4)
         tracks = [track_from_mapped(rng.uniform(0, 1, 128)) for _ in range(3)]
         seeds = [11, REJECTED_SEED, 2 ** 32 + REJECTED_SEED]
-        assert proposal_table(tracks, seeds, 5, 40, 1).epoch(1).tuples() == \
+        assert proposal_table(*every_row(tracks), seeds, 5, 40, 1).epoch(
+            1).tuples() == \
             oracle(tracks, seeds, 40, 1, 5)
 
     def test_huge_u_is_no_wider_than_the_candidates(self):
@@ -348,24 +364,26 @@ class TestProposalTable:
         rng = np.random.default_rng(5)
         tracks = [track_from_mapped(rng.uniform(0, 1, T))
                   for T in (64, 64, 40)]
-        got = proposal_table(tracks, [1, 2, 3], 5, 10 ** 6, 1).epoch(1)
+        got = proposal_table(*every_row(tracks), [1, 2, 3], 5, 10 ** 6,
+                             1).epoch(1)
         assert got.tuples() == oracle(tracks, [1, 2, 3], 10 ** 6, 1, 5)
         # the unjittered windows of the longest track, one every 5 frames;
         # jitter can only merge clipped starts
         windows = sum(len(range(0, 64 - round(f * 64) + 1, 5))
                       for f in WINDOW_FRACTIONS)
-        support = max(len(_support_candidates(t)) for t in tracks)
+        support = max(len(_support_candidates(t.mapped)) for t in tracks)
         assert got.count.max() <= got.start.shape[1] <= windows + support
 
     def test_u_must_be_positive(self):
         tracks = [track_from_mapped(np.full(10, 0.5))]
         with pytest.raises(ContractViolation):
-            proposal_table(tracks, [0], 5, 0, 1)
+            proposal_table(*every_row(tracks), [0], 5, 0, 1)
         with pytest.raises(ContractViolation):
-            proposal_table(tracks, [0], 5, 1, 0)
+            proposal_table(*every_row(tracks), [0], 5, 1, 0)
 
     def test_empty(self):
-        assert proposal_table([], [], 5, 5, 1).epoch(1).tuples() == []
+        assert proposal_table(*every_row([]), [], 5, 5, 1).epoch(
+            1).tuples() == []
 
     def test_mixed_lengths_match_propose(self):
         """Rows are (track, epoch) pairs: each timeline length lays its
@@ -378,7 +396,7 @@ class TestProposalTable:
         rng.shuffle(lengths)
         tracks = [track_from_mapped(rng.uniform(0, 1, T)) for T in lengths]
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        table = proposal_table(tracks, seeds, 5, 5, 15)
+        table = proposal_table(*every_row(tracks), seeds, 5, 5, 15)
         assert table.count.shape == (15, len(tracks))
         for epoch in range(1, 16):
             assert table.epoch(epoch).tuples() == \
@@ -386,7 +404,8 @@ class TestProposalTable:
 
     @pytest.mark.parametrize("epoch", [0, 4])
     def test_epoch_outside_the_table(self, epoch):
-        table = proposal_table([track_from_mapped(np.full(10, 0.5))], [0],
+        table = proposal_table(
+            *every_row([track_from_mapped(np.full(10, 0.5))]), [0],
                                5, 5, 3)
         with pytest.raises(ContractViolation):
             table.epoch(epoch)
@@ -412,11 +431,11 @@ class TestSplitLengthGroup:
             lengths.insert(i, 96)
         tracks = [plateau(T) for T in lengths]
         seeds = rng.integers(0, 2 ** 32, size=len(tracks)).tolist()
-        table = proposal_table(tracks, seeds, 5, 5, 15)
+        table = proposal_table(*every_row(tracks), seeds, 5, 5, 15)
         for epoch in (1, 15):
             got = table.epoch(epoch)
             assert got.tuples() == oracle(tracks, seeds, 5, epoch, 5)
-        survivors = proposal_table(tracks, seeds, 5, 200, 1).count[
+        survivors = proposal_table(*every_row(tracks), seeds, 5, 200, 1).count[
             0, np.array(lengths) == 128]
         assert 30 <= np.median(survivors) <= 38
 
@@ -495,6 +514,17 @@ class TestFilePredictor:
         '[{"start": 0, "end": 4, "confidence": null}]}',
         '{"epoch": 1, "annotation_id": "a0", "predictions": '
         '[{"start": 0, "end": 99999999999999999999, "confidence": 0.5}]}',
+        # JSON values of the wrong type, which no parse coerces
+        '{"epoch": 1.5, "annotation_id": "a0", "predictions": []}',
+        '{"epoch": true, "annotation_id": "a0", "predictions": []}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 2.5, "end": 4, "confidence": 0.5}]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 0, "end": "9", "confidence": 0.5}]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 0, "end": 4, "confidence": true}]}',
+        '{"epoch": 1, "annotation_id": "a0", "predictions": '
+        '[{"start": 0, "end": 4, "confidence": "0.5"}]}',
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, line):
         good = ('{"epoch": 1, "annotation_id": "a1", "predictions": '
@@ -548,8 +578,7 @@ def replay_line(epoch, aid, preds, raw=False):
 def replay_files(draw):
     """Lines of a replay file: records over a few epochs and ids, with
     repeated keys, blank lines and epochs no lookup reaches."""
-    epoch = st.one_of(st.integers(1, 3), st.integers(1, 3).map(str),
-                      st.sampled_from(REPLAY_EPOCHS))
+    epoch = st.one_of(st.integers(1, 3), st.sampled_from(REPLAY_EPOCHS))
     pred = st.tuples(st.integers(-5, 40), st.integers(-5, 40),
                      st.floats(allow_nan=False, width=64))
     lines = []

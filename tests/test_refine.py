@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import annotation_table
+from conftest import annotation_table, track_of
 import morp.featstore
 import morp.refine
 from morp.core import Boundary
@@ -162,12 +162,15 @@ class TestComputeTracks:
         for name in ("prefix", "frames", "base"):
             assert np.array_equal(getattr(prefix_only, name),
                                   getattr(tracks, name))
-        assert list(tracks) != [aid for aid, _, _ in anns]
-        assert set(tracks) == {aid for aid, _, _ in anns}
+        # the rows are filled in video-id order, which the manifest's is not
+        assert [a for a, _, _ in sorted(anns, key=lambda a: a[1])] != \
+            [aid for aid, _, _ in anns]
+        assert tracks.positions([aid for aid, _, _ in anns]).tolist() == \
+            list(range(len(anns)))
         for aid, vid, ref in anns:
             want = frame_similarities(QueryFeature(queries[ref]),
                                       FrameFeatureMatrix(videos[vid]))
-            got = tracks[aid]
+            got = track_of(tracks, aid)
             assert np.array_equal(got.mapped, want.mapped)
             assert np.array_equal(got.prefix, want.prefix)
 
@@ -198,7 +201,8 @@ class TestComputeTracks:
         monkeypatch.setattr(morp.featstore, "read_feature_file",
                             lambda path: reads.append(path) or original(path))
         tracks = compute_tracks(manifest)
-        assert len(tracks) == 16
+        assert tracks.positions([aid for aid, _, _ in anns]).tolist() == \
+            list(range(16))
         assert len(reads) == len(videos) + 1
         assert len(set(reads)) == len(reads)
 

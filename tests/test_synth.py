@@ -13,6 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import track_of
 from morp.core import Boundary
 from morp.errors import SpecError
 from morp.featstore import read_feature_file, read_manifest
@@ -228,7 +229,7 @@ class TestEmittedCorpus:
         manifest = generate_corpus(spec, tmp_path / "c")
         tracks = compute_tracks(manifest)
         for ann in manifest.annotations:
-            t = tracks[ann.annotation_id]
+            t = track_of(tracks, ann.annotation_id)
             b = ann.boundary_frames
             inside = t.mapped[b.start:b.end]
             # mapped similarity inside a clean moment sits at signal_level
@@ -243,7 +244,7 @@ class TestEmittedCorpus:
         tracks = compute_tracks(manifest)
         good, bad = [], []
         for ann in manifest.annotations:
-            g = moment_contrast(tracks[ann.annotation_id],
+            g = moment_contrast(track_of(tracks, ann.annotation_id),
                                 ann.boundary_frames)
             (good if ann.error_tag in ("clean", "imprecise") else bad).append(g)
         assert np.mean(good) > 2.0 * np.mean(bad)
