@@ -1,7 +1,7 @@
 """Manifest-level orchestration: end-to-end runs, evaluation and sweeps.
 
-A run, and each corpus of a sweep, computes its tracks once and
-corrects every clean ratio's refined corpus from one proposal table.
+A run, and each seed of a sweep, computes one corpus' tracks once and
+corrects every value's refined subset of it from one proposal table.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ def evaluate_manifest(manifest: CorpusManifest,
     return metric_report(preds, gts, thresholds)
 
 
-def _corrections(manifest: CorpusManifest, cleans, adjust_params, p):
-    """Per clean params of ``cleans``, in order: (refined,
-    refine_report, corrected, trace) of ``manifest``."""
+def _corrections(manifest: CorpusManifest, runs, adjust_params, p):
+    """Per (corpus, clean params) of ``runs``, in order: (refined,
+    refine_report, corrected, trace) of a corpus within ``manifest``."""
     tracks = compute_tracks(manifest)
-    runs = [refine_corpus(manifest, clean, adjust_params, tracks=tracks)
-            for clean in cleans]
+    runs = [refine_corpus(corpus, clean, adjust_params, tracks=tracks)
+            for corpus, clean in runs]
     ids = sorted(set().union(*(r.annotations.ids for r, _ in runs)))
     table = sliding_windows(tracks, ids, p.seed, adjust_params.delta,
                             p.predictions_per_query, p.epochs)
@@ -79,8 +79,8 @@ def run_pipeline(manifest: CorpusManifest, clean_params: CleanParams,
 
     The similarity tracks are computed once and shared by both stages.
     """
-    return next(_corrections(manifest, [clean_params], adjust_params,
-                             correction_params))
+    return next(_corrections(manifest, [(manifest, clean_params)],
+                             adjust_params, correction_params))
 
 
 def corpus_quality(original: CorpusManifest, final: CorpusManifest) -> float:
@@ -147,17 +147,18 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
 
     ``knob`` is ``"clean_ratio"``, whose values are cleaning ratios, or
     ``"corpus_size"``, whose values are video counts, each cleaned at
-    ``clean_ratio``.  Each seed's corpus of each size is generated once,
-    under ``work_dir``, so a clean-ratio sweep generates one per seed.
-    Every value's parameters are built, and so checked, before the
-    first corpus is generated.
+    ``clean_ratio``.  One corpus of the largest size is generated per
+    seed, under ``work_dir``; a size of n videos is its first n, which
+    synth draws exactly as a corpus of n.  Every value's parameters are
+    built, and so checked, before the first corpus is generated.
 
     Each value's quality is what :func:`run_pipeline` and
-    :func:`corpus_quality` give; a corpus is refined and corrected for
-    all values of its size at once.
+    :func:`corpus_quality` give; a seed's corpora are refined and
+    corrected for all values at once.
     """
-    if knob not in ("clean_ratio", "corpus_size"):
-        raise ContractViolation("unknown sweep knob", knob=knob)
+    if knob not in ("clean_ratio", "corpus_size") or not values:
+        raise ContractViolation("a sweep needs a known knob and a value",
+                                knob=knob, values=list(values))
     adjust_params = adjust_params or AdjustParams()
     correction_params = correction_params or CorrectionParams()
     if knob == "corpus_size":
@@ -169,20 +170,18 @@ def sweep(knob: str, spec: SynthSpec, values, seeds, work_dir,
     # SynthSpec also rejects the negative seeds CorrectionParams would
     specs = {(seed, size): replace(spec, n_videos=size, seed=seed)
              for seed in seeds for size in sizes}
-    per_seed = {}
+    per_seed, largest = {}, max(sizes)
     for seed in seeds:
-        params = replace(correction_params, seed=seed)
-        row = [None] * len(values)
-        for size in dict.fromkeys(sizes):
-            manifest = generate_corpus(
-                specs[seed, size],
-                os.path.join(work_dir, f"sweep_seed{seed}_n{size}"))
-            at = [i for i, n in enumerate(sizes) if n == size]
-            runs = _corrections(manifest, [cleans[i] for i in at],
-                                adjust_params, params)
-            for i, (_, _, corrected, _) in zip(at, runs):
-                row[i] = corpus_quality(manifest, corrected)
-        per_seed[seed] = row
+        manifest = generate_corpus(specs[seed, largest], os.path.join(
+            work_dir, f"sweep_seed{seed}_n{largest}"))
+        t = manifest.annotations
+        corpora = [replace(manifest, videos=manifest.videos[:n],
+                           annotations=t.take((t.video < n).nonzero()[0]))
+                   for n in sizes]
+        runs = _corrections(manifest, zip(corpora, cleans), adjust_params,
+                            replace(correction_params, seed=seed))
+        per_seed[seed] = [corpus_quality(c, corrected)
+                          for c, (_, _, corrected, _) in zip(corpora, runs)]
     metric = [sum(per_seed[s][i] for s in seeds) / len(seeds)
               for i in range(len(values))]
     return SweepResult(knob=knob, values=list(values), metric=metric,

@@ -480,8 +480,9 @@ def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,
     surviving annotations, by id, with status ``adjusted`` and the
     adjusted boundary; the report records gamma, the keep/drop decision
     and the boundary delta for every input annotation, in manifest
-    order.  ``tracks`` holds ``compute_tracks(manifest)`` when the
-    caller has it already.
+    order.  ``tracks`` holds ``compute_tracks`` of the manifest, or of
+    a manifest whose annotations include all of this one's, when the
+    caller has it already; rows are found by annotation id.
 
     The work is on the annotation columns and the tracks' flat prefix
     sums, all timeline lengths at once: :func:`batch_contrast` scores

@@ -50,6 +50,7 @@ length of 2.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -92,6 +93,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p_idle", "p_unmatched", "p_imprecise", "signal_level",
+                     "noise_level", "boundary_noise_frames"):
+            # a NaN passes every comparison below, and an infinite
+            # sigma overflows the rounded boundary draws
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be finite", field=name,
+                                value=getattr(self, name))
         probs = (self.p_idle, self.p_unmatched, self.p_imprecise)
         if any(p < 0 or p > 1 for p in probs) or sum(probs) > 1.0 + 1e-12:
             raise SpecError("class probabilities must lie in [0,1] and sum <= 1")

@@ -542,7 +542,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("knob,values,corpora", [
         ("clean-ratio", "0.0,0.2,0.4", [(0, 6), (1, 6)]),
-        ("corpus-size", "4,6", [(0, 4), (0, 6), (1, 4), (1, 6)]),
+        # each size is read as the first n videos of the seed's largest
+        ("corpus-size", "4,6", [(0, 6), (1, 6)]),
+        ("corpus-size", "6,4,6", [(0, 6), (1, 6)]),
     ])
     def test_one_corpus_per_seed_and_size(self, tmp_path, capsys,
                                           monkeypatch, knob, values, corpora):
@@ -562,6 +564,8 @@ class TestSweep:
             "--videos", "6", "--frames", "64", "--dim", "8", "--epochs", "2")
         assert code == 0, err
         assert calls == corpora
+        assert sorted(os.listdir(tmp_path / "work")) == [
+            f"sweep_seed{seed}_n{n}" for seed, n in corpora]
 
 
 class TestProvenance:
@@ -761,6 +765,27 @@ class TestErrors:
         assert code == 1
         assert self.one_error(err)["code"] == "spec_error"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,field", [
+        # a NaN passed every range check and tagged each annotation idle
+        (["synth", "--out", "c", "--p-idle", "nan"], "p_idle"),
+        # an infinite sigma overflowed the rounded boundary draws
+        (["synth", "--out", "c", "--boundary-noise", "inf"],
+         "boundary_noise_frames"),
+        (["sweep", "--knob", "corpus-size", "--values", "4,6",
+          "--work-dir", "work", "--signal-level=-inf"], "signal_level"),
+    ])
+    def test_non_finite_synth_float(self, tmp_path, capsys, monkeypatch,
+                                    argv, field):
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        obj = self.one_error(err)
+        assert obj["code"] == "spec_error"
+        assert obj["context"]["field"] == field
+        assert os.listdir(tmp_path) == ["work"]
+        assert os.listdir(tmp_path / "work") == []
 
     def test_hostile_feature_header(self, tmp_path, capsys):
         import struct

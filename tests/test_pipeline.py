@@ -7,6 +7,7 @@ import pytest
 
 from conftest import annotation_table
 from morp.consensus import CorrectionParams, run_correction
+from morp.errors import ContractViolation
 from morp.featstore import (CorpusManifest, FrameFeatureMatrix, VideoEntry,
                             write_feature_file)
 from morp.pipeline import corpus_quality, run_pipeline, sweep
@@ -56,13 +57,18 @@ def test_subset_rows_of_a_superset_table(tmp_path, monkeypatch):
     ids.  A run over a kept subset gets that subset's rows, which equal
     the table computed for the subset alone, and is what lets a sweep
     share one table; a run over all the ids, in order, gets the stored
-    arrays themselves, no copy."""
+    arrays themselves, no copy.  A run over a corpus of the manifest's
+    first videos gets the rows of the table computed for that corpus
+    alone, as a corpus-size sweep reads it."""
     import morp.pipeline as pipeline
     from morp.predictor import sliding_windows
     from morp.refine import compute_tracks
 
     manifest = generate_corpus(SynthSpec(n_videos=8, num_frames=48, dim=8),
                                str(tmp_path / "c"))
+    t = manifest.annotations
+    first5 = replace(manifest, videos=manifest.videos[:5],
+                     annotations=t.take((t.video < 5).nonzero()[0]))
     p = CorrectionParams(epochs=6, predictions_per_query=4, seed=2)
     tables, given = [], []
     correct = pipeline.run_correction
@@ -77,15 +83,21 @@ def test_subset_rows_of_a_superset_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "sliding_windows", computed)
     monkeypatch.setattr(pipeline, "run_correction", recorded)
-    list(pipeline._corrections(manifest, [CleanParams(0.5), CleanParams(0.0)],
-                               AdjustParams(delta=2), p))
+    list(pipeline._corrections(
+        manifest, [(manifest, CleanParams(0.5)), (manifest, CleanParams(0.0)),
+                   (first5, CleanParams(0.25))], AdjustParams(delta=2), p))
     (table,) = tables
-    (kept, part), (ids, whole) = given
+    (kept, part), (ids, whole), (kept5, part5) = given
     assert set(kept) < set(ids)
     alone = sliding_windows(compute_tracks(manifest), kept, 2, 2, 4, 6)
     for epoch in range(1, 7):
         assert part.epoch(epoch).tuples() == alone.epoch(epoch).tuples()
     assert all(a is b for a, b in zip(whole, table))
+
+    assert {aid[:6] for aid in kept5} <= {f"v{v:05d}" for v in range(5)}
+    alone5 = sliding_windows(compute_tracks(first5), kept5, 2, 2, 4, 6)
+    for a, b in zip(part5, alone5):
+        assert np.array_equal(a, b)
 
 
 def test_two_lengths_match_the_separate_stages(tmp_path):
@@ -140,3 +152,15 @@ def test_two_lengths_match_the_separate_stages(tmp_path):
         assert np.array_equal(getattr(trace, name), getattr(want_trace, name))
     for a, b in zip(trace.predictions, want_trace.predictions):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("knob,values", [("size", [8]),
+                                         ("clean_ratio", []),
+                                         ("corpus_size", [])])
+def test_sweep_needs_a_knob_and_a_value(tmp_path, knob, values):
+    """An unknown knob, or no value and so no largest size to generate,
+    is a contract violation raised before any corpus is generated."""
+    with pytest.raises(ContractViolation):
+        sweep(knob, SynthSpec(n_videos=6, num_frames=48, dim=8), values,
+              [0], str(tmp_path / "work"))
+    assert not (tmp_path / "work").exists()

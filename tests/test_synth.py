@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import track_of
+from morp.consensus import CorrectionParams
 from morp.core import Boundary
 from morp.errors import SpecError
 from morp.featstore import read_feature_file, read_manifest
@@ -37,6 +38,16 @@ class TestSpecValidation:
     def test_signal_above_noise(self):
         with pytest.raises(SpecError):
             small_spec(signal_level=0.4, noise_level=0.45)
+
+    @pytest.mark.parametrize("field", [
+        "p_idle", "p_unmatched", "p_imprecise", "signal_level",
+        "noise_level", "boundary_noise_frames"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_floats_must_be_finite(self, field, value):
+        with pytest.raises(SpecError) as exc:
+            small_spec(**{field: value})
+        assert exc.value.context["field"] == field
 
     def test_min_timeline(self):
         with pytest.raises(SpecError):
@@ -117,6 +128,49 @@ class TestDeterminism:
                 assert np.array_equal(got, want[:len(a)]), field.name
             else:
                 assert got == want[:len(a)], field.name
+
+    def test_sweep_reads_the_small_corpus_as_a_prefix(self, tmp_path,
+                                                      monkeypatch):
+        """A corpus-size sweep generates only its 40-video corpus and
+        reads size 20 as its first 20 videos: the videos, every
+        annotation column and the tracks of the generated 20-video
+        corpus."""
+        import morp.pipeline as pipeline
+
+        corpora, tracks = {}, []
+        quality, compute = pipeline.corpus_quality, pipeline.compute_tracks
+
+        def scored(original, final):
+            corpora[len(original.videos)] = original
+            return quality(original, final)
+
+        def computed(manifest):
+            tracks.append(compute(manifest))
+            return tracks[-1]
+
+        monkeypatch.setattr(pipeline, "corpus_quality", scored)
+        monkeypatch.setattr(pipeline, "compute_tracks", computed)
+        pipeline.sweep("corpus_size", small_spec(seed=3), [20, 40], [3],
+                       str(tmp_path / "sweep"),
+                       correction_params=CorrectionParams(epochs=1))
+        small = generate_corpus(small_spec(n_videos=20, seed=3),
+                                tmp_path / "small")
+        prefix, (large,) = corpora[20], tracks
+        assert len(corpora[40].videos) == 40
+        assert prefix.videos == small.videos
+        a, b = prefix.annotations, small.annotations
+        for field in fields(a):
+            got, want = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype, field.name
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
+        alone = compute_tracks(small)
+        for r, i in zip(large.positions(a.ids), alone.positions(b.ids)):
+            got = large.prefix[large.base[r]:][:large.frames[r] + 1]
+            want = alone.prefix[alone.base[i]:][:alone.frames[i] + 1]
+            assert got.tobytes() == want.tobytes()
 
     def test_seed_changes_output(self, tmp_path):
         generate_corpus(small_spec(seed=1), tmp_path / "a")
