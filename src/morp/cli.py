@@ -395,6 +395,7 @@ def _print_report(report, args, cfg):
     print()
     print(report.to_text_table())
     if args.json_out:
+        _parent_dirs(args.json_out)
         write_json(obj, args.json_out)
     return 0
 

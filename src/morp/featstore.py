@@ -827,18 +827,22 @@ def atomic_write(path):
     Writes go to a temporary file in the same directory, which
     ``os.replace`` moves over ``path`` once the block ends normally; if
     the block raises, the temporary file is removed and ``path`` keeps
-    its earlier content.
+    its earlier content.  An OSError on the temporary file is raised
+    again naming ``path``, the file the caller asked for.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror,
+                            os.fspath(path)) from None
         raise
 
 

@@ -24,12 +24,13 @@ the track, its seed, the epoch and ``delta``, never on the memory bank,
 so every (track, epoch) pair is one row.  The rows of the tracks that
 share a timeline length T are laid out epoch after epoch and cut into
 blocks of at most ``BLOCK_ROWS`` rows; each track's support runs are
-found once in its mapped row, and each block gathers its prefix rows
-from the corpus' block of length T, then enumerates, scores, ranks and
-NMS-suppresses them with array operations.  Per row it performs the
-same elementwise arithmetic as :func:`propose`, so its output equals
-:func:`propose`'s bit for bit; the tests keep :func:`propose` as the
-reference.  Three steps differ in form only:
+found once in its mapped values, and each block gathers its tracks'
+prefix sums from the corpus' flat array by their ``base`` offsets,
+then enumerates, scores, ranks and NMS-suppresses them with array
+operations.  Per row it performs the same elementwise arithmetic as
+:func:`propose`, so its output equals :func:`propose`'s bit for bit;
+the tests keep :func:`propose` as the reference.  Three steps differ
+in form only:
 
 - The jitter offsets of every track are drawn at once per epoch by
   :func:`_jitter_offsets`, a numpy replica of ``default_rng([seed,
@@ -388,8 +389,8 @@ BLOCK_ROWS = 256
 class _LengthGroup:
     """The tracks of one timeline length T, whose (track, epoch) rows are
     computed in blocks of up to BLOCK_ROWS: the ``columns`` of a table
-    over manifest rows ``rows`` of a corpus, whose tracks are rows
-    ``block_rows`` of the corpus' blocks of length T.
+    over manifest rows ``rows`` of a corpus, whose tracks start at
+    ``base`` in the corpus' flat arrays.
 
     Holds what no row changes: the tracks' support runs padded to a
     common width, and the unjittered sliding-window starts of every
@@ -401,8 +402,9 @@ class _LengthGroup:
     A block takes its rows' jitter offsets, which :func:`proposal_table`
     draws per epoch for all tracks at once with :func:`_jitter_offsets`
     (``default_rng`` redraws only the rows whose bounded draw was
-    rejected), and its rows' prefix sums, one row gather from the
-    corpus' (n, T + 1) prefix block of length T.  It scores the
+    rejected), and its rows' prefix sums, one row gather by ``base``
+    from a read-only view of the corpus' ``prefix`` whose row b is
+    ``prefix[b:b + T + 1]``, so no index array is built.  It scores the
     candidates in place in one (rows, candidates) array, gathers starts,
     ends, the alive mask and the scores into rank order, dropping each
     unsorted array as soon as its sorted copy exists, and runs the NMS
@@ -414,10 +416,11 @@ class _LengthGroup:
 
     def __init__(self, T, columns, rows, corpus, delta):
         self.T, self.columns = T, columns
-        self.block_rows = corpus.row[rows[columns]]
-        self.prefix, mapped = corpus.blocks[T], corpus.mapped[T]
-        support = [_support_candidates(mapped[r])
-                   for r in self.block_rows.tolist()]
+        self.base = corpus.base[rows[columns]]
+        self.prefix = np.lib.stride_tricks.sliding_window_view(
+            corpus.prefix, T + 1)
+        support = [_support_candidates(corpus.mapped[b + 1:b + T + 1])
+                   for b in self.base.tolist()]
         width = max(map(len, support))
         self.sup_start = np.zeros((len(columns), width), dtype=np.int64)
         self.sup_end = np.ones((len(columns), width), dtype=np.int64)
@@ -449,7 +452,7 @@ class _LengthGroup:
         for lo in range(0, rows, BLOCK_ROWS):
             epoch, pos = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, rows)),
                                    n)
-            self._block(U, self.prefix[self.block_rows[pos]], pos, epoch,
+            self._block(U, self.prefix[self.base[pos]], pos, epoch,
                         offsets[epoch, self.columns[pos], :self.n_fractions],
                         out)
 

@@ -12,14 +12,15 @@ each evaluation O(1).
 :func:`compute_tracks` builds the tracks of a whole corpus a video at a
 time: each feature file is read once and its frame norms are taken once,
 and the tracks of all annotations whose video has T frames are rows of
-one (annotations, T) block, clipped and mapped in place, so no raw
-cosines are kept.  :func:`frame_similarities` is the single-query form
-of the same arithmetic, bit for bit.  The pipeline and correction keep
-these mapped blocks beside the per-length prefix blocks, because
-proposals find their support runs in the mapped rows and gather their
-prefix sums from the blocks by row; standalone refinement reads only
-prefix sums, so it keeps nothing else: each track's cosines are written
-where its prefix sums go and turned into them in place.
+one (annotations, T) view of a flat array, clipped and mapped in place,
+so no raw cosines are kept.  Every track is found by one offset,
+``base``, into two flat arrays laid out alike: its prefix sums and its
+mapped values.  :func:`frame_similarities` is the single-query form of
+the same arithmetic, bit for bit.  The pipeline and correction keep the
+mapped values, because proposals find their support runs in them;
+standalone refinement reads only prefix sums, so it keeps nothing else:
+each track's cosines are written where its prefix sums go and turned
+into them in place.
 
 :func:`refine_corpus` scores and adjusts the annotation columns of a
 manifest against these tracks: :func:`batch_contrast` and
@@ -357,14 +358,12 @@ class RefineReport:
 class CorpusTracks:
     """The similarity tracks of a corpus, by manifest row.
 
-    The tracks of all annotations on timelines of T frames are the rows
-    of ``mapped[T]``, an (n, T) block of mapped values, and of
-    ``blocks[T]``, the (n, T + 1) block of their prefix sums.  The prefix
-    blocks lie one after the other in one flat array, ``prefix``.  Row i
-    of the manifest the tracks were computed for is row ``row[i]`` of the
-    blocks of ``frames[i]`` frames, and its prefix sums start at
-    ``prefix[base[i]]``.  :meth:`positions` finds the manifest rows of
-    annotation ids.
+    Row i of the manifest the tracks were computed for has a track of
+    ``frames[i]`` frames, found by ``base[i]`` alone: its T + 1 prefix
+    sums are ``prefix[base[i]:base[i] + T + 1]`` and its T mapped values
+    ``mapped[base[i] + 1:base[i] + T + 1]``, one slot to the right.  The
+    stretches of all tracks tile both flat arrays.  :meth:`positions`
+    finds the manifest rows of annotation ids.
 
     Tracks that :func:`refine_corpus` builds for itself keep only the
     prefix sums: their ``mapped`` is None.  Those of
@@ -372,9 +371,9 @@ class CorpusTracks:
     both.
     """
 
-    def __init__(self, ids, mapped, prefix, blocks, frames, row, base):
-        self.mapped, self.prefix, self.blocks = mapped, prefix, blocks
-        self.frames, self.row, self.base = frames, row, base
+    def __init__(self, ids, mapped, prefix, frames, base):
+        self.mapped, self.prefix = mapped, prefix
+        self.frames, self.base = frames, base
         self._position = {aid: i for i, aid in enumerate(ids)}
 
     def positions(self, ids) -> np.ndarray:
@@ -391,22 +390,22 @@ def compute_tracks(manifest: CorpusManifest) -> CorpusTracks:
     its feature file's header, before any block is allocated.  Videos
     are visited in sorted order and each feature file is read once: the
     float64 cast and the frame norms are computed once per
-    video, then one matrix-vector product per annotation fills a row of
-    the preallocated (annotations, T) block of its timeline length T.
-    Each block is then clipped and mapped by ``(s + 1) / 2`` in place,
-    and its prefix sums go to its own stretch of one flat array; each
-    track equals ``frame_similarities`` for its query bit for bit.
-    :func:`refine_corpus` builds the same prefix sums, and no mapped
-    blocks, when it is not given tracks.
+    video, then one matrix-vector product per annotation fills its
+    track's stretch of the preallocated flat ``mapped`` array.  The
+    stretches of each timeline length are then clipped and mapped by
+    ``(s + 1) / 2`` in place, and their prefix sums go to the same
+    stretches of ``prefix``; each track equals ``frame_similarities``
+    for its query bit for bit.  :func:`refine_corpus` builds the same
+    prefix sums, and no mapped values, when it is not given tracks.
     """
     return _tracks(manifest, keep_mapped=True)
 
 
 def _tracks(manifest: CorpusManifest, keep_mapped: bool) -> CorpusTracks:
-    """:func:`compute_tracks`; without ``keep_mapped``, each row's
-    cosines are written to the columns of its prefix row that will hold
-    its prefix sums, and clipped, mapped and summed there in place, so
-    the tracks hold the same prefix sums and no ``mapped`` blocks."""
+    """:func:`compute_tracks`; without ``keep_mapped``, each track's
+    cosines are written where its prefix sums will go and clipped,
+    mapped and summed there in place, so the tracks hold the same
+    prefix sums and no ``mapped`` array."""
     queries = manifest.load_query_features()
     table = manifest.annotations
     by_video = {}
@@ -415,24 +414,19 @@ def _tracks(manifest: CorpusManifest, keep_mapped: bool) -> CorpusTracks:
     order = sorted(by_video, key=lambda v: manifest.videos[v].video_id)
     counts = {}
     for v in order:
-        # the blocks are sized from the headers' frame counts, so a
+        # the arrays are sized from the headers' frame counts, so a
         # manifest cannot ask for more than the feature files hold
         T = manifest.video_frames(manifest.videos[v].video_id)
         counts[T] = counts.get(T, 0) + len(by_video[v])
     offset, size = {}, 0
-    for T, n in counts.items():  # where each T's prefix block starts
+    for T, n in counts.items():  # where each T's stretch starts
         offset[T], size = size, size + n * (T + 1)
     prefix = np.empty(size)
-    blocks = {T: prefix[offset[T]:offset[T] + n * (T + 1)].reshape(n, T + 1)
-              for T, n in counts.items()}
-    if keep_mapped:
-        mapped = {T: np.empty((n, T)) for T, n in counts.items()}
-    else:  # each row's values take the place of its prefix sums
-        mapped = {T: p[:, 1:] for T, p in blocks.items()}
+    # track i's values go one slot right of its prefix sums' start
+    values = np.empty(size) if keep_mapped else prefix
     frames = np.zeros(len(table), dtype=np.int64)
-    rows = np.zeros(len(table), dtype=np.int64)
     base = np.zeros(len(table), dtype=np.int64)
-    filled = dict.fromkeys(counts, 0)
+    filled = dict(offset)
     refs = table.query_ref
 
     for v in order:
@@ -444,31 +438,31 @@ def _tracks(manifest: CorpusManifest, keep_mapped: bool) -> CorpusTracks:
         x = video.data.astype(np.float64)
         x_norm = np.linalg.norm(x, axis=1)
         T = video.num_frames
-        block = mapped[T]
         members = by_video[v]
         for i in members:
             q = queries.data[refs[i]].astype(np.float64)
-            row = filled[T]
-            np.divide(x @ q, x_norm * np.linalg.norm(q), out=block[row])
-            filled[T] = row + 1
+            b = base[i] = filled[T]
+            np.divide(x @ q, x_norm * np.linalg.norm(q),
+                      out=values[b + 1:b + T + 1])
+            filled[T] = b + T + 1
         frames[members] = T
-        rows[members] = np.arange(filled[T] - len(members), filled[T])
-        base[members] = offset[T] + rows[members] * (T + 1)
 
-    for T, block in mapped.items():
+    for T, n in counts.items():
+        stretch = slice(offset[T], offset[T] + n * (T + 1))
+        block = values[stretch].reshape(n, T + 1)[:, 1:]
         # in place, so that no block-sized temporary raises peak memory
         np.clip(block, -1.0, 1.0, out=block)
         block += 1.0
         block /= 2.0
-        p = blocks[T]
+        p = prefix[stretch].reshape(n, T + 1)
         p[:, 0] = 0.0
         # a bounded number of rows per call, so that the copy NumPy may
         # make of an input overlapping its output stays small
         step = max(1, _CUMSUM_BYTES // (8 * T))
-        for r in range(0, len(p), step):
+        for r in range(0, n, step):
             np.cumsum(block[r:r + step], axis=1, out=p[r:r + step, 1:])
-    return CorpusTracks(table.ids, mapped if keep_mapped else None, prefix,
-                        blocks, frames, rows, base)
+    return CorpusTracks(table.ids, values if keep_mapped else None, prefix,
+                        frames, base)
 
 
 def refine_corpus(manifest: CorpusManifest, clean_params: CleanParams,

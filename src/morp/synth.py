@@ -70,8 +70,6 @@ from .featstore import (
     write_manifest,
 )
 
-TAGS = ("clean", "imprecise", "unmatched", "idle")
-
 # Bounds on one video's T x D frame matrix, checked before anything is
 # drawn: its float64 draws take 8 * T * D bytes each, 128 MiB at most.
 MAX_FRAMES = 2 ** 20

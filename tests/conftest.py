@@ -37,32 +37,29 @@ def annotation_table(videos, annotations):
     return AnnotationTable.from_rows(rows)
 
 
-def corpus_tracks(tracks):
+def corpus_tracks(tracks, order=None):
     """A CorpusTracks over ``tracks``, a list of SimilarityTracks: track
-    i is manifest row i, with annotation id ``str(i)``, and each
-    timeline length's blocks hold its tracks in list order."""
+    i is manifest row i, with annotation id ``str(i)``.  The tracks are
+    laid out flat in ``order``, a permutation of the rows (list order by
+    default), and every ``mapped`` slot that no track owns holds NaN."""
     import numpy as np
 
     from morp.refine import CorpusTracks
 
-    by_len = {}
-    for i, t in enumerate(tracks):
-        by_len.setdefault(t.num_frames, []).append(i)
+    order = range(len(tracks)) if order is None else order
     frames = np.array([t.num_frames for t in tracks], dtype=np.int64)
-    row = np.zeros(len(tracks), dtype=np.int64)
     base = np.zeros(len(tracks), dtype=np.int64)
-    prefix = np.empty(sum(T + 1 for T in frames.tolist()))
-    mapped, blocks, offset = {}, {}, 0
-    for T, members in by_len.items():
-        mapped[T] = np.stack([tracks[i].mapped for i in members])
-        blocks[T] = prefix[offset:offset + len(members) * (T + 1)].reshape(
-            len(members), T + 1)
-        blocks[T][:] = [tracks[i].prefix for i in members]
-        row[members] = np.arange(len(members))
-        base[members] = offset + row[members] * (T + 1)
-        offset += len(members) * (T + 1)
+    prefix = np.empty(int(np.sum(frames + 1)))
+    mapped = np.full(len(prefix), np.nan)
+    b = 0
+    for i in order:
+        T = tracks[i].num_frames
+        base[i] = b
+        prefix[b:b + T + 1] = tracks[i].prefix
+        mapped[b + 1:b + T + 1] = tracks[i].mapped
+        b += T + 1
     return CorpusTracks([str(i) for i in range(len(tracks))], mapped, prefix,
-                        blocks, frames, row, base)
+                        frames, base)
 
 
 def track_of(tracks, annotation_id):
@@ -72,5 +69,5 @@ def track_of(tracks, annotation_id):
 
     i = tracks.positions([annotation_id])[0]
     T, b = int(tracks.frames[i]), tracks.base[i]
-    return SimilarityTrack(mapped=tracks.mapped[T][tracks.row[i]],
+    return SimilarityTrack(mapped=tracks.mapped[b + 1:b + T + 1],
                            prefix=tracks.prefix[b:b + T + 1])

@@ -685,6 +685,38 @@ class TestErrors:
         assert obj["context"] == {"path": str(tmp_path)}
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "stats", "sweep"])
+    def test_json_into_missing_directory(self, tmp_path, capsys, command):
+        json_out = tmp_path / "no" / "such" / "dir" / "out.json"
+        if command == "sweep":
+            argv = ["sweep", "--knob", "corpus-size", "--values", "4",
+                    "--seeds", "0", "--work-dir", str(tmp_path / "work"),
+                    "--frames", "64", "--dim", "8", "--epochs", "2"]
+        else:
+            argv = [command, "--manifest", str(make_corpus(tmp_path, capsys))]
+        code, out, err = run(capsys, *argv, "--json", str(json_out))
+        assert code == 0, err
+        assert json.loads(json_out.read_text()) == \
+            json.loads(out[:out.index("\n\n")])
+
+    @pytest.mark.parametrize("flag", ["--out-manifest", "--json"])
+    def test_directory_as_artifact(self, tmp_path, capsys, flag):
+        """A write over a directory is one io_error naming the path asked
+        for, not the temporary file the write went through."""
+        manifest = make_corpus(tmp_path, capsys)
+        target = tmp_path / "target"
+        target.mkdir()
+        command = "refine" if flag == "--out-manifest" else "stats"
+        code, _, err = run(capsys, command, "--manifest", str(manifest),
+                           flag, str(target))
+        assert code == 1
+        obj = self.one_error(err)
+        assert obj["code"] == "io_error"
+        assert obj["context"] == {"path": str(target)}
+        assert str(target) in obj["message"]
+        assert not list(tmp_path.glob("*.tmp"))
+        assert not list(target.iterdir())
+
     @pytest.mark.parametrize("knob,flag,value", [
         ("clean-ratio", "--values", "a"),
         ("clean-ratio", "--seeds", "x"),

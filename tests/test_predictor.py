@@ -148,7 +148,8 @@ def oracle(tracks, seeds, U, epoch, delta):
 @st.composite
 def corpora(draw):
     """Tracks of mixed lengths, some flat, some with tied values, their
-    seeds, and a permuted subset of their rows."""
+    seeds, a permuted subset of their rows, and the order in which the
+    corpus lays them out."""
     n = draw(st.integers(1, 12))
     tracks = []
     for _ in range(n):
@@ -164,7 +165,7 @@ def corpora(draw):
         tracks.append(track_from_mapped(mapped))
     seeds = draw(st.lists(st.integers(0, 2 ** 40), min_size=n, max_size=n))
     rows = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
-    return tracks, seeds, rows
+    return tracks, seeds, rows, draw(st.permutations(range(n)))
 
 
 # 40 strides past every sampled T but 64
@@ -270,13 +271,15 @@ class TestProposalTable:
     @settings(max_examples=300)
     @given(corpora(), deltas, st.integers(1, 40), st.integers(1, 20))
     def test_matches_propose(self, corpus, delta, U, epoch):
-        """Row i of the table is manifest row rows[i], which sits at
-        another position of its timeline length's blocks."""
-        tracks, seeds, rows = corpus
+        """Row i of the table is manifest row rows[i], whose track lies
+        at another place of the corpus' flat arrays: the layout order
+        is drawn apart from the manifest rows, so ``base`` need not
+        grow with the row."""
+        tracks, seeds, rows, layout = corpus
         seeds = [seeds[r] for r in rows]
         # float equality compares confidences exactly
-        assert proposal_table(corpus_tracks(tracks), rows, seeds, delta, U,
-                              epoch).epoch(epoch).tuples() == \
+        assert proposal_table(corpus_tracks(tracks, layout), rows, seeds,
+                              delta, U, epoch).epoch(epoch).tuples() == \
             oracle([tracks[r] for r in rows], seeds, U, epoch, delta)
 
     def test_offset_draw_matches_scalar_draws(self):

@@ -119,8 +119,9 @@ def write_corpus(base, queries, videos, anns):
 
 
 class TestComputeTracks:
-    """The per-video, per-T block computation must equal one
-    frame_similarities call per annotation, bit for bit."""
+    """The per-video, per-T computation must equal one
+    frame_similarities call per annotation, bit for bit, in flat
+    stretches that tile the arrays."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 7, 64]))
@@ -162,6 +163,16 @@ class TestComputeTracks:
         for name in ("prefix", "frames", "base"):
             assert np.array_equal(getattr(prefix_only, name),
                                   getattr(tracks, name))
+        assert len(tracks.mapped) == len(tracks.prefix)
+        # the tracks' stretches tile the flat arrays, and every track's
+        # prefix sums start at 0
+        for t in (tracks, prefix_only):
+            order = np.argsort(t.base)
+            size = t.frames[order] + 1
+            end = np.cumsum(size)
+            assert np.array_equal(t.base[order], end - size)
+            assert end[-1] == len(t.prefix)
+            assert np.all(t.prefix[t.base] == 0)
         # the rows are filled in video-id order, which the manifest's is not
         assert [a for a, _, _ in sorted(anns, key=lambda a: a[1])] != \
             [aid for aid, _, _ in anns]
